@@ -9,6 +9,9 @@ stall of a producer whose burst is too large for its consumer to absorb
 in time. Sources fire against a finite token workload; sinks swallow
 tokens. Everything is deterministic: one event loop, fixed node order.
 
+Cycles in which only latency countdowns run are skipped in one step (see
+`simulate`); every reported count is the one a cycle-by-cycle run gives.
+
 FIFO sizing follows the probe procedure: run once with effectively
 unbounded depths, read off each FIFO's largest saturation, then verify a
 run at exactly those depths completes.
@@ -18,13 +21,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 DEFAULT_CYCLE_CAP = 10_000_000
 
 
 class GraphError(ValueError):
     """Malformed stream graph; distinct from a simulated deadlock."""
+
+
+def _check_int(what: str, value, minimum: int) -> None:
+    """Counts and latencies are whole cycles and tokens: no floats, no bools."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise GraphError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class Folding:
         return (self.in_ch // self.simd) * (self.out_ch // self.pe) * self.k * self.k
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamNode:
     """One pipeline stage: firing rates, latency, optional folding."""
 
@@ -61,7 +70,7 @@ class StreamNode:
     outputs_per_frame: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class FifoEdge:
     id: str
     src: str
@@ -106,14 +115,20 @@ class StreamGraph:
     def __init__(self):
         self.nodes: dict[str, StreamNode] = {}
         self.edges: dict[str, FifoEdge] = {}
+        # each node's edges in connection order (tuples: small, and the
+        # shared empty one costs nothing); edges are never removed
+        self._in: dict[str, tuple[FifoEdge, ...]] = {}
+        self._out: dict[str, tuple[FifoEdge, ...]] = {}
 
     def add_node(self, node_id: str, **kwargs) -> StreamNode:
         if node_id in self.nodes:
             raise GraphError(f"duplicate node id {node_id!r}")
         node = StreamNode(node_id, **kwargs)
-        if node.consume < 1 or node.produce < 1 or node.latency < 1:
-            raise GraphError(f"node {node_id}: consume/produce/latency must be >= 1")
+        for name in ("consume", "produce", "latency"):
+            _check_int(f"node {node_id}: {name}", getattr(node, name), 1)
         self.nodes[node_id] = node
+        self._in[node_id] = ()
+        self._out[node_id] = ()
         return node
 
     def connect(self, src: str, dst: str, depth: int = 1, edge_id: str | None = None) -> FifoEdge:
@@ -121,37 +136,37 @@ class StreamGraph:
             raise GraphError(f"edge references unknown node: {src} -> {dst}")
         if edge_id is None:
             edge_id = f"{src}->{dst}"
+        if not isinstance(edge_id, str):
+            raise GraphError(f"edge id must be a string, got {edge_id!r}")
         if edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
-        if depth < 0:
-            raise GraphError(f"edge {edge_id}: negative depth")
+        _check_int(f"edge {edge_id}: depth", depth, 0)
         edge = FifoEdge(edge_id, src, dst, depth)
         self.edges[edge_id] = edge
+        self._out[src] += (edge,)
+        self._in[dst] += (edge,)
         return edge
 
     def in_edges(self, node_id: str) -> list[FifoEdge]:
-        return [e for e in self.edges.values() if e.dst == node_id]
+        return list(self._in[node_id])
 
     def out_edges(self, node_id: str) -> list[FifoEdge]:
-        return [e for e in self.edges.values() if e.src == node_id]
+        return list(self._out[node_id])
 
     def sources(self) -> list[str]:
-        return [nid for nid in self.nodes if not self.in_edges(nid)]
+        return [nid for nid, ins in self._in.items() if not ins]
 
     def sinks(self) -> list[str]:
-        return [nid for nid in self.nodes if not self.out_edges(nid)]
+        return [nid for nid, outs in self._out.items() if not outs]
 
     def topo_order(self) -> list[str]:
-        indeg = {nid: len(self.in_edges(nid)) for nid in self.nodes}
-        ready = [nid for nid in self.nodes if indeg[nid] == 0]
-        order = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for e in self.out_edges(nid):
+        indeg = {nid: len(ins) for nid, ins in self._in.items()}
+        order = [nid for nid, d in indeg.items() if d == 0]
+        for nid in order:  # first in, first out: the list grows as nodes get ready
+            for e in self._out[nid]:
                 indeg[e.dst] -= 1
                 if indeg[e.dst] == 0:
-                    ready.append(e.dst)
+                    order.append(e.dst)
         if len(order) != len(self.nodes):
             raise GraphError("stream graph contains a cycle")
         return order
@@ -159,25 +174,24 @@ class StreamGraph:
     def validate(self) -> None:
         if not self.nodes:
             raise GraphError("empty stream graph")
-        if not self.sources():
+        sources, sinks = self.sources(), self.sinks()
+        if not sources:
             raise GraphError("no source node (node without inputs)")
-        if not self.sinks():
+        if not sinks:
             raise GraphError("no sink node (node without outputs)")
-        isolated = set(self.sources()) & set(self.sinks())
+        isolated = set(sources) & set(sinks)
         if isolated:
             raise GraphError(f"isolated nodes: {sorted(isolated)}")
         order = self.topo_order()
         # every node must sit on some source->sink path
-        reach_fwd = set(self.sources())
+        reach_fwd = set(sources)
         for nid in order:
             if nid in reach_fwd:
-                for e in self.out_edges(nid):
-                    reach_fwd.add(e.dst)
-        reach_bwd = set(self.sinks())
+                reach_fwd.update(e.dst for e in self._out[nid])
+        reach_bwd = set(sinks)
         for nid in reversed(order):
             if nid in reach_bwd:
-                for e in self.in_edges(nid):
-                    reach_bwd.add(e.src)
+                reach_bwd.update(e.src for e in self._in[nid])
         stranded = set(self.nodes) - (reach_fwd & reach_bwd)
         if stranded:
             raise GraphError(f"nodes not on any source->sink path: {sorted(stranded)}")
@@ -185,49 +199,42 @@ class StreamGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        nodes = []
-        for n in self.nodes.values():
-            fold = None
-            if n.folding is not None:
-                fold = {
-                    "simd": n.folding.simd,
-                    "pe": n.folding.pe,
-                    "in_ch": n.folding.in_ch,
-                    "out_ch": n.folding.out_ch,
-                    "k": n.folding.k,
-                }
-            nodes.append(
-                {
-                    "id": n.id,
-                    "consume": n.consume,
-                    "produce": n.produce,
-                    "latency": n.latency,
-                    "outputs_per_frame": n.outputs_per_frame,
-                    "folding": fold,
-                }
-            )
-        edges = [
-            {"id": e.id, "src": e.src, "dst": e.dst, "depth": e.depth}
-            for e in self.edges.values()
-        ]
-        return {"nodes": nodes, "edges": edges}
+        return {
+            "nodes": [asdict(n) for n in self.nodes.values()],
+            "edges": [asdict(e) for e in self.edges.values()],
+        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> StreamGraph:
+        """Build a graph from its JSON form; anything malformed is a GraphError."""
+        if not isinstance(doc, dict):
+            raise GraphError("stream graph must be a JSON object")
         g = cls()
-        for spec in doc.get("nodes", []):
+        optional = ("consume", "produce", "latency", "outputs_per_frame")
+        for spec in _specs(doc, "nodes", ("id",)):
             fold = spec.get("folding")
-            g.add_node(
-                spec["id"],
-                consume=spec.get("consume", 1),
-                produce=spec.get("produce", 1),
-                latency=spec.get("latency", 1),
-                outputs_per_frame=spec.get("outputs_per_frame", 1),
-                folding=Folding(**fold) if fold else None,
-            )
-        for spec in doc.get("edges", []):
+            try:
+                folding = Folding(**fold) if fold else None
+            except TypeError as exc:
+                raise GraphError(f"node {spec['id']}: bad folding {fold!r}") from exc
+            g.add_node(spec["id"], folding=folding, **{k: spec[k] for k in optional if k in spec})
+        for spec in _specs(doc, "edges", ("src", "dst")):
             g.connect(spec["src"], spec["dst"], spec.get("depth", 1), spec.get("id"))
         return g
+
+
+def _specs(doc: dict, key: str, names: tuple[str, ...]) -> list[dict]:
+    """The node or edge specs of a graph document, each naming `names`."""
+    specs = doc.get(key, [])
+    if not isinstance(specs, list):
+        raise GraphError(f"{key!r} must be a list")
+    for spec in specs:
+        if not isinstance(spec, dict):
+            raise GraphError(f"{key} entry {spec!r} is not an object")
+        for name in names:
+            if not isinstance(spec.get(name), str):
+                raise GraphError(f"{key} entry {spec!r} needs a string {name!r}")
+    return specs
 
 
 def save_stream_graph(g: StreamGraph, path, workload: int | None = None) -> None:
@@ -253,12 +260,17 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     peaks are sampled; (4) idle nodes with empty staging and sufficient
     inputs fire. Deadlock is declared the first cycle nothing changes
     while work remains - the state would then be frozen forever.
+
+    Skip rule: after a cycle that drains and fires nothing while some node
+    is busy, the next `min(busy) - 1` cycles (never past `cycle_cap`) pass
+    in one step: busy nodes count down by that many, idle nodes with a
+    stuck burst stall that many. It relies on staging, occupancy and the
+    source counters staying frozen until a busy node completes, which
+    whole-cycle latencies make exact. With no node busy nothing is skipped.
     """
     g.validate()
-    if workload <= 0:
-        raise GraphError(f"workload must be positive, got {workload}")
-    if cycle_cap <= 0:
-        raise GraphError(f"cycle_cap must be positive, got {cycle_cap}")
+    _check_int("workload", workload, 1)
+    _check_int("cycle_cap", cycle_cap, 1)
     for src in g.sources():
         if workload % g.nodes[src].produce != 0:
             raise GraphError(
@@ -266,106 +278,125 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
                 f"{g.nodes[src].produce}"
             )
 
-    order = g.topo_order()
-    occupancy = {eid: 0 for eid in g.edges}
-    max_occ = {eid: 0 for eid in g.edges}
-    staging: dict[str, dict[str, int]] = {
-        nid: {e.id: 0 for e in g.out_edges(nid)} for nid in g.nodes
-    }
-    busy = {nid: 0 for nid in g.nodes}
-    stall = {nid: 0 for nid in g.nodes}
-    remaining = {src: workload // g.nodes[src].produce for src in g.sources()}
-    delivered = 0
+    # Each phase touches only a node's own state and edges, so the visiting
+    # order is free; insertion order is the key order of the report's dicts.
+    pos = {nid: i for i, nid in enumerate(g.nodes)}
+    eids = list(g.edges)
+    eidx = {eid: k for k, eid in enumerate(eids)}
+    ins = [[eidx[e.id] for e in g.in_edges(nid)] for nid in g.nodes]
+    outs = [[eidx[e.id] for e in g.out_edges(nid)] for nid in g.nodes]
+    consume = [node.consume for node in g.nodes.values()]
+    produce = [node.produce for node in g.nodes.values()]
+    latency = [node.latency for node in g.nodes.values()]
+    depth = [e.depth for e in g.edges.values()]
+    edge_src = [pos[e.src] for e in g.edges.values()]
+    n, m = len(pos), len(eids)
 
-    def quiescent() -> bool:
-        return (
-            all(r == 0 for r in remaining.values())
-            and all(b == 0 for b in busy.values())
-            and all(v == 0 for s in staging.values() for v in s.values())
-            and all(v == 0 for v in occupancy.values())
-        )
+    occupancy, max_occ = [0] * m, [0] * m
+    staged = [0] * m  # tokens of an edge's burst not yet in its FIFO
+    node_staged = [0] * n  # the same, summed over a node's output edges
+    busy, stall = [0] * n, [0] * n
+    remaining = [0 if ins[i] else workload // produce[i] for i in range(n)]
+    # Running totals; the run is complete when all three are zero.
+    left, busy_nodes, held = sum(remaining), 0, 0  # held: staged or in a FIFO
+    delivered = 0
 
     cycles = 0
     outcome = "cap_exceeded"
     while cycles < cycle_cap:
         cycles += 1
-        progress = False
+        advanced = busy_nodes > 0
 
         # 1) advance busy nodes; completed firings stage their burst
-        for nid in order:
-            if busy[nid] > 0:
-                busy[nid] -= 1
-                progress = True
-                if busy[nid] == 0:
-                    for e in g.out_edges(nid):
-                        staging[nid][e.id] += g.nodes[nid].produce
+        for i in range(n):
+            b = busy[i]
+            if b:
+                busy[i] = b - 1
+                if b == 1:
+                    busy_nodes -= 1
+                    for k in outs[i]:
+                        staged[k] += produce[i]
+                    node_staged[i] += produce[i] * len(outs[i])
+                    held += produce[i] * len(outs[i])
 
-        # 2) drain staging into FIFOs as far as space allows
-        for nid in order:
-            for e in g.out_edges(nid):
-                amount = min(staging[nid][e.id], e.depth - occupancy[e.id])
+        # 2) drain staging into FIFOs as far as space allows; 3) sample the
+        # post-drain peak (the "largest saturation") - only drains raise it
+        drained = False
+        for k in range(m):
+            s = staged[k]
+            if s:
+                amount = min(s, depth[k] - occupancy[k])
                 if amount > 0:
-                    staging[nid][e.id] -= amount
-                    occupancy[e.id] += amount
-                    progress = True
-
-        # 3) sample the post-drain peak (the "largest saturation")
-        for eid, occ in occupancy.items():
-            if occ > max_occ[eid]:
-                max_occ[eid] = occ
+                    staged[k] = s - amount
+                    node_staged[edge_src[k]] -= amount
+                    occ = occupancy[k] = occupancy[k] + amount
+                    if occ > max_occ[k]:
+                        max_occ[k] = occ
+                    drained = True
 
         # 4) fire idle nodes whose burst has fully left and inputs suffice
-        for nid in order:
-            node = g.nodes[nid]
-            if busy[nid] > 0:
+        fired = False
+        for i in range(n):
+            if busy[i]:
                 continue
-            if any(v > 0 for v in staging[nid].values()):
-                stall[nid] += 1  # burst still stuck in staging
+            if node_staged[i]:
+                stall[i] += 1  # burst still stuck in staging
                 continue
-            ins = g.in_edges(nid)
-            if not ins:  # source
-                if remaining[nid] > 0:
-                    remaining[nid] -= 1
-                    busy[nid] = node.latency
-                    progress = True
+            inputs = ins[i]
+            if not inputs:  # source
+                if remaining[i]:
+                    remaining[i] -= 1
+                    left -= 1
+                    busy[i] = latency[i]
+                    busy_nodes += 1
+                    fired = True
                 continue
-            if all(occupancy[e.id] >= node.consume for e in ins):
-                for e in ins:
-                    occupancy[e.id] -= node.consume
-                if not g.out_edges(nid):  # sink swallows
-                    delivered += node.consume * len(ins)
-                busy[nid] = node.latency
-                progress = True
+            need = consume[i]
+            for k in inputs:
+                if occupancy[k] < need:
+                    break
+            else:
+                for k in inputs:
+                    occupancy[k] -= need
+                held -= need * len(inputs)
+                if not outs[i]:  # sink swallows
+                    delivered += need * len(inputs)
+                busy[i] = latency[i]
+                busy_nodes += 1
+                fired = True
 
-        if quiescent():
+        if not (left or busy_nodes or held):
             outcome = "completed"
             break
-        if not progress:
+        if not (advanced or drained or fired):
             outcome = "deadlock"
             break
+        if busy_nodes and not (drained or fired):  # skip rule
+            skip = min(min(filter(None, busy)) - 1, cycle_cap - cycles)
+            cycles += skip
+            for i in range(n):
+                if busy[i]:
+                    busy[i] -= skip
+                elif node_staged[i]:
+                    stall[i] += skip
 
-    blocked: list[str] = []
-    full: list[str] = []
-    empty: list[str] = []
+    blocked, full, empty = [], [], []
     if outcome == "deadlock":
-        for nid in order:
-            node = g.nodes[nid]
-            stuck_staging = any(v > 0 for v in staging[nid].values())
-            pending_source = not g.in_edges(nid) and remaining.get(nid, 0) > 0
-            starved = any(occupancy[e.id] > 0 for e in g.in_edges(nid)) and not all(
-                occupancy[e.id] >= node.consume for e in g.in_edges(nid)
-            )
-            if stuck_staging or pending_source or starved:
+        for nid in g.topo_order():
+            i = pos[nid]
+            occs = [occupancy[k] for k in ins[i]]
+            starved = bool(occs) and max(occs) > 0 and min(occs) < consume[i]
+            if node_staged[i] or remaining[i] or starved:
                 blocked.append(nid)
-        full = sorted(eid for eid, occ in occupancy.items() if occ >= g.edges[eid].depth)
-        empty = sorted(eid for eid, occ in occupancy.items() if occ == 0)
+        full = sorted(eid for k, eid in enumerate(eids) if occupancy[k] >= depth[k])
+        empty = sorted(eid for k, eid in enumerate(eids) if occupancy[k] == 0)
 
     return SimReport(
         outcome=outcome,
         cycles=cycles,
-        max_occupancy=max_occ,
+        max_occupancy=dict(zip(eids, max_occ)),
         delivered=delivered,
-        stall_cycles=stall,
+        stall_cycles=dict(zip(g.nodes, stall)),
         blocked_nodes=tuple(blocked),
         full_edges=tuple(full),
         empty_edges=tuple(empty),
@@ -387,6 +418,17 @@ def _token_bound(g: StreamGraph, workload: int) -> dict[str, int]:
     return {e.id: max(1, out_tokens[e.src]) for e in g.edges.values()}
 
 
+def _with_depths(g: StreamGraph, depths: dict[str, int]) -> StreamGraph:
+    """A copy of `g` whose edges have the given depths."""
+    h = StreamGraph()
+    for n in g.nodes.values():
+        h.add_node(n.id, consume=n.consume, produce=n.produce, latency=n.latency,
+                   folding=n.folding, outputs_per_frame=n.outputs_per_frame)
+    for e in g.edges.values():
+        h.connect(e.src, e.dst, depths[e.id], e.id)
+    return h
+
+
 def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict[str, int]:
     """Recommend per-edge FIFO depths: probe deep, read the saturation.
 
@@ -395,18 +437,12 @@ def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP
     exactly the recommended depths must complete, otherwise something is
     wrong with the graph and we raise.
     """
-    probe = StreamGraph.from_json_dict(g.to_json_dict())
-    for eid, bound in _token_bound(g, workload).items():
-        probe.edges[eid].depth = bound
-    report = simulate(probe, workload, cycle_cap)
+    report = simulate(_with_depths(g, _token_bound(g, workload)), workload, cycle_cap)
     if not report.completed:
         raise GraphError(f"probe run did not complete: {report.outcome}")
     recommended = dict(report.max_occupancy)
 
-    check = StreamGraph.from_json_dict(g.to_json_dict())
-    for eid, depth in recommended.items():
-        check.edges[eid].depth = depth
-    verify = simulate(check, workload, cycle_cap)
+    verify = simulate(_with_depths(g, recommended), workload, cycle_cap)
     if not verify.completed:
         raise GraphError(f"verification at recommended depths failed: {verify.outcome}")
     return recommended

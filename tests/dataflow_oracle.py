@@ -1,0 +1,181 @@
+"""Frozen reference FIFO simulator for the differential tests.
+
+``simulate`` below is motkit's original cycle-by-cycle stepper, copied
+verbatim: it advances every cycle one at a time and scans the edge list for
+each adjacency query. ``size_fifos`` and ``_token_bound`` are the sizing
+procedure on top of it. ``motkit.dataflow`` must return the same
+``SimReport`` (fields and dict key order) and the same recommended depths.
+"""
+
+from __future__ import annotations
+
+import math
+
+from motkit.dataflow import DEFAULT_CYCLE_CAP, GraphError, SimReport, StreamGraph
+
+
+def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
+    """Run the pipeline on `workload` source tokens.
+
+    Per cycle: (1) busy nodes advance, completions stage their burst;
+    (2) staged tokens drain into FIFOs up to free space; (3) occupancy
+    peaks are sampled; (4) idle nodes with empty staging and sufficient
+    inputs fire. Deadlock is declared the first cycle nothing changes
+    while work remains - the state would then be frozen forever.
+    """
+    g.validate()
+    if workload <= 0:
+        raise GraphError(f"workload must be positive, got {workload}")
+    if cycle_cap <= 0:
+        raise GraphError(f"cycle_cap must be positive, got {cycle_cap}")
+    for src in g.sources():
+        if workload % g.nodes[src].produce != 0:
+            raise GraphError(
+                f"workload {workload} not a multiple of source {src} burst "
+                f"{g.nodes[src].produce}"
+            )
+
+    order = g.topo_order()
+    occupancy = {eid: 0 for eid in g.edges}
+    max_occ = {eid: 0 for eid in g.edges}
+    staging: dict[str, dict[str, int]] = {
+        nid: {e.id: 0 for e in g.out_edges(nid)} for nid in g.nodes
+    }
+    busy = {nid: 0 for nid in g.nodes}
+    stall = {nid: 0 for nid in g.nodes}
+    remaining = {src: workload // g.nodes[src].produce for src in g.sources()}
+    delivered = 0
+
+    def quiescent() -> bool:
+        return (
+            all(r == 0 for r in remaining.values())
+            and all(b == 0 for b in busy.values())
+            and all(v == 0 for s in staging.values() for v in s.values())
+            and all(v == 0 for v in occupancy.values())
+        )
+
+    cycles = 0
+    outcome = "cap_exceeded"
+    while cycles < cycle_cap:
+        cycles += 1
+        progress = False
+
+        # 1) advance busy nodes; completed firings stage their burst
+        for nid in order:
+            if busy[nid] > 0:
+                busy[nid] -= 1
+                progress = True
+                if busy[nid] == 0:
+                    for e in g.out_edges(nid):
+                        staging[nid][e.id] += g.nodes[nid].produce
+
+        # 2) drain staging into FIFOs as far as space allows
+        for nid in order:
+            for e in g.out_edges(nid):
+                amount = min(staging[nid][e.id], e.depth - occupancy[e.id])
+                if amount > 0:
+                    staging[nid][e.id] -= amount
+                    occupancy[e.id] += amount
+                    progress = True
+
+        # 3) sample the post-drain peak (the "largest saturation")
+        for eid, occ in occupancy.items():
+            if occ > max_occ[eid]:
+                max_occ[eid] = occ
+
+        # 4) fire idle nodes whose burst has fully left and inputs suffice
+        for nid in order:
+            node = g.nodes[nid]
+            if busy[nid] > 0:
+                continue
+            if any(v > 0 for v in staging[nid].values()):
+                stall[nid] += 1  # burst still stuck in staging
+                continue
+            ins = g.in_edges(nid)
+            if not ins:  # source
+                if remaining[nid] > 0:
+                    remaining[nid] -= 1
+                    busy[nid] = node.latency
+                    progress = True
+                continue
+            if all(occupancy[e.id] >= node.consume for e in ins):
+                for e in ins:
+                    occupancy[e.id] -= node.consume
+                if not g.out_edges(nid):  # sink swallows
+                    delivered += node.consume * len(ins)
+                busy[nid] = node.latency
+                progress = True
+
+        if quiescent():
+            outcome = "completed"
+            break
+        if not progress:
+            outcome = "deadlock"
+            break
+
+    blocked: list[str] = []
+    full: list[str] = []
+    empty: list[str] = []
+    if outcome == "deadlock":
+        for nid in order:
+            node = g.nodes[nid]
+            stuck_staging = any(v > 0 for v in staging[nid].values())
+            pending_source = not g.in_edges(nid) and remaining.get(nid, 0) > 0
+            starved = any(occupancy[e.id] > 0 for e in g.in_edges(nid)) and not all(
+                occupancy[e.id] >= node.consume for e in g.in_edges(nid)
+            )
+            if stuck_staging or pending_source or starved:
+                blocked.append(nid)
+        full = sorted(eid for eid, occ in occupancy.items() if occ >= g.edges[eid].depth)
+        empty = sorted(eid for eid, occ in occupancy.items() if occ == 0)
+
+    return SimReport(
+        outcome=outcome,
+        cycles=cycles,
+        max_occupancy=max_occ,
+        delivered=delivered,
+        stall_cycles=stall,
+        blocked_nodes=tuple(blocked),
+        full_edges=tuple(full),
+        empty_edges=tuple(empty),
+    )
+
+
+def _token_bound(g: StreamGraph, workload: int) -> dict[str, int]:
+    """Upper bound on tokens ever entering each edge (probe depths)."""
+    out_tokens: dict[str, int] = {}
+    for nid in g.topo_order():
+        node = g.nodes[nid]
+        ins = g.in_edges(nid)
+        if not ins:
+            out_tokens[nid] = workload
+            continue
+        arriving = max(out_tokens[e.src] for e in ins)
+        firings = math.ceil(arriving / node.consume)
+        out_tokens[nid] = firings * node.produce
+    return {e.id: max(1, out_tokens[e.src]) for e in g.edges.values()}
+
+
+def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict[str, int]:
+    """Recommend per-edge FIFO depths: probe deep, read the saturation.
+
+    The probe run uses depths no achievable occupancy can exceed; each
+    edge's recommendation is its observed maximum. A verification run at
+    exactly the recommended depths must complete, otherwise something is
+    wrong with the graph and we raise.
+    """
+    probe = StreamGraph.from_json_dict(g.to_json_dict())
+    for eid, bound in _token_bound(g, workload).items():
+        probe.edges[eid].depth = bound
+    report = simulate(probe, workload, cycle_cap)
+    if not report.completed:
+        raise GraphError(f"probe run did not complete: {report.outcome}")
+    recommended = dict(report.max_occupancy)
+
+    check = StreamGraph.from_json_dict(g.to_json_dict())
+    for eid, depth in recommended.items():
+        check.edges[eid].depth = depth
+    verify = simulate(check, workload, cycle_cap)
+    if not verify.completed:
+        raise GraphError(f"verification at recommended depths failed: {verify.outcome}")
+    return recommended

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import conv_block_graph, fork_join_stream_graph, FORK_JOIN_WORKLOAD
 from motkit.cli import main
@@ -258,3 +259,29 @@ class TestSimFifoCli:
         path = tmp_path / "graph.json"
         save_stream_graph(fork_join_stream_graph(), path)
         assert main(["sim-fifo", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("nodes", "latency", 1.5),
+            ("nodes", "consume", "x"),
+            ("nodes", "id", None),  # None: the key is left out
+            ("nodes", "folding", {"simd": 1, "pe": 1, "in_ch": 8, "out_ch": 8, "lanes": 4}),
+            ("nodes", "produce", True),
+            ("edges", "depth", 2.0),
+        ],
+        ids=["float_latency", "string_consume", "missing_id", "unknown_folding_key",
+             "bool_produce", "float_depth"],
+    )
+    def test_malformed_graph_exits_two(self, tmp_path, capsys, section, key, value):
+        doc = fork_join_stream_graph().to_json_dict()
+        doc["workload"] = FORK_JOIN_WORKLOAD
+        spec = doc[section][3]
+        if value is None:
+            del spec[key]
+        else:
+            spec[key] = value
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sim-fifo", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -105,6 +105,30 @@ class TestSimulate:
             simulate(chain_stream_graph(), 0)
 
 
+class TestFromJson:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"nodes": {"a": {}}},
+            {"nodes": ["a"]},
+            {"nodes": [{"id": 7}]},
+            {"nodes": [{"id": "a", "folding": [1, 1, 8, 8]}]},
+            {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a"}]},
+            {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a", "dst": "b", "id": 3}]},
+        ],
+    )
+    def test_malformed_document_is_graph_error(self, doc):
+        with pytest.raises(GraphError):
+            StreamGraph.from_json_dict(doc)
+
+    def test_round_trip(self):
+        g = fork_join_stream_graph({"e2": 5})
+        g.nodes["acc"].folding = Folding(simd=2, pe=4, in_ch=8, out_ch=8, k=3)
+        doc = g.to_json_dict()
+        assert StreamGraph.from_json_dict(doc).to_json_dict() == doc
+
+
 class TestSizeFifos:
     def test_rate_matched_chain_recommends_one(self):
         rec = size_fifos(chain_stream_graph(), 20)

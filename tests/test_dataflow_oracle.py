@@ -1,0 +1,123 @@
+"""Differential test: the event-skipping simulator against the frozen stepper.
+
+Graphs are chains, fork/joins and two-source DAGs with bursts of 1-8,
+latencies of 1-64 and FIFO depths from 0 to two bursts, so runs complete,
+deadlock (under-buffered edges, rate mismatches) and sit idle for long
+latency countdowns. Every `SimReport` must equal the oracle's field by
+field, with the same key order in its dicts, at a cycle cap of 1, below
+completion, at it and above it; `size_fifos` must recommend the same depths
+or fail with the same error.
+"""
+
+import math
+
+from hypothesis import example, given, settings, strategies as st
+
+import dataflow_oracle as oracle
+from conftest import (
+    FORK_JOIN_WORKLOAD,
+    burst_stream_graph,
+    chain_stream_graph,
+    fork_join_stream_graph,
+)
+from motkit import dataflow
+from motkit.dataflow import GraphError, StreamGraph
+
+
+@st.composite
+def stream_cases(draw):
+    """(graph JSON document, workload) of a random small stream graph."""
+    nodes: dict[str, dict] = {}
+    edges: list[dict] = []
+
+    def stage(nid: str, source: bool = False) -> str:
+        burst = draw(st.integers(1, 8))
+        rate_change = draw(st.sampled_from((False, False, False, True)))
+        nodes[nid] = {
+            "id": nid,
+            "consume": 1 if source else burst,
+            "produce": draw(st.integers(1, 8)) if rate_change else burst,
+            "latency": draw(st.integers(1, 64)),
+        }
+        return nid
+
+    def path(prefix: str, start: str, lengths) -> str:
+        prev = start
+        for k in range(draw(lengths)):
+            prev = link(prev, stage(f"{prefix}{k}"))
+        return prev
+
+    def link(src: str, dst: str) -> str:
+        edges.append({"id": f"{src}->{dst}", "src": src, "dst": dst})
+        return dst
+
+    shape = draw(st.sampled_from(["chain", "fork_join", "two_source"]))
+    if shape == "chain":
+        last = path("s", stage("src", source=True), st.integers(1, 4))
+    elif shape == "fork_join":
+        fork = path("p", stage("src", source=True), st.integers(0, 1))
+        join = stage("join")
+        for branch in "ab":
+            link(path(branch, fork, st.integers(1, 3)), join)
+        last = path("q", join, st.integers(0, 1))
+    else:
+        join = stage("join")
+        for branch in "ab":
+            link(path(branch, stage(f"src_{branch}", source=True), st.integers(0, 2)), join)
+        last = path("q", join, st.integers(0, 2))
+    if shape == "chain" or draw(st.booleans()):
+        link(last, stage("sink"))  # else the join or the node after it sinks
+
+    # Room for one to two bursts, or on some edges of an under-buffered
+    # graph anything from 0.
+    under = draw(st.booleans())
+    for e in edges:
+        burst = max(nodes[e["src"]]["produce"], nodes[e["dst"]]["consume"])
+        low = 0 if under and draw(st.booleans()) else burst
+        e["depth"] = draw(st.integers(low, 2 * burst))
+    # A multiple of every burst when that stays small, so most runs can
+    # complete; otherwise only of the source bursts, as simulate requires.
+    bursts = [nodes[n][key] for n in nodes for key in ("consume", "produce")]
+    unit = math.lcm(*bursts)
+    if unit > 96:
+        unit = math.lcm(*(nodes[n]["produce"] for n in nodes if n.startswith("src")))
+    workload = unit * draw(st.integers(1, max(1, 96 // unit)))
+    return {"nodes": list(nodes.values()), "edges": edges}, workload
+
+
+def _fixture(graph: StreamGraph, workload: int):
+    return graph.to_json_dict(), workload
+
+
+def _assert_same_report(doc, workload, cycle_cap):
+    want = oracle.simulate(StreamGraph.from_json_dict(doc), workload, cycle_cap)
+    got = dataflow.simulate(StreamGraph.from_json_dict(doc), workload, cycle_cap)
+    assert got == want, cycle_cap
+    assert list(got.max_occupancy) == list(want.max_occupancy)
+    assert list(got.stall_cycles) == list(want.stall_cycles)
+    return want
+
+
+def _sizing(size_fifos, doc, workload):
+    try:
+        return list(size_fifos(StreamGraph.from_json_dict(doc), workload).items())
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases(), data=st.data())
+@example(case=_fixture(chain_stream_graph(), 20), data=None)
+@example(case=_fixture(burst_stream_graph(burst_depth=2), 16), data=None)
+@example(case=_fixture(fork_join_stream_graph(), FORK_JOIN_WORKLOAD), data=None)
+def test_simulate_matches_oracle(case, data):
+    doc, workload = case
+    full = _assert_same_report(doc, workload, dataflow.DEFAULT_CYCLE_CAP)
+    below = max(1, full.cycles - 1)
+    if data is not None:
+        below = data.draw(st.integers(1, below))
+    for cycle_cap in {1, below, full.cycles, full.cycles + 7}:
+        _assert_same_report(doc, workload, cycle_cap)
+    assert _sizing(dataflow.size_fifos, doc, workload) == _sizing(
+        oracle.size_fifos, doc, workload
+    )
