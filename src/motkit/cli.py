@@ -187,7 +187,7 @@ def cmd_streamline(args) -> int:
             name = name.strip()
             if name not in _PASSES:
                 raise ValueError(f"unknown pass {name!r}; choose from {sorted(_PASSES)}")
-            graph = _PASSES[name](graph, diagnostics)
+            _PASSES[name](graph, diagnostics)
     else:
         graph = streamline.run_pipeline(graph, diagnostics=diagnostics)
     streamline.save_graph(graph, args.output)

@@ -116,15 +116,6 @@ class MotAccumulator:
         return counts
 
 
-def mot_step(
-    acc: MotAccumulator,
-    gt: list[tuple[int, BoundingBox]],
-    hyp: list[tuple[int, BoundingBox]],
-) -> MotAccumulator:
-    acc.step(gt, hyp)
-    return acc
-
-
 def mota(acc: MotAccumulator) -> float:
     """Multi-object tracking accuracy; <= 1, may go negative."""
     if acc.g == 0:

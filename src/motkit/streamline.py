@@ -10,7 +10,9 @@ absorbed into MultiThreshold nodes or parked as the final output scale:
   * fold an affine directly preceding a MultiThreshold into its thresholds.
 
 Every pass preserves the reference interpreter's output exactly; the
-interpreter doubles as the equivalence oracle in tests. Graphs serialize
+interpreter doubles as the equivalence oracle in tests. A pass rewrites its
+graph in place; ``run_pipeline`` copies its input once and streamlines the
+copy, as FINN's ``ModelWrapper.transform`` does. Graphs serialize
 to a plain JSON document so fixtures and golden files stay language
 agnostic.
 """
@@ -93,11 +95,15 @@ class ScaleViolation:
 
 
 class OpGraph:
-    """Mutable DAG of operator nodes joined by tensor edges."""
+    """Mutable DAG of operator nodes joined by tensor edges. Each node keeps
+    the ids of its in- and out-edges, so adjacency queries cost O(degree);
+    change edge ends only through connect, reroute and remove_edge."""
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
         self.edges: dict[str, Edge] = {}
+        self._ins: dict[str, list[str]] = {}
+        self._outs: dict[str, list[str]] = {}
         self._counter = 0
 
     # -- construction ------------------------------------------------------
@@ -109,6 +115,8 @@ class OpGraph:
             raise GraphError(f"duplicate node id {node_id!r}")
         node = Node(node_id, kind, attrs)
         self.nodes[node_id] = node
+        self._ins[node_id] = []
+        self._outs[node_id] = []
         return node
 
     def connect(
@@ -131,7 +139,24 @@ class OpGraph:
             raise GraphError(f"duplicate edge id {edge_id!r}")
         edge = Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed, shape)
         self.edges[edge_id] = edge
+        self._outs[src].append(edge_id)
+        self._ins[dst].append(edge_id)
         return edge
+
+    def reroute(
+        self, edge: Edge, src: str | None = None, src_out: int = 0,
+        dst: str | None = None, dst_in: int = 0,
+    ) -> None:
+        """Move the source end of `edge` to (src, src_out) and/or its
+        destination end to (dst, dst_in)."""
+        if src is not None:
+            self._outs[edge.src].remove(edge.id)
+            self._outs[src].append(edge.id)
+            edge.src, edge.src_out = src, src_out
+        if dst is not None:
+            self._ins[edge.dst].remove(edge.id)
+            self._ins[dst].append(edge.id)
+            edge.dst, edge.dst_in = dst, dst_in
 
     def fresh_id(self, prefix: str) -> str:
         while True:
@@ -141,29 +166,39 @@ class OpGraph:
                 return cand
 
     def remove_edge(self, edge_id: str) -> None:
-        del self.edges[edge_id]
+        edge = self.edges.pop(edge_id)
+        self._outs[edge.src].remove(edge_id)
+        self._ins[edge.dst].remove(edge_id)
 
     def remove_node(self, node_id: str) -> None:
-        if any(e.src == node_id or e.dst == node_id for e in self.edges.values()):
+        if self._ins[node_id] or self._outs[node_id]:
             raise GraphError(f"node {node_id!r} still has edges")
-        del self.nodes[node_id]
+        del self.nodes[node_id], self._ins[node_id], self._outs[node_id]
 
     def copy(self) -> OpGraph:
-        return copy.deepcopy(self)
+        """Independent copy with the same ids, order and id counter."""
+        g = OpGraph()
+        g.nodes = {
+            nid: Node(nid, n.kind, copy.deepcopy(n.attrs)) for nid, n in self.nodes.items()
+        }
+        g.edges = {
+            eid: Edge(eid, e.src, e.dst, e.src_out, e.dst_in, e.scale, e.bits, e.signed, e.shape)
+            for eid, e in self.edges.items()
+        }
+        g._ins = {nid: ids.copy() for nid, ids in self._ins.items()}
+        g._outs = {nid: ids.copy() for nid, ids in self._outs.items()}
+        g._counter = self._counter
+        return g
 
     # -- queries -----------------------------------------------------------
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges.values() if e.dst == node_id),
-            key=lambda e: (e.dst_in, e.id),
-        )
+        ids = self._ins.get(node_id, ())
+        return sorted((self.edges[eid] for eid in ids), key=lambda e: (e.dst_in, e.id))
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges.values() if e.src == node_id),
-            key=lambda e: (e.src_out, e.id),
-        )
+        ids = self._outs.get(node_id, ())
+        return sorted((self.edges[eid] for eid in ids), key=lambda e: (e.src_out, e.id))
 
     def validate(self) -> None:
         if not self.nodes:
@@ -172,31 +207,26 @@ class OpGraph:
             if edge.src not in self.nodes or edge.dst not in self.nodes:
                 raise GraphError(f"edge {edge.id} references missing node")
         for node in self.nodes.values():
-            n_in = len(self.in_edges(node.id))
+            n_in = len(self._ins[node.id])
             if node.kind == "Input" and n_in != 0:
                 raise GraphError(f"Input node {node.id} has inputs")
             if node.kind in _SINGLE_INPUT_KINDS and n_in != 1:
                 raise GraphError(f"{node.kind} node {node.id} needs exactly 1 input, has {n_in}")
             if node.kind in ("Concat", "EltwiseAdd") and n_in < 2:
                 raise GraphError(f"{node.kind} node {node.id} needs >= 2 inputs")
-            if node.kind == "Output" and self.out_edges(node.id):
+            if node.kind == "Output" and self._outs[node.id]:
                 raise GraphError(f"Output node {node.id} has outputs")
         self.topo_order()  # raises on cycles
 
     def topo_order(self) -> list[str]:
-        indeg = {nid: 0 for nid in self.nodes}
-        for e in self.edges.values():
-            indeg[e.dst] += 1
-        # insertion order keeps evaluation deterministic
-        ready = [nid for nid in self.nodes if indeg[nid] == 0]
-        order = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
+        indeg = {nid: len(ids) for nid, ids in self._ins.items()}
+        # insertion order keeps evaluation deterministic; `order` is the FIFO queue
+        order = [nid for nid in self.nodes if indeg[nid] == 0]
+        for nid in order:
             for e in self.out_edges(nid):
                 indeg[e.dst] -= 1
                 if indeg[e.dst] == 0:
-                    ready.append(e.dst)
+                    order.append(e.dst)
         if len(order) != len(self.nodes):
             raise GraphError("graph contains a cycle")
         return order
@@ -378,8 +408,7 @@ def _bypass_single_node(g: OpGraph, node_id: str) -> None:
     """Remove a 1-in/1-out node, reconnecting its input edge to its consumer."""
     in_e = g.in_edges(node_id)[0]
     out_e = g.out_edges(node_id)[0]
-    in_e.dst = out_e.dst
-    in_e.dst_in = out_e.dst_in
+    g.reroute(in_e, dst=out_e.dst, dst_in=out_e.dst_in)
     g.remove_edge(out_e.id)
     g.remove_node(node_id)
 
@@ -388,155 +417,150 @@ def _insert_after(g: OpGraph, node_id: str, kind: str, attrs: dict) -> Node:
     """Insert a fresh 1-in/1-out node between node_id and all its consumers."""
     new = g.add_node(g.fresh_id(f"{kind.lower()}_m"), kind, **attrs)
     for e in g.out_edges(node_id):
-        e.src = new.id
-        e.src_out = 0
+        g.reroute(e, src=new.id, src_out=0)
     g.connect(node_id, new.id)
     return new
 
 
-def _note(diagnostics: list[str] | None, message: str) -> None:
-    if diagnostics is not None:
-        diagnostics.append(message)
+def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite) -> bool:
+    """Rewrite the first site, in node insertion order, where `rewrite(g, node,
+    notes)` applies (returns True) and rescan until none is left; that order
+    fixes the fresh ids the rewrites draw. `notes` is an ordered set, so a site
+    skipped on every rescan is reported once."""
+    notes: dict[str, None] = {}
+    changed = False
+    try:
+        while any(rewrite(g, node, notes) for node in list(g.nodes.values())):
+            changed = True
+    finally:  # a pass that raises still reports what it noted
+        if diagnostics is not None:
+            diagnostics.extend(notes)
+    return changed
 
 
 # -- passes -------------------------------------------------------------------
+# Each pass rewrites g in place to its own fixed point; True if it changed it.
 
 
-def pass_absorb_affine(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
+def pass_absorb_affine(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
     """Fold Mul/Add nodes directly preceding a MultiThreshold into its
     thresholds (t <- (t - b) / a) and drop them from the graph."""
-    g = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for node in list(g.nodes.values()):
-            if node.kind not in ("Mul", "Add"):
-                continue
-            outs = g.out_edges(node.id)
-            if len(outs) != 1:
-                continue
-            consumer = g.nodes[outs[0].dst]
-            if consumer.kind != "MultiThreshold":
-                continue
-            a, b = _affine_params(node)
-            if np.any(a == 0.0):
-                raise GraphError(f"node {node.id}: zero scale cannot be absorbed")
-            op = quantcore.absorb_affine(_mt_from_attrs(consumer.attrs), a, b)
-            consumer.attrs["thresholds"] = op.thresholds
-            consumer.attrs["count_above"] = op.count_above
-            _bypass_single_node(g, node.id)
-            changed = True
-            break
-    return g
+    return _to_fixed_point(g, diagnostics, _absorb_affine_at)
 
 
-def pass_move_scale_past_conv(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
+def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
+    if node.kind not in ("Mul", "Add"):
+        return False
+    outs = g.out_edges(node.id)
+    if len(outs) != 1:
+        return False
+    consumer = g.nodes[outs[0].dst]
+    if consumer.kind != "MultiThreshold":
+        return False
+    a, b = _affine_params(node)
+    if np.any(a == 0.0):
+        raise GraphError(f"node {node.id}: zero scale cannot be absorbed")
+    op = quantcore.absorb_affine(_mt_from_attrs(consumer.attrs), a, b)
+    consumer.attrs["thresholds"] = op.thresholds
+    consumer.attrs["count_above"] = op.count_above
+    _bypass_single_node(g, node.id)
+    return True
+
+
+def pass_move_scale_past_conv(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
     """Relocate a scalar Mul from before a Conv to after it (exact by
     linearity). Per-channel scales that actually differ would mix under the
     convolution, so those sites are skipped with a diagnostic."""
-    g = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for node in list(g.nodes.values()):
-            if node.kind != "Mul":
-                continue
-            outs = g.out_edges(node.id)
-            if len(outs) != 1 or g.nodes[outs[0].dst].kind != "Conv":
-                continue
-            conv = g.nodes[outs[0].dst]
-            scale = np.asarray(node.attrs["scale"], dtype=float)
-            if scale.ndim > 0 and np.unique(scale).size > 1:
-                _note(
-                    diagnostics,
-                    f"node {node.id}: per-channel scale before Conv {conv.id} "
-                    "is not uniform; cannot move past a channel-mixing op",
-                )
-                continue
-            s = float(scale.flat[0]) if scale.ndim else float(scale)
-            _bypass_single_node(g, node.id)
-            _insert_after(g, conv.id, "Mul", {"scale": s})
-            changed = True
-            break
-    return g
+    return _to_fixed_point(g, diagnostics, _move_scale_past_conv_at)
 
 
-def pass_push_affine_through_fork(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
+def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
+    if node.kind != "Mul":
+        return False
+    outs = g.out_edges(node.id)
+    if len(outs) != 1 or g.nodes[outs[0].dst].kind != "Conv":
+        return False
+    conv = g.nodes[outs[0].dst]
+    scale = np.asarray(node.attrs["scale"], dtype=float)
+    if scale.ndim > 0 and np.unique(scale).size > 1:
+        notes[
+            f"node {node.id}: per-channel scale before Conv {conv.id} "
+            "is not uniform; cannot move past a channel-mixing op"
+        ] = None
+        return False
+    s = float(scale.flat[0]) if scale.ndim else float(scale)
+    _bypass_single_node(g, node.id)
+    _insert_after(g, conv.id, "Mul", {"scale": s})
+    return True
+
+
+def pass_push_affine_through_fork(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
     """Copy an affine node feeding a fork (output fanout >= 2) onto the head
     of each branch so it can keep moving down independently."""
-    g = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for node in list(g.nodes.values()):
-            if node.kind not in ("Mul", "Add"):
-                continue
-            outs = g.out_edges(node.id)
-            if len(outs) < 2:
-                continue
-            in_e = g.in_edges(node.id)[0]
-            for branch_edge in outs:
-                branch = g.add_node(
-                    g.fresh_id(f"{node.kind.lower()}_f"), node.kind, **copy.deepcopy(node.attrs)
-                )
-                g.connect(in_e.src, branch.id, src_out=in_e.src_out)
-                branch_edge.src = branch.id
-                branch_edge.src_out = 0
-            g.remove_edge(in_e.id)
-            g.remove_node(node.id)
-            changed = True
-            break
-    return g
+    return _to_fixed_point(g, diagnostics, _push_affine_through_fork_at)
 
 
-def pass_merge_affine_at_join(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
+def _push_affine_through_fork_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
+    if node.kind not in ("Mul", "Add"):
+        return False
+    outs = g.out_edges(node.id)
+    if len(outs) < 2:
+        return False
+    in_e = g.in_edges(node.id)[0]
+    for branch_edge in outs:
+        branch = g.add_node(
+            g.fresh_id(f"{node.kind.lower()}_f"), node.kind, **copy.deepcopy(node.attrs)
+        )
+        g.connect(in_e.src, branch.id, src_out=in_e.src_out)
+        g.reroute(branch_edge, src=branch.id, src_out=0)
+    g.remove_edge(in_e.id)
+    g.remove_node(node.id)
+    return True
+
+
+def pass_merge_affine_at_join(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
     """Move one shared affine past a join (Concat/EltwiseAdd) when every
     input carries a bit-identical copy; mismatching branches are reported
     and left alone (the training-time shared-scale constraint is what would
     make them identical)."""
-    g = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for join in list(g.nodes.values()):
-            if join.kind not in ("Concat", "EltwiseAdd"):
-                continue
-            ins = g.in_edges(join.id)
-            srcs = [g.nodes[e.src] for e in ins]
-            if not all(s.kind in ("Mul", "Add") for s in srcs):
-                continue
-            kinds = {s.kind for s in srcs}
-            if len(kinds) != 1 or len({s.id for s in srcs}) != len(srcs):
-                continue
-            if any(len(g.out_edges(s.id)) != 1 for s in srcs):
-                continue
-            kind = srcs[0].kind
-            attr_key = "scale" if kind == "Mul" else "bias"
-            params = [np.asarray(s.attrs[attr_key], dtype=float) for s in srcs]
-            if not all(np.array_equal(params[0], p) for p in params[1:]):
-                _note(
-                    diagnostics,
-                    f"join {join.id}: branch affines differ; training-time "
-                    "shared quantization scales would be required to merge",
-                )
-                continue
-            if join.kind == "EltwiseAdd" and kind == "Add":
-                _note(
-                    diagnostics,
-                    f"join {join.id}: additive bias does not commute with "
-                    "elementwise add; left in place",
-                )
-                continue
-            if join.kind == "Concat" and params[0].ndim > 0:
-                merged = np.concatenate(params)
-            else:
-                merged = params[0] if params[0].ndim else float(params[0])
-            for s in srcs:
-                _bypass_single_node(g, s.id)
-            _insert_after(g, join.id, kind, {attr_key: merged})
-            changed = True
-            break
-    return g
+    return _to_fixed_point(g, diagnostics, _merge_affine_at_join_at)
+
+
+def _merge_affine_at_join_at(g: OpGraph, join: Node, notes: dict[str, None]) -> bool:
+    if join.kind not in ("Concat", "EltwiseAdd"):
+        return False
+    ins = g.in_edges(join.id)
+    srcs = [g.nodes[e.src] for e in ins]
+    if not all(s.kind in ("Mul", "Add") for s in srcs):
+        return False
+    kinds = {s.kind for s in srcs}
+    if len(kinds) != 1 or len({s.id for s in srcs}) != len(srcs):
+        return False
+    if any(len(g.out_edges(s.id)) != 1 for s in srcs):
+        return False
+    kind = srcs[0].kind
+    attr_key = "scale" if kind == "Mul" else "bias"
+    params = [np.asarray(s.attrs[attr_key], dtype=float) for s in srcs]
+    if not all(np.array_equal(params[0], p) for p in params[1:]):
+        notes[
+            f"join {join.id}: branch affines differ; training-time "
+            "shared quantization scales would be required to merge"
+        ] = None
+        return False
+    if join.kind == "EltwiseAdd" and kind == "Add":
+        notes[
+            f"join {join.id}: additive bias does not commute with "
+            "elementwise add; left in place"
+        ] = None
+        return False
+    if join.kind == "Concat" and params[0].ndim > 0:
+        merged = np.concatenate(params)
+    else:
+        merged = params[0] if params[0].ndim else float(params[0])
+    for s in srcs:
+        _bypass_single_node(g, s.id)
+    _insert_after(g, join.id, kind, {attr_key: merged})
+    return True
 
 
 PASS_PIPELINE = (
@@ -550,13 +574,18 @@ PASS_PIPELINE = (
 def run_pipeline(
     g: OpGraph, max_iters: int = 20, diagnostics: list[str] | None = None
 ) -> OpGraph:
-    """Apply the pass pipeline to a fixed point (bounded iteration count)."""
-    for _ in range(max_iters):
-        before = g.canonical_json()
-        for p in PASS_PIPELINE:
-            g = p(g, diagnostics)
-        if g.canonical_json() == before:
-            break
+    """Streamline a copy of `g`, leaving `g` untouched: run every pass of
+    PASS_PIPELINE in turn until a round rewrites nothing or `max_iters` rounds
+    have run. Each distinct diagnostic is reported once, in first-seen order."""
+    g = g.copy()
+    notes: list[str] = []
+    try:
+        for _ in range(max_iters):
+            if not any([p(g, notes) for p in PASS_PIPELINE]):  # a list: every pass runs
+                break
+    finally:
+        if diagnostics is not None:
+            diagnostics.extend(dict.fromkeys(notes))
     return g
 
 

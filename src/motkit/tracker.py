@@ -45,7 +45,6 @@ class Track:
     class_id: int
     score: float
     hits: int = 1
-    age: int = 0
     time_since_update: int = 0
 
 
@@ -79,7 +78,6 @@ class SortTracker:
 
         for trk in self.tracks:
             trk.state = kalman.predict(trk.state, cfg.kalman)
-            trk.age += 1
             if trk.time_since_update > 0:
                 trk.hits = 0
             trk.time_since_update += 1

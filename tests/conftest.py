@@ -59,6 +59,25 @@ def fork_join_graph() -> OpGraph:
     return g
 
 
+def mul_conv_chain_graph(graph_cls=OpGraph) -> OpGraph:
+    """Four Mul -> Conv sites: the first scale is per-channel and not
+    uniform, so it cannot move; the other three can, and each move makes
+    another site. Moving them all takes six rewrites, so the pass rescans
+    the stuck site seven times."""
+    g = graph_cls()
+    g.add_node("in", "Input")
+    prev = "in"
+    for i, scale in enumerate(([0.5, 2.0], 0.5, 2.0, 0.25)):
+        g.add_node(f"m{i}", "Mul", scale=scale)
+        g.add_node(f"conv{i}", "Conv", weights=np.ones((2, 2, 1, 1)))
+        g.connect(prev, f"m{i}")
+        g.connect(f"m{i}", f"conv{i}")
+        prev = f"conv{i}"
+    g.add_node("out", "Output")
+    g.connect(prev, "out")
+    return g
+
+
 def chain_stream_graph(depths: dict[str, int] | None = None) -> StreamGraph:
     """Rate-matched 3-stage linear pipeline, one token per firing."""
     d = depths or {}

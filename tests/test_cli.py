@@ -3,11 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import conv_block_graph, fork_join_stream_graph, FORK_JOIN_WORKLOAD
+from conftest import (
+    FORK_JOIN_WORKLOAD,
+    conv_block_graph,
+    fork_join_stream_graph,
+    mul_conv_chain_graph,
+)
 from motkit.cli import main
 from motkit.dataflow import save_stream_graph
 from motkit.io import read_mot, write_tensor
-from motkit.streamline import save_graph
+from motkit.streamline import load_graph, pass_move_scale_past_conv, run_pipeline, save_graph
 
 GOLDEN_DETS = """\
 1,-1,100,100,40,40,0.9,-1,-1,-1
@@ -225,6 +230,23 @@ class TestStreamlineCli:
                    "--passes", "absorb_affine", "--scale-groups", str(groups)])
         assert rc == 2
         assert "scale group" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("passes", [None, "move_scale_past_conv"])
+    def test_each_diagnostic_printed_once(self, tmp_path, capsys, passes):
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        save_graph(mul_conv_chain_graph(), src)
+        argv = ["streamline", str(src), "-o", str(out)]
+        rc = main(argv + ["--passes", passes] if passes else argv)
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("node m0: per-channel scale")
+        expected = load_graph(src)
+        if passes:
+            pass_move_scale_past_conv(expected)
+        else:
+            expected = run_pipeline(expected)
+        assert load_graph(out).canonical_json() == expected.canonical_json()
 
     def test_unknown_pass_rejected(self, tmp_path):
         src = tmp_path / "in.json"

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from motkit.geometry import BoundingBox, area, iou, iou_matrix
 
@@ -60,9 +62,26 @@ class TestIou:
 
     @given(boxes(), boxes(), st.floats(-50, 50, width=32), st.floats(-50, 50, width=32))
     def test_translation_invariant(self, a, b, dx, dy):
+        # IoU is translation invariant only where the translation is exact:
+        # a box far narrower than the ulp of dx collapses when moved, and an
+        # edge rounded by the move shifts an overlap (equal widths and heights
+        # are not enough). With every edge moved exactly, each difference of
+        # edges is unchanged.
+        for box in (a, b):
+            for coord, shift in (
+                (box.x_min, dx), (box.x_max, dx), (box.y_min, dy), (box.y_max, dy),
+            ):
+                assume(Fraction(coord + shift) == Fraction(coord) + Fraction(shift))
         assert iou(a.translated(dx, dy), b.translated(dx, dy)) == pytest.approx(
             iou(a, b), abs=1e-12
         )
+
+    def test_translation_collapsing_a_box_gives_zero(self):
+        a = BoundingBox(0.0, 0.0, 1.3e-39, 1.0)
+        moved = a.translated(1.0, 0.0)
+        assert iou(a, a) == 1.0
+        assert moved.x_max == moved.x_min
+        assert iou(moved, moved) == 0.0
 
 
 class TestArea:

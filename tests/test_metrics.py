@@ -8,7 +8,6 @@ from motkit.metrics import (
     average_precision,
     coco_map,
     evaluate_sequence,
-    mot_step,
     mota,
 )
 
@@ -63,10 +62,6 @@ class TestMotStep:
             acc.step([(1, A), (1, B)], [])
         with pytest.raises(ValueError):
             acc.step([(1, A)], [(5, A), (5, B)])
-
-    def test_mot_step_wrapper_returns_accumulator(self):
-        acc = MotAccumulator()
-        assert mot_step(acc, [(1, A)], [(2, A)]) is acc
 
 
 class TestMota:

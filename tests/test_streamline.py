@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import conv_block_graph, fork_join_graph
+from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
 from motkit.streamline import (
     GraphError,
     OpGraph,
@@ -106,7 +106,8 @@ class TestAbsorbAffine:
         g.add_node("out", "Output")
         for src, dst in (("in", "m"), ("m", "a"), ("a", "mt"), ("mt", "out")):
             g.connect(src, dst)
-        g2 = pass_absorb_affine(g)
+        g2 = g.copy()
+        pass_absorb_affine(g2)
         kinds = sorted(n.kind for n in g2.nodes.values())
         assert kinds == ["Input", "MultiThreshold", "Output"]
         mt = next(n for n in g2.nodes.values() if n.kind == "MultiThreshold")
@@ -121,7 +122,8 @@ class TestAbsorbAffine:
         g.add_node("out", "Output")
         for src, dst in (("in", "m"), ("m", "mt"), ("mt", "out")):
             g.connect(src, dst)
-        g2 = pass_absorb_affine(g)
+        g2 = g.copy()
+        pass_absorb_affine(g2)
         mt = next(n for n in g2.nodes.values() if n.kind == "MultiThreshold")
         assert np.array_equal(mt.attrs["thresholds"], [[0.0, 2.0, 4.0]])
 
@@ -153,7 +155,8 @@ class TestAbsorbAffine:
             g.add_node("out", "Output")
             g.connect(prev, "mt")
             g.connect("mt", "out")
-            g2 = pass_absorb_affine(g)
+            g2 = g.copy()
+            pass_absorb_affine(g2)
             assert sorted(n.kind for n in g2.nodes.values()) == ["Input", "MultiThreshold", "Output"]
             assert_graphs_equivalent(g, g2, shape=(1, 4, 4), trials=16, seed=trial)
 
@@ -171,14 +174,16 @@ class TestMoveScalePastConv:
 
     def test_scalar_scale_moves_and_stays_equivalent(self):
         g = self._mul_conv_graph(0.5)
-        g2 = pass_move_scale_past_conv(g)
+        g2 = g.copy()
+        pass_move_scale_past_conv(g2)
         order = [g2.nodes[nid].kind for nid in g2.topo_order()]
         assert order == ["Input", "Conv", "Mul", "Output"]
         assert_graphs_equivalent(g, g2, shape=(1, 4, 4))
 
     def test_uniform_per_channel_treated_as_scalar(self):
         g = self._mul_conv_graph([0.5])
-        g2 = pass_move_scale_past_conv(g)
+        g2 = g.copy()
+        pass_move_scale_past_conv(g2)
         assert [g2.nodes[nid].kind for nid in g2.topo_order()] == [
             "Input", "Conv", "Mul", "Output",
         ]
@@ -192,15 +197,29 @@ class TestMoveScalePastConv:
         for src, dst in (("in", "m"), ("m", "conv"), ("conv", "out")):
             g.connect(src, dst)
         diags = []
-        g2 = pass_move_scale_past_conv(g, diags)
+        g2 = g.copy()
+        pass_move_scale_past_conv(g2, diags)
         assert g2.canonical_json() == g.canonical_json()
         assert len(diags) == 1 and "per-channel" in diags[0]
+
+
+    def test_skipped_site_reported_once_across_rescans(self):
+        g = mul_conv_chain_graph()
+        diags = []
+        assert pass_move_scale_past_conv(g, diags)
+        assert diags == [
+            "node m0: per-channel scale before Conv conv0 is not uniform; "
+            "cannot move past a channel-mixing op"
+        ]
+        order = [g.nodes[nid].kind for nid in g.topo_order()]
+        assert order == ["Input", "Mul"] + ["Conv"] * 4 + ["Mul"] * 3 + ["Output"]
 
 
 class TestForkJoinPasses:
     def test_fork_copies_affine_onto_each_branch(self):
         g = fork_join_graph()
-        g2 = pass_push_affine_through_fork(g)
+        g2 = g.copy()
+        pass_push_affine_through_fork(g2)
         muls = [n for n in g2.nodes.values() if n.kind == "Mul"]
         assert len(muls) == 2
         assert_graphs_equivalent(g, g2, shape=(2, 3, 3))
@@ -217,7 +236,8 @@ class TestForkJoinPasses:
         g.connect("m1", "join", dst_in=0)
         g.connect("m2", "join", dst_in=1)
         g.connect("join", "out")
-        g2 = pass_merge_affine_at_join(g)
+        g2 = g.copy()
+        pass_merge_affine_at_join(g2)
         muls = [n for n in g2.nodes.values() if n.kind == "Mul"]
         assert len(muls) == 1
         order = [g2.nodes[nid].kind for nid in g2.topo_order()]
@@ -237,7 +257,8 @@ class TestForkJoinPasses:
         g.connect("m2", "join", dst_in=1)
         g.connect("join", "out")
         diags = []
-        g2 = pass_merge_affine_at_join(g, diags)
+        g2 = g.copy()
+        pass_merge_affine_at_join(g2, diags)
         assert g2.canonical_json() == g.canonical_json()
         assert len(diags) == 1
 
@@ -255,7 +276,8 @@ class TestForkJoinPasses:
         g.connect("m1", "join", dst_in=0)
         g.connect("m2", "join", dst_in=1)
         g.connect("join", "out")
-        g2 = pass_merge_affine_at_join(g)
+        g2 = g.copy()
+        pass_merge_affine_at_join(g2)
         muls = [n for n in g2.nodes.values() if n.kind == "Mul"]
         assert len(muls) == 1
         assert list(np.asarray(muls[0].attrs["scale"])) == [0.5, 0.5]
@@ -273,6 +295,11 @@ class TestPipeline:
         (out_edge,) = g2.out_edges(affines[0].id)
         assert g2.nodes[out_edge.dst].kind == "Output"
 
+    def test_pipeline_reports_each_diagnostic_once(self):
+        diags = []
+        run_pipeline(mul_conv_chain_graph(), diagnostics=diags)
+        assert len(diags) == 1 and diags[0].startswith("node m0: per-channel scale")
+
     def test_passes_idempotent(self):
         g = conv_block_graph()
         for p in (
@@ -281,8 +308,10 @@ class TestPipeline:
             pass_merge_affine_at_join,
             pass_absorb_affine,
         ):
-            once = p(g)
-            twice = p(once)
+            once = g.copy()
+            p(once)
+            twice = once.copy()
+            p(twice)
             assert once.canonical_json() == twice.canonical_json()
 
     def test_pipeline_preserves_acyclicity_and_validity(self):

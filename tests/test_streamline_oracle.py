@@ -1,0 +1,247 @@
+"""Differential test: the indexed, in-place passes against the frozen oracle.
+
+Graphs are chains of the four block kinds of a quantized YOLOv8 backbone
+(conv block, fork/add, fork/concat, split/concat) plus twin-affine joins,
+with the awkward sites mixed in: per-channel Mul scales that are not uniform
+before a Conv, joins whose branch affines differ, Adds into an EltwiseAdd,
+and identity and zero scales. Every graph is built twice by the same calls,
+once as ``motkit.streamline.OpGraph`` and once as the oracle's, so fresh ids
+start from the same counter. ``run_pipeline`` and each single pass must give
+the same ``canonical_json`` (ids, attributes and edge order), bit-exact
+``interpret`` output on integer inputs and the same ``GraphError``;
+diagnostics must be the oracle's with repeats removed, and ``run_pipeline``
+must leave its input untouched.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import streamline_oracle as oracle
+from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
+from motkit import streamline
+from motkit.streamline import GraphError, OpGraph, interpret
+
+SPATIAL = 4
+# Powers of two keep every rewrite exact in float64; 1.0 is the identity.
+SCALES = (0.5, 2.0, -1.0, 1.0, 0.25, -2.0, 4.0, -0.5)
+
+
+class _Chain:
+    """Records the add_node/connect calls that build a block chain."""
+
+    def __init__(self, draw, channels: int):
+        self.draw = draw
+        self.c = channels
+        self.calls: list[tuple[str, tuple, dict]] = []
+        self.n = 0
+        self.tail = (self.add("Input"), 0)
+
+    def add(self, kind: str, **attrs) -> str:
+        self.n += 1
+        nid = f"{kind.lower()}{self.n}"
+        self.calls.append(("add_node", (nid, kind), attrs))
+        return nid
+
+    def link(self, src: tuple[str, int], dst: str, dst_in: int = 0) -> None:
+        self.calls.append(("connect", (src[0], dst), {"src_out": src[1], "dst_in": dst_in}))
+
+    def node(self, kind: str, src=None, **attrs) -> str:
+        nid = self.add(kind, **attrs)
+        self.link(src or self.tail, nid)
+        self.tail = (nid, 0)
+        return nid
+
+    def join(self, kind: str, srcs) -> None:
+        nid = self.add(kind)
+        for slot, src in enumerate(srcs):
+            self.link(src, nid, dst_in=slot)
+        self.tail = (nid, 0)
+
+    def scale(self, zero: bool = False):
+        return self.draw(st.sampled_from(SCALES + ((0.0,) if zero else ())))
+
+    def channel_scales(self, c: int) -> list[float]:
+        """Per-channel scales, uniform or not."""
+        if self.draw(st.booleans()):
+            return [self.scale()] * c
+        return [self.scale() for _ in range(c)]
+
+    def pre_scale(self):
+        """The scale in front of a block: scalar (possibly 0 or 1) or, at an
+        awkward site, per-channel."""
+        if self.draw(st.integers(0, 3)) == 0:
+            return self.channel_scales(self.c)
+        return self.scale(zero=True)
+
+    def conv(self, c_in: int, c_out: int, src=None) -> str:
+        k = self.draw(st.sampled_from((1, 3)))
+        w = self.draw(st.lists(st.integers(-3, 3), min_size=c_out * c_in * k * k,
+                               max_size=c_out * c_in * k * k))
+        weights = np.array(w, dtype=float).reshape(c_out, c_in, k, k)
+        return self.node("Conv", src, weights=weights, stride=1, pad=k // 2)
+
+    def requant(self) -> None:
+        c = self.c
+        self.node("Mul", scale=self.channel_scales(c))
+        self.node("Add", bias=self.draw(st.lists(st.integers(-4, 4), min_size=c, max_size=c)))
+        rows = [
+            sorted(self.draw(st.lists(st.integers(-24, 24), min_size=3, max_size=3, unique=True)))
+            for _ in range(c)
+        ]
+        self.node("MultiThreshold", thresholds=np.array(rows, dtype=float), out_bits=2)
+        self.node("Mul", scale=self.scale())
+
+    def conv_block(self) -> None:
+        self.node("Mul", scale=self.pre_scale())
+        self.conv(self.c, self.c)
+        self.requant()
+
+    def fork_add(self) -> None:
+        pre = (self.node("Mul", scale=self.pre_scale()), 0)
+        branch = (self.conv(self.c, self.c, src=pre), 0)
+        if self.draw(st.booleans()):  # a branch scale the skip may not share
+            branch = (self.node("Mul", src=branch, scale=self.scale()), 0)
+        self.join("EltwiseAdd", [branch, pre])
+        self.requant()
+
+    def fork_concat(self) -> None:
+        pre = (self.node("Mul", scale=self.pre_scale()), 0)
+        branch = (self.conv(self.c, self.c, src=pre), 0)
+        self.join("Concat", [branch, pre])
+        self.conv(2 * self.c, self.c)
+        self.requant()
+
+    def split_concat(self) -> None:
+        half = self.c // 2
+        split = self.node("Split", sizes=[half, self.c - half])
+        branch = (self.conv(half, half, src=(split, 0)), 0)
+        self.join("Concat", [branch, (split, 1)])
+        self.requant()
+
+    def twin_join(self) -> None:
+        """Two affines on one tensor meeting at a join: equal or different
+        parameters, Mul or Add, into an EltwiseAdd or a Concat."""
+        kind = self.draw(st.sampled_from(("Mul", "Add")))
+        join = self.draw(st.sampled_from(("EltwiseAdd", "Concat")))
+        fork = self.tail
+        first = None
+        srcs = []
+        for _ in range(2):
+            if first is None or self.draw(st.booleans()):
+                first = (
+                    {"scale": self.channel_scales(self.c)}
+                    if kind == "Mul"
+                    else {"bias": self.draw(st.lists(st.integers(-2, 2), min_size=self.c,
+                                                     max_size=self.c))}
+                )
+            srcs.append((self.node(kind, src=fork, **first), 0))
+        self.join(join, srcs)
+        if join == "Concat":
+            self.conv(2 * self.c, self.c)
+        self.requant()
+
+
+@st.composite
+def graph_cases(draw):
+    """(recorded build calls, integer input) of a random block chain."""
+    chain = _Chain(draw, draw(st.integers(2, 3)))
+    blocks = ("conv_block", "fork_add", "fork_concat", "split_concat", "twin_join")
+    for kind in draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=5)):
+        getattr(chain, kind)()
+    chain.node("Output")
+    x = np.array(
+        draw(st.lists(st.integers(-8, 8), min_size=chain.c * SPATIAL**2,
+                      max_size=chain.c * SPATIAL**2)),
+        dtype=float,
+    ).reshape(chain.c, SPATIAL, SPATIAL)
+    return chain.calls, x
+
+
+def build(graph_cls, calls):
+    g = graph_cls()
+    for method, args, kwargs in calls:
+        getattr(g, method)(*args, **copy.deepcopy(kwargs))
+    return g
+
+
+def outcome(fn, *args):
+    """(result, None) or (None, GraphError message)."""
+    try:
+        return fn(*args), None
+    except GraphError as exc:
+        return None, str(exc)
+
+
+def assert_same_outputs(g_new, g_old, x):
+    want = interpret(g_old, x)
+    got = interpret(g_new, x)
+    assert want.keys() == got.keys()
+    assert all(np.array_equal(want[k], got[k]) for k in want)
+
+
+def check_pipeline(g_new, g_old, x):
+    before = g_new.canonical_json()
+    d_new, d_old = [], []
+    out_new, err_new = outcome(lambda: streamline.run_pipeline(g_new, diagnostics=d_new))
+    out_old, err_old = outcome(lambda: oracle.run_pipeline(g_old, diagnostics=d_old))
+    assert err_new == err_old
+    assert g_new.canonical_json() == before
+    assert d_new == list(dict.fromkeys(d_old))
+    if err_old is None:
+        assert out_new.canonical_json() == out_old.canonical_json()
+        assert_same_outputs(out_new, out_old, x)
+        # streamlining itself is exact on these graphs
+        assert_same_outputs(out_new, g_new, x)
+
+
+def check_passes(g_new, g_old, x, rounds: int = 2):
+    """Each pass alone on the unstreamlined graph, then the pipeline's passes
+    in order, checking after every call."""
+    pairs = list(zip(streamline.PASS_PIPELINE, oracle.PASS_PIPELINE))
+    for new_pass, old_pass in pairs:
+        check_pass(g_new.copy(), g_old, x, new_pass, old_pass)
+    for _ in range(rounds):
+        for new_pass, old_pass in pairs:
+            g_old = check_pass(g_new, g_old, x, new_pass, old_pass)
+            if g_old is None:
+                return
+
+
+def check_pass(g_new, g_old, x, new_pass, old_pass):
+    """Run new_pass in place on g_new and old_pass on g_old; return the
+    oracle's graph, or None after the same GraphError."""
+    assert new_pass.__name__ == old_pass.__name__
+    before = g_new.canonical_json()
+    d_new, d_old = [], []
+    changed, err_new = outcome(new_pass, g_new, d_new)
+    out_old, err_old = outcome(old_pass, g_old, d_old)
+    assert err_new == err_old
+    if err_old is not None:
+        return None
+    assert g_new.canonical_json() == out_old.canonical_json()
+    assert changed == (out_old.canonical_json() != before)
+    assert d_new == list(dict.fromkeys(d_old))
+    assert_same_outputs(g_new, out_old, x)
+    return out_old
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_cases())
+def test_matches_oracle(case):
+    calls, x = case
+    check_pipeline(build(OpGraph, calls), build(oracle.OpGraph, calls), x)
+    check_passes(build(OpGraph, calls), build(oracle.OpGraph, calls), x)
+
+
+def test_fixture_graphs_match_oracle():
+    x = np.random.default_rng(0).integers(-8, 8, (2, SPATIAL, SPATIAL)).astype(float)
+    for make in (conv_block_graph, fork_join_graph):
+        doc = make().to_json_dict()
+        for check in (check_pipeline, check_passes):
+            check(OpGraph.from_json_dict(doc), oracle.OpGraph.from_json_dict(doc), x)
+    for check in (check_pipeline, check_passes):
+        check(mul_conv_chain_graph(), mul_conv_chain_graph(oracle.OpGraph), x)
