@@ -170,24 +170,17 @@ def cmd_eval_det(args) -> int:
     return 0
 
 
-_PASSES = {
-    "move_scale_past_conv": streamline.pass_move_scale_past_conv,
-    "push_affine_through_fork": streamline.pass_push_affine_through_fork,
-    "merge_affine_at_join": streamline.pass_merge_affine_at_join,
-    "absorb_affine": streamline.pass_absorb_affine,
-}
-
-
 def cmd_streamline(args) -> int:
     graph = streamline.load_graph(args.graph)
     graph.validate()
     diagnostics: list[str] = []
     if args.passes:
+        passes = {p.__name__.removeprefix("pass_"): p for p in streamline.PASS_PIPELINE}
         for name in args.passes.split(","):
             name = name.strip()
-            if name not in _PASSES:
-                raise ValueError(f"unknown pass {name!r}; choose from {sorted(_PASSES)}")
-            _PASSES[name](graph, diagnostics)
+            if name not in passes:
+                raise ValueError(f"unknown pass {name!r}; choose from {sorted(passes)}")
+            passes[name](graph, diagnostics)
     else:
         graph = streamline.run_pipeline(graph, diagnostics=diagnostics)
     streamline.save_graph(graph, args.output)

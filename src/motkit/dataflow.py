@@ -23,17 +23,13 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+from .io import check_int, graph_specs
+
 DEFAULT_CYCLE_CAP = 10_000_000
 
 
 class GraphError(ValueError):
     """Malformed stream graph; distinct from a simulated deadlock."""
-
-
-def _check_int(what: str, value, minimum: int) -> None:
-    """Counts and latencies are whole cycles and tokens: no floats, no bools."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise GraphError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ class StreamGraph:
             raise GraphError(f"duplicate node id {node_id!r}")
         node = StreamNode(node_id, **kwargs)
         for name in ("consume", "produce", "latency"):
-            _check_int(f"node {node_id}: {name}", getattr(node, name), 1)
+            check_int(f"node {node_id}: {name}", getattr(node, name), 1, GraphError)
         self.nodes[node_id] = node
         self._in[node_id] = ()
         self._out[node_id] = ()
@@ -140,7 +136,7 @@ class StreamGraph:
             raise GraphError(f"edge id must be a string, got {edge_id!r}")
         if edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
-        _check_int(f"edge {edge_id}: depth", depth, 0)
+        check_int(f"edge {edge_id}: depth", depth, 0, GraphError)
         edge = FifoEdge(edge_id, src, dst, depth)
         self.edges[edge_id] = edge
         self._out[src] += (edge,)
@@ -207,34 +203,18 @@ class StreamGraph:
     @classmethod
     def from_json_dict(cls, doc: dict) -> StreamGraph:
         """Build a graph from its JSON form; anything malformed is a GraphError."""
-        if not isinstance(doc, dict):
-            raise GraphError("stream graph must be a JSON object")
         g = cls()
         optional = ("consume", "produce", "latency", "outputs_per_frame")
-        for spec in _specs(doc, "nodes", ("id",)):
+        for spec in graph_specs(doc, "nodes", ("id",), GraphError):
             fold = spec.get("folding")
             try:
                 folding = Folding(**fold) if fold else None
             except TypeError as exc:
                 raise GraphError(f"node {spec['id']}: bad folding {fold!r}") from exc
             g.add_node(spec["id"], folding=folding, **{k: spec[k] for k in optional if k in spec})
-        for spec in _specs(doc, "edges", ("src", "dst")):
+        for spec in graph_specs(doc, "edges", ("src", "dst"), GraphError):
             g.connect(spec["src"], spec["dst"], spec.get("depth", 1), spec.get("id"))
         return g
-
-
-def _specs(doc: dict, key: str, names: tuple[str, ...]) -> list[dict]:
-    """The node or edge specs of a graph document, each naming `names`."""
-    specs = doc.get(key, [])
-    if not isinstance(specs, list):
-        raise GraphError(f"{key!r} must be a list")
-    for spec in specs:
-        if not isinstance(spec, dict):
-            raise GraphError(f"{key} entry {spec!r} is not an object")
-        for name in names:
-            if not isinstance(spec.get(name), str):
-                raise GraphError(f"{key} entry {spec!r} needs a string {name!r}")
-    return specs
 
 
 def save_stream_graph(g: StreamGraph, path, workload: int | None = None) -> None:
@@ -269,8 +249,8 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     whole-cycle latencies make exact. With no node busy nothing is skipped.
     """
     g.validate()
-    _check_int("workload", workload, 1)
-    _check_int("cycle_cap", cycle_cap, 1)
+    check_int("workload", workload, 1, GraphError)
+    check_int("cycle_cap", cycle_cap, 1, GraphError)
     for src in g.sources():
         if workload % g.nodes[src].produce != 0:
             raise GraphError(

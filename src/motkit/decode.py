@@ -52,21 +52,6 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def dfl_expect(logits: np.ndarray) -> float:
-    """Expected bin index of one box-side distribution.
-
-    Softmax over the bin logits, then sum(i * p_i); the decoded distance is
-    this expectation (in stride units).
-    """
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1 or logits.size < 2:
-        raise ValueError("distribution needs at least 2 bins")
-    z = logits - logits.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return float(np.dot(np.arange(logits.size), p))
-
-
 def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray:
     """Collapse a raw (4*B + classes)-channel map to 4 + classes channels.
 

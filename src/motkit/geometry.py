@@ -6,7 +6,7 @@ throughout; center/size conversions live next to the code that needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +42,6 @@ class BoundingBox:
     @property
     def height(self) -> float:
         return self.y_max - self.y_min
-
-    def translated(self, dx: float, dy: float) -> BoundingBox:
-        return replace(
-            self,
-            x_min=self.x_min + dx,
-            y_min=self.y_min + dy,
-            x_max=self.x_max + dx,
-            y_max=self.y_max + dy,
-        )
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)

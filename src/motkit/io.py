@@ -1,4 +1,4 @@
-"""File formats: MOT15-style rows, binary tensor dumps, run configs.
+"""File formats: MOT15-style rows, tensor dumps, run configs, box and graph JSON.
 
 Readers reject malformed input instead of silently repairing it; writers
 are deterministic (same data, byte-identical file).
@@ -210,30 +210,58 @@ def read_run_config(path) -> dict:
 
 
 def read_gt_boxes(path) -> dict[str, list[BoundingBox]]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    out = {}
-    for image_id, rows in doc.items():
-        boxes = []
-        for i, row in enumerate(rows):
-            if len(row) != 5:
-                raise FormatError(f"{image_id}[{i}]: expected 5 fields, got {len(row)}")
-            x0, y0, x1, y1, cls = row
-            boxes.append(BoundingBox(x0, y0, x1, y1, 1.0, int(cls)))
-        out[image_id] = boxes
-    return out
+    return _read_boxes(path, with_score=False)
 
 
 def read_det_boxes(path) -> dict[str, list[BoundingBox]]:
+    return _read_boxes(path, with_score=True)
+
+
+def _read_boxes(path, with_score: bool) -> dict[str, list[BoundingBox]]:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected an object mapping image ids to box rows")
+    n_fields = 6 if with_score else 5
     out = {}
     for image_id, rows in doc.items():
+        if not isinstance(rows, list):
+            raise FormatError(f"{image_id}: expected a list of box rows, got {rows!r}")
         boxes = []
         for i, row in enumerate(rows):
-            if len(row) != 6:
-                raise FormatError(f"{image_id}[{i}]: expected 6 fields, got {len(row)}")
-            x0, y0, x1, y1, score, cls = row
+            if not isinstance(row, list) or len(row) != n_fields:
+                raise FormatError(f"{image_id}[{i}]: need a row of {n_fields} fields, got {row!r}")
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
+                raise FormatError(f"{image_id}[{i}]: fields must be numbers, got {row!r}")
+            x0, y0, x1, y1, score, cls = row if with_score else (*row[:4], 1.0, row[4])
+            if not float(cls).is_integer():
+                raise FormatError(f"{image_id}[{i}]: class id must be an integer, got {cls!r}")
             boxes.append(BoundingBox(x0, y0, x1, y1, score, int(cls)))
         out[image_id] = boxes
     return out
+
+
+# -- graph documents --------------------------------------------------------------
+# Each checker raises `error`, the calling module's graph error.
+
+
+def check_int(what: str, value, minimum: int, error: type[ValueError]) -> None:
+    """Counts, latencies and ports are whole numbers: no floats, no bools."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def graph_specs(doc, key: str, names: tuple[str, ...], error: type[ValueError]) -> list[dict]:
+    """The node or edge specs of a graph document, each naming `names` by a string."""
+    if not isinstance(doc, dict):
+        raise error("graph must be a JSON object")
+    specs = doc.get(key, [])
+    if not isinstance(specs, list):
+        raise error(f"{key!r} must be a list")
+    for spec in specs:
+        if not isinstance(spec, dict):
+            raise error(f"{key} entry {spec!r} is not an object")
+        for name in names:
+            if not isinstance(spec.get(name), str):
+                raise error(f"{key} entry {spec!r} needs a string {name!r}")
+    return specs

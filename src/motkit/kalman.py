@@ -2,7 +2,9 @@
 
 State layout x = [u, v, s, r, du, dv, ds]: box center (u, v) in pixels,
 area s in px^2, aspect ratio r = w/h (held constant by the motion model),
-and per-frame velocities for u, v, s. Filter math is pure over
+and per-frame velocities for u, v, s. The transition F and measurement H
+are fixed by this layout, as in SORT; only the noise covariances Q, R and
+the initial covariance P0 are configurable. Filter math is pure over
 (state, config) so states can move freely between threads.
 """
 
@@ -26,27 +28,21 @@ class FilterNumericalError(RuntimeError):
     """Innovation covariance could not be inverted; caller drops the update."""
 
 
-def _default_f() -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    f[0, 4] = f[1, 5] = f[2, 6] = 1.0
-    return f
-
-
-def _default_h() -> np.ndarray:
-    h = np.zeros((MEAS_DIM, STATE_DIM))
-    h[0, 0] = h[1, 1] = h[2, 2] = h[3, 3] = 1.0
-    return h
+# F adds each velocity to its coordinate; H reads [u, v, s, r] out of x. The
+# box conversions and the scale floor hard-code this layout too.
+F = np.eye(STATE_DIM)
+F[0, 4] = F[1, 5] = F[2, 6] = 1.0
+H = np.eye(MEAS_DIM, STATE_DIM)
+F.flags.writeable = H.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class KalmanConfig:
-    """Filter matrices; defaults are conventional settings for box tracking.
+    """Noise covariances; defaults are conventional settings for box tracking.
 
-    All of Q, R, P0 are exposed so tests and callers can pin them.
+    Q, R and P0 are exposed so tests and callers can pin them.
     """
 
-    F: np.ndarray = field(default_factory=_default_f)
-    H: np.ndarray = field(default_factory=_default_h)
     Q: np.ndarray = field(default_factory=lambda: np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4]))
     R: np.ndarray = field(default_factory=lambda: np.diag([1.0, 1.0, 10.0, 10.0]))
     P0: np.ndarray = field(default_factory=lambda: np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4]))
@@ -59,9 +55,6 @@ class TrackState:
     x: np.ndarray
     P: np.ndarray
 
-    def copy(self) -> TrackState:
-        return TrackState(self.x.copy(), self.P.copy())
-
 
 def init_state(z: np.ndarray, cfg: KalmanConfig) -> TrackState:
     """New state from a first measurement: zero velocities, P0 covariance."""
@@ -72,25 +65,25 @@ def init_state(z: np.ndarray, cfg: KalmanConfig) -> TrackState:
 
 def predict(state: TrackState, cfg: KalmanConfig) -> TrackState:
     """Time update: x <- F x (scale floored), P <- F P F^T + Q."""
-    x = cfg.F @ state.x
+    x = F @ state.x
     if x[2] <= 0.0:
         x[2] = SCALE_FLOOR
-    p = cfg.F @ state.P @ cfg.F.T + cfg.Q
+    p = F @ state.P @ F.T + cfg.Q
     return TrackState(x, p)
 
 
 def update(state: TrackState, z: np.ndarray, cfg: KalmanConfig) -> TrackState:
     """Measurement update with z = [u, v, s, r]; P is re-symmetrized."""
     z = np.asarray(z, dtype=float)
-    innovation = z - cfg.H @ state.x
-    s = cfg.H @ state.P @ cfg.H.T + cfg.R
+    innovation = z - H @ state.x
+    s = H @ state.P @ H.T + cfg.R
     try:
         # K = P H^T S^-1, via solve on S^T to avoid forming the inverse
-        k = np.linalg.solve(s.T, (state.P @ cfg.H.T).T).T
+        k = np.linalg.solve(s.T, (state.P @ H.T).T).T
     except np.linalg.LinAlgError as exc:
         raise FilterNumericalError("singular innovation covariance") from exc
     x = state.x + k @ innovation
-    p = (np.eye(STATE_DIM) - k @ cfg.H) @ state.P
+    p = (np.eye(STATE_DIM) - k @ H) @ state.P
     p = (p + p.T) / 2.0
     return TrackState(x, p)
 

@@ -35,32 +35,17 @@ class FrameCounts:
 class MotAccumulator:
     """Per-sequence CLEAR MOT tallies.
 
-    Feed one frame at a time through step(); totals add across frames, so
-    sequences evaluated in parallel reduce by summing counters.
+    Feed one frame at a time through step(), which adds the frame's counts
+    to the running totals fn, fp, idsw and g; sequences evaluated in
+    parallel reduce by summing those totals.
     """
 
     def __init__(self, iou_gate: float = DEFAULT_MOT_GATE):
         if not 0.0 <= iou_gate <= 1.0:
             raise ValueError(f"iou_gate outside [0, 1]: {iou_gate}")
         self.iou_gate = iou_gate
-        self.frames: list[FrameCounts] = []
+        self.fn = self.fp = self.idsw = self.g = 0
         self._last_track: dict[int, int] = {}  # gt id -> last matched track id
-
-    @property
-    def fn(self) -> int:
-        return sum(f.fn for f in self.frames)
-
-    @property
-    def fp(self) -> int:
-        return sum(f.fp for f in self.frames)
-
-    @property
-    def idsw(self) -> int:
-        return sum(f.idsw for f in self.frames)
-
-    @property
-    def g(self) -> int:
-        return sum(f.g for f in self.frames)
 
     def step(
         self,
@@ -112,7 +97,10 @@ class MotAccumulator:
             idsw=idsw,
             g=len(gt),
         )
-        self.frames.append(counts)
+        self.fn += counts.fn
+        self.fp += counts.fp
+        self.idsw += counts.idsw
+        self.g += counts.g
         return counts
 
 

@@ -39,10 +39,6 @@ class QuantSpec:
     def qmax(self) -> int:
         return (1 << (self.bits - 1)) - 1 if self.signed else (1 << self.bits) - 1
 
-    @property
-    def num_thresholds(self) -> int:
-        return (1 << self.bits) - 1
-
 
 @dataclass(frozen=True)
 class IntTensor:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantcore
+from .io import check_int, graph_specs
 from .quantcore import MultiThresholdOp
 
 NODE_KINDS = frozenset(
@@ -200,7 +201,8 @@ class OpGraph:
         ids = self._outs.get(node_id, ())
         return sorted((self.edges[eid] for eid in ids), key=lambda e: (e.src_out, e.id))
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        """Check kinds, arities and acyclicity; return the topological order."""
         if not self.nodes:
             raise GraphError("empty graph")
         for edge in self.edges.values():
@@ -216,7 +218,7 @@ class OpGraph:
                 raise GraphError(f"{node.kind} node {node.id} needs >= 2 inputs")
             if node.kind == "Output" and self._outs[node.id]:
                 raise GraphError(f"Output node {node.id} has outputs")
-        self.topo_order()  # raises on cycles
+        return self.topo_order()  # raises on cycles
 
     def topo_order(self) -> list[str]:
         indeg = {nid: len(ids) for nid, ids in self._ins.items()}
@@ -258,13 +260,18 @@ class OpGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> OpGraph:
+        """Build a graph from its JSON form; a malformed document is a GraphError."""
         g = cls()
-        for spec in doc.get("nodes", []):
+        for spec in graph_specs(doc, "nodes", ("id", "kind"), GraphError):
+            if not isinstance(spec.get("attrs", {}), dict):
+                raise GraphError(f"node {spec['id']}: attrs must be an object")
             attrs = dict(spec.get("attrs", {}))
             for key in _ARRAY_ATTRS & attrs.keys():
                 attrs[key] = np.asarray(attrs[key], dtype=float)
             g.add_node(spec["id"], spec["kind"], **attrs)
-        for spec in doc.get("edges", []):
+        for spec in graph_specs(doc, "edges", ("id", "src", "dst"), GraphError):
+            for port in ("src_out", "dst_in"):
+                check_int(f"edge {spec['id']}: {port}", spec.get(port, 0), 0, GraphError)
             shape = spec.get("shape")
             g.connect(
                 spec["src"],
@@ -335,7 +342,7 @@ def interpret(g: OpGraph, inputs) -> dict[str, np.ndarray]:
     Output node id -> value. This is the oracle every pass is checked
     against.
     """
-    g.validate()
+    order = g.validate()
     input_ids = [nid for nid, n in g.nodes.items() if n.kind == "Input"]
     if not isinstance(inputs, dict):
         if len(input_ids) != 1:
@@ -344,7 +351,7 @@ def interpret(g: OpGraph, inputs) -> dict[str, np.ndarray]:
 
     values: dict[tuple[str, int], np.ndarray] = {}
     outputs: dict[str, np.ndarray] = {}
-    for nid in g.topo_order():
+    for nid in order:
         node = g.nodes[nid]
         ins = [values[(e.src, e.src_out)] for e in g.in_edges(nid)]
         if node.kind == "Input":
@@ -571,16 +578,18 @@ PASS_PIPELINE = (
 )
 
 
-def run_pipeline(
-    g: OpGraph, max_iters: int = 20, diagnostics: list[str] | None = None
-) -> OpGraph:
+# A cap on pipeline rounds, in case passes ever undo each other's rewrites.
+MAX_ROUNDS = 20
+
+
+def run_pipeline(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
     """Streamline a copy of `g`, leaving `g` untouched: run every pass of
-    PASS_PIPELINE in turn until a round rewrites nothing or `max_iters` rounds
+    PASS_PIPELINE in turn until a round rewrites nothing or MAX_ROUNDS rounds
     have run. Each distinct diagnostic is reported once, in first-seen order."""
     g = g.copy()
     notes: list[str] = []
     try:
-        for _ in range(max_iters):
+        for _ in range(MAX_ROUNDS):
             if not any([p(g, notes) for p in PASS_PIPELINE]):  # a list: every pass runs
                 break
     finally:

@@ -1,7 +1,9 @@
 """SORT lifecycle engine: predict, associate, update, spawn, kill.
 
 One tracker instance owns one video sequence and is single-threaded;
-run one instance per sequence for parallel evaluation.
+build a new one for each sequence, also for parallel evaluation. As in
+SORT, a matched track is reported once its hit streak reaches min_hits,
+and every matched track is reported during the first min_hits frames.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from .kalman import KalmanConfig, TrackState
 
 @dataclass(frozen=True)
 class SortConfig:
-    """Lifecycle knobs. report_warmup keeps the original behavior of also
-    emitting young tracks while frame_index <= min_hits."""
+    """Lifecycle knobs."""
 
     max_age: int = 1
     min_hits: int = 3
     iou_min: float = 0.3
-    report_warmup: bool = True
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
 
     def __post_init__(self):
@@ -53,11 +53,14 @@ class SortTracker:
 
     Association is class-agnostic within the detection list; callers filter
     detections down to the classes of interest before stepping.
+    dropped_updates counts matched detections whose Kalman update was
+    numerically impossible; such a track keeps its prediction.
     """
 
     def __init__(self, config: SortConfig | None = None):
         self.config = config or SortConfig()
         self.tracks: list[Track] = []
+        self.dropped_updates = 0
         self._next_id = 1
         self._last_frame = 0
 
@@ -93,6 +96,7 @@ class SortTracker:
                     trk.state, kalman.box_to_measurement(det), cfg.kalman
                 )
             except kalman.FilterNumericalError:
+                self.dropped_updates += 1
                 continue  # drop the measurement, keep the prediction
             trk.time_since_update = 0
             trk.hits += 1
@@ -112,20 +116,8 @@ class SortTracker:
         for trk in self.tracks:
             if trk.time_since_update != 0:
                 continue
-            warmup = cfg.report_warmup and frame_index <= cfg.min_hits
-            if trk.hits >= cfg.min_hits or warmup:
+            if trk.hits >= cfg.min_hits or frame_index <= cfg.min_hits:
                 box = kalman.state_to_box(trk.state, trk.score, trk.class_id)
                 reported.append((trk.id, box, trk.class_id))
         reported.sort(key=lambda item: item[0])
         return reported
-
-    def reset(self, reset_ids: bool = False) -> None:
-        """Drop all tracks for a new sequence.
-
-        Ids keep increasing across sequences within one process run unless
-        reset_ids is set.
-        """
-        self.tracks = []
-        self._last_frame = 0
-        if reset_ids:
-            self._next_id = 1

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from motkit.dataflow import StreamGraph
+from motkit.geometry import BoundingBox
 from motkit.streamline import OpGraph
+
+
+def translated(box: BoundingBox, dx: float, dy: float) -> BoundingBox:
+    """`box` moved by (dx, dy), score and class kept."""
+    return BoundingBox(
+        box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy, box.score, box.class_id
+    )
 
 
 def conv_block_graph() -> OpGraph:

@@ -102,7 +102,8 @@ class OpGraph:
             key=lambda e: (e.src_out, e.id),
         )
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        # returns the order, which motkit.streamline.interpret runs in
         if not self.nodes:
             raise GraphError("empty graph")
         for edge in self.edges.values():
@@ -118,7 +119,7 @@ class OpGraph:
                 raise GraphError(f"{node.kind} node {node.id} needs >= 2 inputs")
             if node.kind == "Output" and self.out_edges(node.id):
                 raise GraphError(f"Output node {node.id} has outputs")
-        self.topo_order()  # raises on cycles
+        return self.topo_order()  # raises on cycles
 
     def topo_order(self) -> list[str]:
         indeg = {nid: 0 for nid in self.nodes}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import translated
 from motkit.assignment import associate, solve_lap
 from motkit.geometry import BoundingBox, iou
 
@@ -69,10 +70,6 @@ class TestSolveLap:
         assert total == pytest.approx(brute_force_min_cost(cost))
 
 
-def _shifted(box: BoundingBox, dx: float, dy: float) -> BoundingBox:
-    return box.translated(dx, dy)
-
-
 class TestAssociate:
     def test_identical_lists_match_perfectly(self):
         tracks = [BoundingBox(i * 30, 0, i * 30 + 20, 20) for i in range(4)]
@@ -93,7 +90,7 @@ class TestAssociate:
         """Brute-force max-total-IoU over all 3! pairings agrees."""
         tracks = [BoundingBox(i * 40, 0, i * 40 + 20, 20) for i in range(3)]
         jitter = [(2, -1), (-2, 2), (1, 1)]
-        dets = [_shifted(t, dx, dy) for t, (dx, dy) in zip(tracks, jitter)]
+        dets = [translated(t, dx, dy) for t, (dx, dy) in zip(tracks, jitter)]
 
         best = max(
             itertools.permutations(range(3)),
@@ -128,7 +125,7 @@ class TestAssociate:
             BoundingBox(x, y, x + 20, y + 20)
             for x, y in rng.uniform(0, 100, size=(5, 2))
         ]
-        dets = [_shifted(t, *rng.uniform(-8, 8, 2)) for t in tracks]
+        dets = [translated(t, *rng.uniform(-8, 8, 2)) for t in tracks]
         counts = [
             len(associate(tracks, dets, iou_min=g).matches)
             for g in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)

@@ -12,7 +12,13 @@ from conftest import (
 from motkit.cli import main
 from motkit.dataflow import save_stream_graph
 from motkit.io import read_mot, write_tensor
-from motkit.streamline import load_graph, pass_move_scale_past_conv, run_pipeline, save_graph
+from motkit.streamline import (
+    PASS_PIPELINE,
+    load_graph,
+    pass_move_scale_past_conv,
+    run_pipeline,
+    save_graph,
+)
 
 GOLDEN_DETS = """\
 1,-1,100,100,40,40,0.9,-1,-1,-1
@@ -166,6 +172,32 @@ class TestEval:
         gt.write_text("")
         assert main(["eval-mot", str(gt), str(gt)]) == 2
 
+    @pytest.mark.parametrize(
+        "which, doc",
+        [
+            ("gt", [1]),
+            ("gt", {"img": [5]}),
+            ("det", {"img": [[0, 0, 10, 10, "0.9", 0]]}),
+            ("gt", {"img": [[0, 0, 10, 10, 0.7]]}),
+            ("det", {"img": [[0, 0, 10, 10, 0.9, 0.7]]}),
+            ("det", {"img": [[0, 0, 10, 10, 0.9]]}),
+            ("gt", {"img": {"0": [0, 0, 10, 10, 0]}}),
+        ],
+        ids=["list_document", "row_not_list", "string_score", "fractional_gt_class",
+             "fractional_det_class", "short_row", "rows_not_list"],
+    )
+    def test_eval_det_malformed_json_exits_two(self, tmp_path, capsys, which, doc):
+        files = {
+            "gt": {"img": [[0, 0, 10, 10, 0]]},
+            "det": {"img": [[0, 0, 10, 10, 0.9, 0]]},
+        }
+        files[which] = doc
+        for name, content in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        assert main(["eval-det", str(tmp_path / "gt.json"), str(tmp_path / "det.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestDecode:
     def test_decode_single_frame(self, tmp_path, capsys):
@@ -254,6 +286,46 @@ class TestStreamlineCli:
         rc = main(["streamline", str(src), "-o", str(tmp_path / "out.json"),
                    "--passes", "frobnicate"])
         assert rc == 2
+
+
+    def test_passes_named_after_pass_pipeline(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        out = str(tmp_path / "out.json")
+        save_graph(conv_block_graph(), src)
+        names = [p.__name__.removeprefix("pass_") for p in PASS_PIPELINE]
+        for name in names:
+            assert main(["streamline", str(src), "-o", out, "--passes", name]) == 0
+        capsys.readouterr()
+        assert main(["streamline", str(src), "-o", out, "--passes", "pass_absorb_affine"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown pass 'pass_absorb_affine'" in err
+        assert all(repr(name) in err for name in names)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nodes": [{"kind": "Input"}]},
+            [1, 2],
+            "edge_without_dst",
+            "string_src_out",
+            {"nodes": [{"id": "in", "kind": "Input", "attrs": [1]}]},
+        ],
+        ids=["node_without_id", "list_document", "edge_without_dst", "string_src_out",
+             "attrs_not_object"],
+    )
+    def test_malformed_graph_exits_two(self, tmp_path, capsys, doc):
+        if isinstance(doc, str):  # a fault in one edge of a valid graph
+            fault, doc = doc, conv_block_graph().to_json_dict()
+            edge = doc["edges"][2]
+            if fault == "edge_without_dst":
+                del edge["dst"]
+            else:
+                edge["src_out"] = "x"
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        assert main(["streamline", str(src), "-o", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSimFifoCli:

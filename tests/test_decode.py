@@ -4,10 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motkit.decode import HeadMap, decode_heads, dfl_expect, nms, reduce_dfl, sigmoid
+from motkit.decode import HeadMap, decode_heads, nms, reduce_dfl, sigmoid
 from motkit.geometry import BoundingBox, iou
 
 NEG = -1e4  # class logit low enough to score ~0 everywhere
+
+
+# the scalar oracle for reduce_dfl
+def dfl_expect(logits: np.ndarray) -> float:
+    """Expected bin index of one box-side distribution.
+
+    Softmax over the bin logits, then sum(i * p_i); the decoded distance is
+    this expectation (in stride units).
+    """
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 1 or logits.size < 2:
+        raise ValueError("distribution needs at least 2 bins")
+    z = logits - logits.max()
+    p = np.exp(z)
+    p /= p.sum()
+    return float(np.dot(np.arange(logits.size), p))
 
 
 def make_maps(img_w=320, img_h=192, channels=84, fill=NEG):

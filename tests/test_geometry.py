@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import translated
 from motkit.geometry import BoundingBox, area, iou, iou_matrix
 
 
@@ -72,13 +73,13 @@ class TestIou:
                 (box.x_min, dx), (box.x_max, dx), (box.y_min, dy), (box.y_max, dy),
             ):
                 assume(Fraction(coord + shift) == Fraction(coord) + Fraction(shift))
-        assert iou(a.translated(dx, dy), b.translated(dx, dy)) == pytest.approx(
+        assert iou(translated(a, dx, dy), translated(b, dx, dy)) == pytest.approx(
             iou(a, b), abs=1e-12
         )
 
     def test_translation_collapsing_a_box_gives_zero(self):
         a = BoundingBox(0.0, 0.0, 1.3e-39, 1.0)
-        moved = a.translated(1.0, 0.0)
+        moved = translated(a, 1.0, 0.0)
         assert iou(a, a) == 1.0
         assert moved.x_max == moved.x_min
         assert iou(moved, moved) == 0.0

@@ -43,7 +43,7 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_position(self):
         state = make_state(u=3.0, v=4.0, s=80.0, r=1.25)
-        out = kalman.update(state, CFG.H @ state.x, CFG)
+        out = kalman.update(state, kalman.H @ state.x, CFG)
         assert np.allclose(out.x[:4], state.x[:4], atol=1e-12)
 
     def test_huge_measurement_noise_keeps_prior(self):
@@ -61,7 +61,7 @@ class TestUpdate:
         )
         state = TrackState(np.zeros(7), cfg.P0.copy())
         state.x[2] = state.x[3] = 1.0
-        z = cfg.H @ state.x
+        z = kalman.H @ state.x
         z[0] += 1.0
         out = kalman.update(state, z, cfg)
         assert out.x[0] == pytest.approx(0.5)
@@ -69,7 +69,7 @@ class TestUpdate:
     def test_predict_update_zero_innovation_fixed_point(self):
         state = make_state(u=2.0, v=1.0, s=60.0, r=1.5, du=1.0, dv=-1.0, ds=0.5)
         pred = kalman.predict(state, CFG)
-        out = kalman.update(pred, CFG.H @ pred.x, CFG)
+        out = kalman.update(pred, kalman.H @ pred.x, CFG)
         assert np.allclose(out.x[:4], pred.x[:4], atol=1e-12)
 
     def test_singular_innovation_reported_as_numerical_error(self):

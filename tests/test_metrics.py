@@ -10,6 +10,8 @@ from motkit.metrics import (
     evaluate_sequence,
     mota,
 )
+from motkit.synthetic import generate_sequence
+from motkit.tracker import SortTracker
 
 
 def box(x, y, size=10.0, score=1.0, cls=0):
@@ -66,10 +68,8 @@ class TestMotStep:
 
 class TestMota:
     def test_direct_substitution(self):
-        from motkit.metrics import FrameCounts
-
         acc = MotAccumulator()
-        acc.frames.append(FrameCounts(fn=10, fp=5, idsw=5, g=100))
+        acc.fn, acc.fp, acc.idsw, acc.g = 10, 5, 5, 100
         assert mota(acc) == pytest.approx(0.8)
 
     def test_perfect_is_one(self):
@@ -78,10 +78,8 @@ class TestMota:
         assert mota(acc) == 1.0
 
     def test_negative_mota_is_legal(self):
-        from motkit.metrics import FrameCounts
-
         acc = MotAccumulator()
-        acc.frames.append(FrameCounts(fn=0, fp=20, idsw=0, g=10))
+        acc.fn, acc.fp, acc.idsw, acc.g = 0, 20, 0, 10
         assert mota(acc) == pytest.approx(-1.0)
 
     def test_undefined_without_gt(self):
@@ -113,6 +111,25 @@ class TestMota:
             acc.step([(1, A), (2, B)], [(5, A), (6, B)])
         assert acc.idsw == 0
         assert mota(acc) == 1.0
+
+
+class TestRunningTotals:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_totals_equal_sum_of_frame_counts(self, seed):
+        gt_frames, det_frames = generate_sequence(8, 60, noise=5.0, seed=seed)
+        rng = np.random.default_rng(seed)
+        tracker = SortTracker()
+        acc = MotAccumulator()
+        frames = []
+        for frame in sorted(gt_frames):
+            dets = [b for _, b in det_frames[frame] if rng.random() > 0.2]
+            hyp = [(tid, b) for tid, b, _ in tracker.step(dets, frame)]
+            frames.append(acc.step(gt_frames[frame], hyp))
+        assert acc.fn == sum(f.fn for f in frames)
+        assert acc.fp == sum(f.fp for f in frames)
+        assert acc.idsw == sum(f.idsw for f in frames)
+        assert acc.g == sum(f.g for f in frames)
+        assert min(acc.fn, acc.fp, acc.idsw) > 0 and acc.g == 8 * 60
 
 
 class TestAveragePrecision:

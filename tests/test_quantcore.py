@@ -152,9 +152,6 @@ class TestQuantize:
         assert spec.qmin == -8 and spec.qmax == 7
         assert quantize(np.array([-100.0]), spec).values[0] == -8
 
-    def test_num_thresholds(self):
-        assert QuantSpec(4, 1.0).num_thresholds == 15
-
     @given(st.lists(st.floats(0, 7.5, width=32), min_size=1, max_size=20))
     def test_round_trip_error_bounded(self, xs):
         spec = QuantSpec(4, 0.5)

@@ -94,6 +94,15 @@ class TestInterpret:
         out = single_output(interpret(conv_block_graph(), np.ones((2, 4, 4))))
         assert out.shape == (2, 5, 5)
 
+    def test_orders_the_graph_once(self, monkeypatch):
+        calls = []
+        topo_order = OpGraph.topo_order
+        monkeypatch.setattr(OpGraph, "topo_order", lambda g: calls.append(1) or topo_order(g))
+        g = conv_block_graph()
+        for n in range(1, 4):
+            interpret(g, np.ones((2, 4, 4)))
+            assert len(calls) == n
+
 
 class TestAbsorbAffine:
     def test_mul_add_chain_folds_to_hand_computed_thresholds(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from motkit import kalman
 from motkit.geometry import BoundingBox
+from motkit.kalman import KalmanConfig
 from motkit.metrics import MotAccumulator
 from motkit.tracker import SortConfig, SortTracker
 
@@ -58,12 +60,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             tracker.step([], 1)
 
-    def test_warmup_reporting_is_a_config_bit(self):
-        quiet = SortTracker(SortConfig(min_hits=3, report_warmup=False))
-        reported = [len(quiet.step([box_at(10, 10)], f)) for f in range(1, 5)]
-        # without warm-up emission nothing reports until the streak reaches 3
-        assert reported == [0, 0, 1, 1]
-
     def test_reported_boxes_are_valid(self):
         rng = np.random.default_rng(3)
         tracker = SortTracker(SortConfig(min_hits=1))
@@ -105,24 +101,21 @@ class TestInvariants:
         assert tracker.tracks == []
 
 
-class TestReset:
-    def test_reset_drops_tracks_and_keeps_id_counter(self):
-        tracker = SortTracker(SortConfig(min_hits=1))
-        tracker.step([box_at(0, 0), box_at(50, 50)], 1)
-        tracker.reset()
-        assert tracker.tracks == []
-        out = tracker.step([box_at(0, 0), box_at(50, 50), box_at(100, 100)], 1)
-        assert len(out) == 3
-        assert min(tid for tid, _, _ in out) > 2  # ids not reused across sequences
+class TestDroppedUpdates:
+    def test_singular_update_counted_and_prediction_kept(self):
+        # zero covariances make the innovation covariance singular
+        zeros = KalmanConfig(Q=np.zeros((7, 7)), R=np.zeros((4, 4)), P0=np.zeros((7, 7)))
+        tracker = SortTracker(SortConfig(min_hits=1, kalman=zeros))
+        tracker.step([box_at(10, 10)], 1)
+        predicted = kalman.predict(tracker.tracks[0].state, zeros)
+        assert tracker.step([box_at(12, 11)], 2) == []
+        assert tracker.dropped_updates == 1
+        [trk] = tracker.tracks
+        assert np.array_equal(trk.state.x, predicted.x)
+        assert trk.time_since_update == 1
 
-    def test_reset_ids_restarts_numbering(self):
-        tracker = SortTracker(SortConfig(min_hits=1))
-        tracker.step([box_at(0, 0)], 1)
-        tracker.reset(reset_ids=True)
-        assert tracker.step([box_at(0, 0)], 1)[0][0] == 1
-
-    def test_reset_fresh_tracker_is_noop(self):
+    def test_regular_run_drops_nothing(self):
         tracker = SortTracker()
-        tracker.reset()
-        assert tracker.tracks == []
-        assert tracker.step([], 1) == []
+        for frame in range(1, 6):
+            tracker.step([box_at(10 + frame, 10)], frame)
+        assert tracker.dropped_updates == 0
