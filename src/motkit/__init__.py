@@ -7,7 +7,7 @@ FIFO-sizing simulator.
 
 from .assignment import AssignmentResult, associate, solve_lap
 from .geometry import BoundingBox, area, iou, iou_matrix
-from .kalman import KalmanConfig, TrackState
+from .kalman import KalmanConfig
 from .metrics import MotAccumulator, average_precision, coco_map, mota
 from .tracker import SortConfig, SortTracker
 
@@ -18,7 +18,6 @@ __all__ = [
     "MotAccumulator",
     "SortConfig",
     "SortTracker",
-    "TrackState",
     "area",
     "associate",
     "average_precision",

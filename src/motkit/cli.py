@@ -95,6 +95,16 @@ def cmd_track(args) -> int:
             f: [b for b in boxes if b.class_id in keep] for f, boxes in detections.items()
         }
 
+    # SORT's [u, v, s, r] state cannot hold a box without area; decode_heads
+    # yields one where both regressed distances along an axis clamp to zero.
+    dropped = 0
+    for frame, boxes in detections.items():
+        kept = [b for b in boxes if b.width > 0.0 and b.height > 0.0]
+        dropped += len(boxes) - len(kept)
+        detections[frame] = kept
+    if dropped:
+        print(f"dropped {dropped} zero-area detections", file=sys.stderr)
+
     tracker = SortTracker(
         SortConfig(max_age=cfg["max_age"], min_hits=cfg["min_hits"], iou_min=cfg["iou_min"])
     )
@@ -190,6 +200,14 @@ def cmd_streamline(args) -> int:
     if args.scale_groups:
         with open(args.scale_groups) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, list) or not all(
+            isinstance(g, dict)
+            and isinstance(g.get("tag"), str)
+            and isinstance(g.get("edges"), list)
+            and all(isinstance(e, str) for e in g["edges"])
+            for g in doc
+        ):
+            raise ValueError("scale groups must be a list of {tag: string, edges: [string]}")
         groups = [streamline.ScaleGroup(g["tag"], tuple(g["edges"])) for g in doc]
         violations = streamline.validate_scale_groups(graph, groups)
         for v in violations:

@@ -52,9 +52,20 @@ _SINGLE_INPUT_KINDS = frozenset(
 
 _ARRAY_ATTRS = {"weights", "thresholds"}
 
+# attrs that interpret and the passes read from each kind of node
+_REQUIRED_ATTRS = {
+    "Mul": ("scale",),
+    "Add": ("bias",),
+    "Conv": ("weights",),
+    "MultiThreshold": ("thresholds", "out_bits"),
+    "Split": ("sizes",),
+    "MaxPool": ("kernel",),
+    "Resize": ("factor",),
+}
+
 
 class GraphError(ValueError):
-    """Malformed graph: unknown kind, bad arity, cycle, dangling reference."""
+    """Malformed graph: unknown kind, bad arity, missing attr, cycle, dangling reference."""
 
 
 @dataclass
@@ -202,7 +213,8 @@ class OpGraph:
         return sorted((self.edges[eid] for eid in ids), key=lambda e: (e.src_out, e.id))
 
     def validate(self) -> list[str]:
-        """Check kinds, arities and acyclicity; return the topological order."""
+        """Check kinds, arities, required attrs and acyclicity; return the
+        topological order."""
         if not self.nodes:
             raise GraphError("empty graph")
         for edge in self.edges.values():
@@ -218,6 +230,9 @@ class OpGraph:
                 raise GraphError(f"{node.kind} node {node.id} needs >= 2 inputs")
             if node.kind == "Output" and self._outs[node.id]:
                 raise GraphError(f"Output node {node.id} has outputs")
+            for attr in _REQUIRED_ATTRS.get(node.kind, ()):
+                if attr not in node.attrs:
+                    raise GraphError(f"{node.kind} node {node.id} lacks attr {attr!r}")
         return self.topo_order()  # raises on cycles
 
     def topo_order(self) -> list[str]:
@@ -273,6 +288,11 @@ class OpGraph:
             for port in ("src_out", "dst_in"):
                 check_int(f"edge {spec['id']}: {port}", spec.get(port, 0), 0, GraphError)
             shape = spec.get("shape")
+            if shape is not None:
+                if not isinstance(shape, list):
+                    raise GraphError(f"edge {spec['id']}: shape must be null or a list")
+                for dim in shape:
+                    check_int(f"edge {spec['id']}: shape entry", dim, 0, GraphError)
             g.connect(
                 spec["src"],
                 spec["dst"],

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import kalman
 from .assignment import associate
 from .geometry import BoundingBox
-from .kalman import KalmanConfig, TrackState
+from .io import check_int
+from .kalman import KalmanConfig
 
 
 @dataclass(frozen=True)
 class SortConfig:
-    """Lifecycle knobs."""
+    """Lifecycle knobs: max_age and min_hits are integers >= 1, iou_min is in [0, 1]."""
 
     max_age: int = 1
     min_hits: int = 3
@@ -26,26 +29,10 @@ class SortConfig:
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
 
     def __post_init__(self):
-        if self.max_age < 1 or self.min_hits < 1:
-            raise ValueError("max_age and min_hits must be >= 1")
-
-
-@dataclass
-class Track:
-    """One tracked object.
-
-    hits counts the current consecutive-update streak: 1 at spawn, +1 per
-    matched frame, reset when a frame goes unmatched. It is >= 1 whenever
-    the track was matched in the current frame (the only time it is
-    reported).
-    """
-
-    id: int
-    state: TrackState
-    class_id: int
-    score: float
-    hits: int = 1
-    time_since_update: int = 0
+        check_int("max_age", self.max_age, 1, ValueError)
+        check_int("min_hits", self.min_hits, 1, ValueError)
+        if not 0.0 <= self.iou_min <= 1.0:
+            raise ValueError(f"iou_min outside [0, 1]: {self.iou_min!r}")
 
 
 class SortTracker:
@@ -53,13 +40,25 @@ class SortTracker:
 
     Association is class-agnostic within the detection list; callers filter
     detections down to the classes of interest before stepping.
-    dropped_updates counts matched detections whose Kalman update was
-    numerically impossible; such a track keeps its prediction.
+
+    Live tracks are rows of one structure of arrays, kept in spawn order so
+    ids ascend: filter state x (N, 7) and P (N, 7, 7), ids, class_ids,
+    scores (of the last matched detection), hits and time_since_update.
+    hits counts the current consecutive-update streak: 1 at spawn, +1 per
+    matched frame, reset when a frame goes unmatched. dropped_updates counts
+    matched detections whose Kalman update was numerically impossible; such
+    a track keeps its prediction.
     """
 
     def __init__(self, config: SortConfig | None = None):
         self.config = config or SortConfig()
-        self.tracks: list[Track] = []
+        self.x = np.empty((0, kalman.STATE_DIM))
+        self.P = np.empty((0, kalman.STATE_DIM, kalman.STATE_DIM))
+        self.ids = np.empty(0, dtype=np.int64)
+        self.class_ids = np.empty(0, dtype=np.int64)
+        self.scores = np.empty(0)
+        self.hits = np.empty(0, dtype=np.int64)
+        self.time_since_update = np.empty(0, dtype=np.int64)
         self.dropped_updates = 0
         self._next_id = 1
         self._last_frame = 0
@@ -70,7 +69,8 @@ class SortTracker:
         """Advance one frame; returns reported (id, box, class_id) triples.
 
         Reported boxes are the post-update filter estimates, not the raw
-        detections. frame_index must be strictly increasing across calls.
+        detections, in ascending id order. frame_index must be strictly
+        increasing across calls.
         """
         if frame_index <= self._last_frame:
             raise ValueError(
@@ -78,46 +78,42 @@ class SortTracker:
             )
         self._last_frame = frame_index
         cfg = self.config
+        z = kalman.box_to_measurement([d.corners() for d in detections])
+        det_scores = np.array([d.score for d in detections], dtype=float)
+        det_classes = np.array([d.class_id for d in detections], dtype=np.int64)
 
-        for trk in self.tracks:
-            trk.state = kalman.predict(trk.state, cfg.kalman)
-            if trk.time_since_update > 0:
-                trk.hits = 0
-            trk.time_since_update += 1
+        self.x, self.P = kalman.predict(self.x, self.P, cfg.kalman)
+        self.hits[self.time_since_update > 0] = 0
+        self.time_since_update += 1
 
-        predicted = [kalman.state_to_box(t.state, t.score, t.class_id) for t in self.tracks]
+        predicted = kalman.state_to_box(self.x, self.scores, self.class_ids)
         result = associate(predicted, detections, cfg.iou_min)
 
-        for t_idx, d_idx in result.matches:
-            trk = self.tracks[t_idx]
-            det = detections[d_idx]
-            try:
-                trk.state = kalman.update(
-                    trk.state, kalman.box_to_measurement(det), cfg.kalman
-                )
-            except kalman.FilterNumericalError:
-                self.dropped_updates += 1
-                continue  # drop the measurement, keep the prediction
-            trk.time_since_update = 0
-            trk.hits += 1
-            trk.score = det.score
+        t_idx, d_idx = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
+        x, P, ok = kalman.update(self.x[t_idx], self.P[t_idx], z[d_idx], cfg.kalman)
+        self.x[t_idx], self.P[t_idx] = x, P  # a dropped update keeps the prediction
+        self.dropped_updates += int(np.count_nonzero(~ok))
+        t_idx, d_idx = t_idx[ok], d_idx[ok]
+        self.time_since_update[t_idx] = 0
+        self.hits[t_idx] += 1
+        self.scores[t_idx] = det_scores[d_idx]
 
-        for d_idx in result.unmatched_detections:
-            det = detections[d_idx]
-            state = kalman.init_state(kalman.box_to_measurement(det), cfg.kalman)
-            self.tracks.append(
-                Track(id=self._next_id, state=state, class_id=det.class_id, score=det.score)
-            )
-            self._next_id += 1
+        new = np.array(result.unmatched_detections, dtype=np.intp)
+        x, P = kalman.init_state(z[new], cfg.kalman)
+        keep = self.time_since_update <= cfg.max_age
+        self.x = np.concatenate([self.x[keep], x])
+        self.P = np.concatenate([self.P[keep], P])
+        self.ids = np.concatenate([self.ids[keep], self._next_id + np.arange(len(new))])
+        self.class_ids = np.concatenate([self.class_ids[keep], det_classes[new]])
+        self.scores = np.concatenate([self.scores[keep], det_scores[new]])
+        self.hits = np.concatenate([self.hits[keep], np.ones(len(new), dtype=np.int64)])
+        self.time_since_update = np.concatenate(
+            [self.time_since_update[keep], np.zeros(len(new), dtype=np.int64)]
+        )
+        self._next_id += len(new)
 
-        self.tracks = [t for t in self.tracks if t.time_since_update <= cfg.max_age]
-
-        reported = []
-        for trk in self.tracks:
-            if trk.time_since_update != 0:
-                continue
-            if trk.hits >= cfg.min_hits or frame_index <= cfg.min_hits:
-                box = kalman.state_to_box(trk.state, trk.score, trk.class_id)
-                reported.append((trk.id, box, trk.class_id))
-        reported.sort(key=lambda item: item[0])
-        return reported
+        report = self.time_since_update == 0
+        if frame_index > cfg.min_hits:
+            report &= self.hits >= cfg.min_hits
+        boxes = kalman.state_to_box(self.x[report], self.scores[report], self.class_ids[report])
+        return list(zip(self.ids[report].tolist(), boxes, self.class_ids[report].tolist()))

@@ -233,6 +233,26 @@ class TestDecode:
         assert sorted(frames) == [1, 2, 3]
         assert all(len(rows) == 1 for rows in frames.values())
 
+    def test_track_drops_zero_area_head_map_candidates(self, tmp_path, capsys):
+        # regression logits -1 clamp to zero distances: the confident cell at
+        # (1, 1) decodes to a point; the cell at (5, 5) to a 16x16 box
+        for frame in (1, 2):
+            for stride in (8, 16, 32):
+                data = np.full((84, 64 // stride, 64 // stride), -1e4, dtype=np.float32)
+                data[0:4] = -1.0
+                if stride == 8:
+                    data[4, 1, 1] = 4.0
+                    data[0:4, 5, 5] = 1.0
+                    data[4, 5, 5] = 4.0
+                write_tensor(data, tmp_path / f"frame{frame:04d}_stride{stride}.tnsr")
+        res = tmp_path / "res.txt"
+        rc = main(["track", "--head-maps", str(tmp_path), "--min-hits", "1", "-o", str(res)])
+        assert rc == 0
+        assert "dropped 2 zero-area detections" in capsys.readouterr().err
+        frames = read_mot(res)
+        assert sorted(frames) == [1, 2]
+        assert all(len(rows) == 1 for rows in frames.values())
+
 
 class TestStreamlineCli:
     def test_pipeline_and_scale_groups_pass(self, tmp_path):
@@ -309,9 +329,24 @@ class TestStreamlineCli:
             "edge_without_dst",
             "string_src_out",
             {"nodes": [{"id": "in", "kind": "Input", "attrs": [1]}]},
+            "int_shape",
+            "negative_shape_entry",
+            {
+                "nodes": [
+                    {"id": "in", "kind": "Input"},
+                    {"id": "m", "kind": "Mul"},
+                    {"id": "c", "kind": "Conv", "attrs": {"weights": [[[[1.0]]]]}},
+                    {"id": "out", "kind": "Output"},
+                ],
+                "edges": [
+                    {"id": "e0", "src": "in", "dst": "m"},
+                    {"id": "e1", "src": "m", "dst": "c"},
+                    {"id": "e2", "src": "c", "dst": "out"},
+                ],
+            },
         ],
         ids=["node_without_id", "list_document", "edge_without_dst", "string_src_out",
-             "attrs_not_object"],
+             "attrs_not_object", "int_shape", "negative_shape_entry", "mul_without_scale"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, doc):
         if isinstance(doc, str):  # a fault in one edge of a valid graph
@@ -319,11 +354,34 @@ class TestStreamlineCli:
             edge = doc["edges"][2]
             if fault == "edge_without_dst":
                 del edge["dst"]
+            elif fault == "int_shape":
+                edge["shape"] = 5
+            elif fault == "negative_shape_entry":
+                edge["shape"] = [2, -1]
             else:
                 edge["src_out"] = "x"
         src = tmp_path / "in.json"
         src.write_text(json.dumps(doc))
         assert main(["streamline", str(src), "-o", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[1], {"tag": "red", "edges": []}, [{"tag": 1, "edges": []}],
+         [{"tag": "red", "edges": "e1"}], [{"tag": "red", "edges": [1]}], [{"edges": []}]],
+        ids=["int_entry", "object_document", "int_tag", "string_edges", "int_edge",
+             "missing_tag"],
+    )
+    def test_malformed_scale_groups_exit_two(self, tmp_path, capsys, groups):
+        src = tmp_path / "in.json"
+        save_graph(conv_block_graph(), src)
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(groups))
+        rc = main(["streamline", str(src), "-o", str(tmp_path / "out.json"),
+                   "--scale-groups", str(path)])
+        assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 

@@ -63,6 +63,34 @@ class TestInterpret:
         with pytest.raises(GraphError):
             g.topo_order()
 
+    @pytest.mark.parametrize(
+        "kind, attrs",
+        [
+            ("Mul", {"scale": 1.0}),
+            ("Add", {"bias": 0.0}),
+            ("Conv", {"weights": np.ones((1, 1, 1, 1))}),
+            ("MultiThreshold", {"thresholds": np.zeros((1, 1)), "out_bits": 1}),
+            ("Split", {"sizes": [1]}),
+            ("MaxPool", {"kernel": 2}),
+            ("Resize", {"factor": 2}),
+        ],
+    )
+    def test_missing_required_attr_rejected(self, kind, attrs):
+        def chain(**node_attrs):
+            g = OpGraph()
+            g.add_node("in", "Input")
+            g.add_node("op", kind, **node_attrs)
+            g.add_node("out", "Output")
+            g.connect("in", "op")
+            g.connect("op", "out")
+            return g
+
+        chain(**attrs).validate()
+        for name in attrs:
+            rest = {k: v for k, v in attrs.items() if k != name}
+            with pytest.raises(GraphError, match=name):
+                chain(**rest).validate()
+
     def test_split_concat_round_trip(self):
         g = OpGraph()
         g.add_node("in", "Input")

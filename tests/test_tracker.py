@@ -28,7 +28,7 @@ class TestLifecycle:
         first = tracker.step([box_at(10, 10)], 1)[0][0]
         for frame in range(2, 2 + cfg.max_age + 1):  # gone max_age + 1 frames
             tracker.step([], frame)
-        assert tracker.tracks == []
+        assert tracker.ids.size == 0
         reappeared = tracker.step([box_at(10, 10)], 4)[0][0]
         assert reappeared != first
 
@@ -98,7 +98,7 @@ class TestInvariants:
         tracker.step([box_at(0, 0), box_at(50, 50)], 1)
         for frame in range(2, 2 + 4):
             tracker.step([], frame)
-        assert tracker.tracks == []
+        assert tracker.ids.size == 0
 
 
 class TestDroppedUpdates:
@@ -107,15 +107,38 @@ class TestDroppedUpdates:
         zeros = KalmanConfig(Q=np.zeros((7, 7)), R=np.zeros((4, 4)), P0=np.zeros((7, 7)))
         tracker = SortTracker(SortConfig(min_hits=1, kalman=zeros))
         tracker.step([box_at(10, 10)], 1)
-        predicted = kalman.predict(tracker.tracks[0].state, zeros)
+        predicted, _ = kalman.predict(tracker.x, tracker.P, zeros)
         assert tracker.step([box_at(12, 11)], 2) == []
         assert tracker.dropped_updates == 1
-        [trk] = tracker.tracks
-        assert np.array_equal(trk.state.x, predicted.x)
-        assert trk.time_since_update == 1
+        assert np.array_equal(tracker.x, predicted)
+        assert tracker.time_since_update.tolist() == [1]
 
     def test_regular_run_drops_nothing(self):
         tracker = SortTracker()
         for frame in range(1, 6):
             tracker.step([box_at(10 + frame, 10)], frame)
         assert tracker.dropped_updates == 0
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_age": 1.5},
+            {"min_hits": True},
+            {"max_age": 0},
+            {"min_hits": 2.0},
+            {"iou_min": -0.1},
+            {"iou_min": 1.5},
+            {"iou_min": float("nan")},
+        ],
+        ids=["float_max_age", "bool_min_hits", "zero_max_age", "float_min_hits",
+             "negative_iou_min", "iou_min_above_one", "nan_iou_min"],
+    )
+    def test_invalid_knobs_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SortConfig(**kwargs)
+
+    def test_bounds_accepted(self):
+        SortConfig(max_age=1, min_hits=1, iou_min=0.0)
+        SortConfig(iou_min=1.0)
