@@ -71,16 +71,16 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
     """Pairwise IoU, shape (len(rows), len(cols))."""
-    m = np.zeros((len(rows), len(cols)))
-    if not rows or not cols:
-        return m
-    ra = np.array([b.corners() for b in rows])
-    ca = np.array([b.corners() for b in cols])
+    return corner_iou(*(np.array([b.corners() for b in bs]).reshape(-1, 4) for bs in (rows, cols)))
+
+
+def corner_iou(ra: np.ndarray, ca: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of corner arrays ra (N, 4) and ca (M, 4), shape (N, M);
+    0 where the union is empty."""
     ix = np.minimum(ra[:, None, 2], ca[None, :, 2]) - np.maximum(ra[:, None, 0], ca[None, :, 0])
     iy = np.minimum(ra[:, None, 3], ca[None, :, 3]) - np.maximum(ra[:, None, 1], ca[None, :, 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
     area_r = (ra[:, 2] - ra[:, 0]) * (ra[:, 3] - ra[:, 1])
     area_c = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
     union = area_r[:, None] + area_c[None, :] - inter
-    np.divide(inter, union, out=m, where=union > 0.0)
-    return m
+    return np.divide(inter, union, out=np.zeros_like(union, dtype=float), where=union > 0.0)

@@ -95,21 +95,22 @@ def update(
 def box_to_measurement(corners: np.ndarray) -> np.ndarray:
     """Corner boxes (N, 4) -> [u, v, s, r] rows. Non-positive area is an error."""
     x0, y0, x1, y1 = np.asarray(corners, dtype=float).reshape(-1, 4).T
-    w = x1 - x0
-    h = y1 - y0
+    w, h = x1 - x0, y1 - y0
     if np.any(w <= 0.0) or np.any(h <= 0.0):
         raise ValueError(f"box has non-positive area: min w={w.min()}, min h={h.min()}")
     return np.stack([x0 + w / 2.0, y0 + h / 2.0, w * h, w / h], axis=1)
 
 
-def state_to_box(x: np.ndarray, scores, class_ids) -> list[BoundingBox]:
-    """States (N, 7) -> corner boxes with the rows' scores and class ids;
-    requires positive scale and aspect."""
+def state_to_corners(x: np.ndarray) -> np.ndarray:
+    """States (N, 7) -> corner boxes (N, 4); requires positive scale and aspect."""
     u, v, s, r = x[:, :MEAS_DIM].T
     if np.any(s <= 0.0) or np.any(r <= 0.0):
         raise ValueError(f"state has non-positive area: min s={s.min()}, min r={r.min()}")
-    w = np.sqrt(s * r)
-    h = s / w
-    corners = np.stack([u - w / 2.0, v - h / 2.0, u + w / 2.0, v + h / 2.0], axis=1)
-    rows = zip(corners.tolist(), np.asarray(scores).tolist(), np.asarray(class_ids).tolist())
+    w = np.sqrt(s * r)  # and height s / w
+    return np.stack([u - w / 2.0, v - s / w / 2.0, u + w / 2.0, v + s / w / 2.0], axis=1)
+
+
+def state_to_box(x: np.ndarray, scores, class_ids) -> list[BoundingBox]:
+    """States (N, 7) -> boxes carrying the rows' scores and class ids."""
+    rows = zip(state_to_corners(x).tolist(), *(np.asarray(c).tolist() for c in (scores, class_ids)))
     return [BoundingBox(*c, score, cls) for c, score, cls in rows]

@@ -62,20 +62,19 @@ class MotAccumulator:
 
         hyp_by_id = {i: b for i, b in hyp}
         matched_gt: dict[int, int] = {}
+        used_tracks: set[int] = set()  # the values of matched_gt
 
         # 1) carry over correspondences that still hold
         for gt_id, gt_box in gt:
             track_id = self._last_track.get(gt_id)
-            if track_id is None or track_id not in hyp_by_id:
-                continue
-            if track_id in matched_gt.values():
+            if track_id is None or track_id not in hyp_by_id or track_id in used_tracks:
                 continue
             if iou(gt_box, hyp_by_id[track_id]) >= self.iou_gate:
                 matched_gt[gt_id] = track_id
+                used_tracks.add(track_id)
 
         # 2) Hungarian on the rest, gated
         free_gt = [(i, b) for i, b in gt if i not in matched_gt]
-        used_tracks = set(matched_gt.values())
         free_hyp = [(i, b) for i, b in hyp if i not in used_tracks]
         if free_gt and free_hyp:
             overlaps = iou_matrix([b for _, b in free_gt], [b for _, b in free_hyp])

@@ -78,7 +78,8 @@ class SortTracker:
             )
         self._last_frame = frame_index
         cfg = self.config
-        z = kalman.box_to_measurement([d.corners() for d in detections])
+        corners = np.array([d.corners() for d in detections], dtype=float).reshape(-1, 4)
+        z = kalman.box_to_measurement(corners)
         det_scores = np.array([d.score for d in detections], dtype=float)
         det_classes = np.array([d.class_id for d in detections], dtype=np.int64)
 
@@ -86,10 +87,9 @@ class SortTracker:
         self.hits[self.time_since_update > 0] = 0
         self.time_since_update += 1
 
-        predicted = kalman.state_to_box(self.x, self.scores, self.class_ids)
-        result = associate(predicted, detections, cfg.iou_min)
+        result = associate(kalman.state_to_corners(self.x), corners, cfg.iou_min)
 
-        t_idx, d_idx = np.array(result.matches, dtype=np.intp).reshape(-1, 2).T
+        t_idx, d_idx = result.matches.T
         x, P, ok = kalman.update(self.x[t_idx], self.P[t_idx], z[d_idx], cfg.kalman)
         self.x[t_idx], self.P[t_idx] = x, P  # a dropped update keeps the prediction
         self.dropped_updates += int(np.count_nonzero(~ok))
@@ -98,7 +98,7 @@ class SortTracker:
         self.hits[t_idx] += 1
         self.scores[t_idx] = det_scores[d_idx]
 
-        new = np.array(result.unmatched_detections, dtype=np.intp)
+        new = result.unmatched_detections
         x, P = kalman.init_state(z[new], cfg.kalman)
         keep = self.time_since_update <= cfg.max_age
         self.x = np.concatenate([self.x[keep], x])

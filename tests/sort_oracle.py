@@ -1,8 +1,10 @@
 """Reference SORT: the per-track tracker and scalar Kalman filter that the
 batched ``motkit.tracker``/``motkit.kalman`` replaced, kept unchanged as the
-oracle for the differential tests. The only edits are imports (config,
-layout constants and association come from motkit) and calls to the filter
-functions by bare name, since both modules now share this file.
+oracle for the differential tests. The only edits are imports (config and
+layout constants come from motkit, association from the frozen solver in
+``lap_oracle``, so the oracle does not share the LAP under test) and calls
+to the filter functions by bare name, since both modules now share this
+file.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from motkit.assignment import associate
+from lap_oracle import associate
 from motkit.geometry import BoundingBox
 from motkit.kalman import MEAS_DIM, SCALE_FLOOR, STATE_DIM, F, H, KalmanConfig
 from motkit.tracker import SortConfig

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import translated
+from conftest import corner_array, translated
 from motkit.assignment import associate, solve_lap
 from motkit.geometry import BoundingBox, iou
 
@@ -72,19 +72,18 @@ class TestSolveLap:
 
 class TestAssociate:
     def test_identical_lists_match_perfectly(self):
-        tracks = [BoundingBox(i * 30, 0, i * 30 + 20, 20) for i in range(4)]
-        result = associate(tracks, list(tracks), iou_min=0.3)
-        assert result.matches == tuple((i, i) for i in range(4))
-        assert result.unmatched_tracks == ()
-        assert result.unmatched_detections == ()
+        tracks = corner_array(BoundingBox(i * 30, 0, i * 30 + 20, 20) for i in range(4))
+        result = associate(tracks, tracks.copy(), iou_min=0.3)
+        assert result.matches.tolist() == [[i, i] for i in range(4)]
+        assert result.unmatched_tracks.tolist() == []
+        assert result.unmatched_detections.tolist() == []
 
     def test_disjoint_pair_gated_out(self):
-        result = associate(
-            [BoundingBox(0, 0, 10, 10)], [BoundingBox(50, 50, 60, 60)], iou_min=0.3
-        )
-        assert result.matches == ()
-        assert result.unmatched_tracks == (0,)
-        assert result.unmatched_detections == (0,)
+        tracks, dets = [BoundingBox(0, 0, 10, 10)], [BoundingBox(50, 50, 60, 60)]
+        result = associate(corner_array(tracks), corner_array(dets), iou_min=0.3)
+        assert result.matches.shape == (0, 2)
+        assert result.unmatched_tracks.tolist() == [0]
+        assert result.unmatched_detections.tolist() == [0]
 
     def test_jittered_detections_match_identity(self):
         """Brute-force max-total-IoU over all 3! pairings agrees."""
@@ -97,25 +96,20 @@ class TestAssociate:
             key=lambda p: sum(iou(tracks[i], dets[p[i]]) for i in range(3)),
         )
         assert best == (0, 1, 2)
-        result = associate(tracks, dets, iou_min=0.3)
-        assert result.matches == ((0, 0), (1, 1), (2, 2))
+        result = associate(corner_array(tracks), corner_array(dets), iou_min=0.3)
+        assert result.matches.tolist() == [[0, 0], [1, 1], [2, 2]]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10_000))
     def test_partition_invariant(self, n_tracks, n_dets, seed):
         rng = np.random.default_rng(seed)
         def rand_boxes(k):
-            out = []
-            for _ in range(k):
-                x, y = rng.uniform(0, 80, 2)
-                w, h = rng.uniform(5, 30, 2)
-                out.append(BoundingBox(x, y, x + w, y + h))
-            return out
+            xy = rng.uniform(0, 80, (k, 2))
+            return np.hstack([xy, xy + rng.uniform(5, 30, (k, 2))])
 
-        tracks, dets = rand_boxes(n_tracks), rand_boxes(n_dets)
-        result = associate(tracks, dets, iou_min=0.3)
-        seen_t = [t for t, _ in result.matches] + list(result.unmatched_tracks)
-        seen_d = [d for _, d in result.matches] + list(result.unmatched_detections)
+        result = associate(rand_boxes(n_tracks), rand_boxes(n_dets), iou_min=0.3)
+        seen_t = result.matches[:, 0].tolist() + result.unmatched_tracks.tolist()
+        seen_d = result.matches[:, 1].tolist() + result.unmatched_detections.tolist()
         assert sorted(seen_t) == list(range(n_tracks))
         assert sorted(seen_d) == list(range(n_dets))
 
@@ -127,11 +121,11 @@ class TestAssociate:
         ]
         dets = [translated(t, *rng.uniform(-8, 8, 2)) for t in tracks]
         counts = [
-            len(associate(tracks, dets, iou_min=g).matches)
+            len(associate(corner_array(tracks), corner_array(dets), iou_min=g).matches)
             for g in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         ]
         assert counts == sorted(counts, reverse=True)
 
     def test_gate_bounds_checked(self):
         with pytest.raises(ValueError):
-            associate([], [], iou_min=1.5)
+            associate(np.empty((0, 4)), np.empty((0, 4)), iou_min=1.5)

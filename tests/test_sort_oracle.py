@@ -9,7 +9,8 @@ singular while an older track's is not, so one batched update mixes
 singular and regular rows. After every frame the reported ids, their
 order, class ids, scores, boxes and dropped_updates must equal the
 oracle's, and so must every live track's id, hits, time_since_update and
-filter state.
+filter state. The oracle associates with the frozen solver of
+``lap_oracle``, so the LAP is checked along with the tracker.
 """
 
 import numpy as np
@@ -33,10 +34,10 @@ ZERO_COVARIANCE = KalmanConfig(
 )
 
 
-def make_frames(seed, n_objects, n_frames, noise, drop, clutter, empty):
+def make_frames(seed, n_objects, n_frames, noise, drop, clutter, empty, image=IMAGE):
     """Detection lists for frames 1..n_frames, with drops, clutter, empties."""
     rng = np.random.default_rng(seed)
-    _, det_frames = synthetic.generate_sequence(n_objects, n_frames, noise, seed, IMAGE)
+    _, det_frames = synthetic.generate_sequence(n_objects, n_frames, noise, seed, image)
     frames = []
     for frame in range(1, n_frames + 1):
         if rng.random() < empty:
@@ -45,7 +46,7 @@ def make_frames(seed, n_objects, n_frames, noise, drop, clutter, empty):
         dets = [box for _, box in det_frames[frame] if rng.random() >= drop]
         for _ in range(rng.poisson(clutter)):
             w, h = rng.uniform(8.0, 48.0, 2)
-            x, y = rng.uniform(0.0, IMAGE[0] - w), rng.uniform(0.0, IMAGE[1] - h)
+            x, y = rng.uniform(0.0, image[0] - w), rng.uniform(0.0, image[1] - h)
             score, cls = float(rng.uniform(0.1, 1.0)), int(rng.integers(3))
             dets.append(BoundingBox(x, y, x + w, y + h, score, cls))
         frames.append(dets)
@@ -117,3 +118,10 @@ def test_zero_covariance_mixes_singular_and_regular_rows(monkeypatch):
     tracker = run_both(config, frames)
     assert any(m.any() and not m.all() for m in masks)
     assert 0 < tracker.dropped_updates
+
+
+def test_crowded_scene_matches_oracle():
+    """100 objects with Poisson(4) clutter over 40 frames: crowded enough
+    that association runs long tie walks through equally cheap columns."""
+    frames = make_frames(3, 100, 40, 2.0, 0.03, 4.0, 0.0, image=(640, 480))
+    run_both(SortConfig(), frames)
