@@ -6,7 +6,7 @@ FIFO-sizing simulator.
 """
 
 from .assignment import AssignmentResult, associate, solve_lap
-from .geometry import BoundingBox, area, iou, iou_matrix
+from .geometry import BoundingBox, iou_matrix
 from .kalman import KalmanConfig
 from .metrics import MotAccumulator, average_precision, coco_map, mota
 from .tracker import SortConfig, SortTracker
@@ -18,11 +18,9 @@ __all__ = [
     "MotAccumulator",
     "SortConfig",
     "SortTracker",
-    "area",
     "associate",
     "average_precision",
     "coco_map",
-    "iou",
     "iou_matrix",
     "mota",
     "solve_lap",

@@ -142,7 +142,7 @@ def associate(
     """
     if not 0.0 <= iou_min <= 1.0:
         raise ValueError(f"iou_min outside [0, 1]: {iou_min}")
-    overlaps = corner_iou(tracks, detections)
+    overlaps = corner_iou(tracks[:, None], detections[None])
     pairs = np.array(solve_lap(-overlaps), dtype=np.intp).reshape(-1, 2)
     matches = pairs[overlaps[pairs[:, 0], pairs[:, 1]] >= iou_min]
     return AssignmentResult(

@@ -12,6 +12,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as mio
 from . import metrics, streamline
 from . import dataflow as df
@@ -43,26 +45,33 @@ def _settings(args) -> dict:
     return merged
 
 
-def _load_headmap_frames(directory: str, dfl_bins: int) -> dict[int, list[HeadMap]]:
-    """Collect frame -> [HeadMap x3] from frame{N}_stride{S}.tnsr files."""
-    by_frame: dict[int, dict[int, HeadMap]] = {}
+def _headmap_paths(directory: str) -> dict[int, list[Path]]:
+    """Group frame{N}_stride{S}.tnsr files by frame, in frame order, as
+    each frame's stride 8, 16 and 32 paths."""
+    by_frame: dict[int, dict[int, Path]] = {}
     for path in sorted(Path(directory).iterdir()):
         m = _HEADMAP_RE.search(path.name)
-        if not m:
-            continue
-        frame, stride = int(m.group(1)), int(m.group(2))
-        data = mio.read_tensor(path).astype(float)
-        if dfl_bins:
-            data = reduce_dfl(data, dfl_bins)
-        by_frame.setdefault(frame, {})[stride] = HeadMap(stride, data)
+        if m:
+            by_frame.setdefault(int(m.group(1)), {})[int(m.group(2))] = path
     if not by_frame:
         raise ValueError(f"no frame*_stride*.tnsr files in {directory}")
     frames = {}
-    for frame, heads in sorted(by_frame.items()):
-        if sorted(heads) != [8, 16, 32]:
-            raise ValueError(f"frame {frame}: need strides 8,16,32, got {sorted(heads)}")
-        frames[frame] = [heads[8], heads[16], heads[32]]
+    for frame, paths in sorted(by_frame.items()):
+        if sorted(paths) != [8, 16, 32]:
+            raise ValueError(f"frame {frame}: need strides 8,16,32, got {sorted(paths)}")
+        frames[frame] = [paths[8], paths[16], paths[32]]
     return frames
+
+
+def _read_headmaps(paths: list[str] | list[Path], dfl_bins: int) -> list[HeadMap]:
+    """Stride 8, 16 and 32 head maps from their tensor dumps, in that order."""
+    maps = []
+    for stride, path in zip((8, 16, 32), paths):
+        data = mio.read_tensor(path).astype(float)
+        if dfl_bins:
+            data = reduce_dfl(data, dfl_bins)
+        maps.append(HeadMap(stride, data))
+    return maps
 
 
 def cmd_track(args) -> int:
@@ -83,10 +92,10 @@ def cmd_track(args) -> int:
             f: [b for _, b in boxes] for f, boxes in mio.read_mot(args.detections).items()
         }
     else:
-        frames = _load_headmap_frames(args.head_maps, args.dfl_bins)
+        # every frame's paths are checked first; then one frame's maps at a time
         detections = {}
-        for frame, maps in frames.items():
-            boxes = decode_heads(maps, cfg["score_thresh"])
+        for frame, paths in _headmap_paths(args.head_maps).items():
+            boxes = decode_heads(_read_headmaps(paths, args.dfl_bins), cfg["score_thresh"])
             detections[frame] = nms(boxes, cfg["nms_iou"], class_aware=not args.no_class_aware)
 
     if args.class_filter is not None:
@@ -120,12 +129,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    maps = []
-    for stride, path in zip((8, 16, 32), args.maps):
-        data = mio.read_tensor(path).astype(float)
-        if args.dfl_bins:
-            data = reduce_dfl(data, args.dfl_bins)
-        maps.append(HeadMap(stride, data))
+    maps = _read_headmaps(args.maps, args.dfl_bins)
     cfg = _settings(args)
     boxes = decode_heads(maps, cfg["score_thresh"])
     boxes = nms(boxes, cfg["nms_iou"], class_aware=not args.no_class_aware)
@@ -167,15 +171,13 @@ def cmd_eval_mot(args) -> int:
 def cmd_eval_det(args) -> int:
     gts = mio.read_gt_boxes(args.gt)
     dets = mio.read_det_boxes(args.detections)
-    value = metrics.coco_map(dets, gts)
-    print(f"mAP    {value:.6f}")
+    table = metrics.ap_table(dets, gts)
+    print(f"mAP    {np.mean(list(table.values())):.6f}")
     if args.csv:
-        classes = sorted({b.class_id for boxes in gts.values() for b in boxes})
         with open(args.csv, "w") as fh:
             fh.write("class_id,iou_thresh,ap\n")
-            for cls in classes:
-                for thresh in metrics.COCO_IOU_THRESHOLDS:
-                    ap = metrics.average_precision(dets, gts, thresh, cls)
+            for cls, aps in table.items():
+                for thresh, ap in zip(metrics.COCO_IOU_THRESHOLDS, aps):
                     fh.write(f"{cls},{thresh},{ap:.6f}\n")
     return 0
 

@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, corner_array, corner_iou
 
 EXPECTED_STRIDES = (8, 16, 32)
 REGRESSION_CHANNELS = 4
 DEFAULT_NUM_BINS = 16
+# Rows per nms block. Small enough that a block spanning several classes
+# wastes little IoU work on pairs of different classes, and that nms's
+# temporaries stay a few 64 x N arrays rather than one N x N.
+NMS_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> list[Boundi
         if m.channels != by_stride[8].channels:
             raise ValueError("head maps disagree on channel count")
 
-    boxes: list[BoundingBox] = []
+    rows = []
     for stride in EXPECTED_STRIDES:
         m = by_stride[stride]
         cy, cx = np.mgrid[0 : m.height, 0 : m.width]
@@ -109,19 +113,9 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> list[Boundi
         cls_logits = m.data[REGRESSION_CHANNELS:]
         class_id = cls_logits.argmax(axis=0)
         score = sigmoid(cls_logits.max(axis=0))
-        keep_y, keep_x = np.nonzero(score >= score_thresh)
-        for yy, xx in zip(keep_y, keep_x):
-            boxes.append(
-                BoundingBox(
-                    float(x0[yy, xx]),
-                    float(y0[yy, xx]),
-                    float(x1[yy, xx]),
-                    float(y1[yy, xx]),
-                    float(score[yy, xx]),
-                    int(class_id[yy, xx]),
-                )
-            )
-    return boxes
+        keep = score >= score_thresh
+        rows.append(np.stack([x0, y0, x1, y1, score, class_id])[:, keep].T)
+    return [BoundingBox(*row[:5], int(row[5])) for row in np.concatenate(rows).tolist()]
 
 
 def nms(
@@ -139,15 +133,24 @@ def nms(
     ordered = sorted(
         boxes, key=lambda b: (-b.score, b.class_id, b.x_min, b.y_min, b.x_max, b.y_max)
     )
-    kept: list[BoundingBox] = []
-    for cand in ordered:
-        suppressed = False
-        for k in kept:
-            if class_aware and k.class_id != cand.class_id:
-                continue
-            if iou(k, cand) > iou_thresh:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(cand)
-    return kept
+    # Classes made contiguous (one group if not class_aware), rank order
+    # within each; then blocks of rows in that order, each checked against
+    # the boxes of its classes kept so far and resolved greedily inside.
+    groups = np.array([b.class_id if class_aware else 0 for b in ordered], dtype=int)
+    order = np.argsort(groups, kind="stable")
+    corners, groups = corner_array(ordered)[order], groups[order]
+    group_start = np.searchsorted(groups, groups)
+    kept = np.zeros(len(order), dtype=bool)
+    for start in range(0, len(order), NMS_BLOCK):
+        block = np.arange(start, min(start + NMS_BLOCK, len(order)))
+        earlier = np.flatnonzero(kept[group_start[start] : start]) + group_start[start]
+        cols = np.concatenate([earlier, block])
+        over = corner_iou(corners[block, None], corners[None, cols]) > iou_thresh
+        over &= groups[block, None] == groups[None, cols]
+        dead = over[:, : len(earlier)].any(axis=1)
+        inner = np.triu(over[:, len(earlier) :], 1)  # row j suppresses later rows
+        for j in np.flatnonzero(inner.any(axis=1)):
+            if not dead[j]:
+                dead |= inner[j]
+        kept[block] = ~dead
+    return [ordered[i] for i in np.sort(order[kept])]

@@ -47,40 +47,25 @@ class BoundingBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-def area(box: BoundingBox) -> float:
-    """Box area in square pixels; 0 for degenerate (line/point) boxes."""
-    return box.width * box.height
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes.
-
-    Returns 0 when the union is empty (two degenerate boxes), so degenerate
-    detections never abort a run.
-    """
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = area(a) + area(b) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def corner_array(boxes: list[BoundingBox]) -> np.ndarray:
+    """(N, 4) float corner array of `boxes`, (0, 4) when there are none."""
+    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
     """Pairwise IoU, shape (len(rows), len(cols))."""
-    return corner_iou(*(np.array([b.corners() for b in bs]).reshape(-1, 4) for bs in (rows, cols)))
+    return corner_iou(corner_array(rows)[:, None], corner_array(cols)[None])
 
 
-def corner_iou(ra: np.ndarray, ca: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of corner arrays ra (N, 4) and ca (M, 4), shape (N, M);
-    0 where the union is empty."""
-    ix = np.minimum(ra[:, None, 2], ca[None, :, 2]) - np.maximum(ra[:, None, 0], ca[None, :, 0])
-    iy = np.minimum(ra[:, None, 3], ca[None, :, 3]) - np.maximum(ra[:, None, 1], ca[None, :, 1])
+def corner_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner arrays a (..., 4) and b (..., 4), broadcast over the
+    leading axes: a[:, None] and b[None] give the pairwise matrix, aligned
+    arrays one IoU per pair. 0 where the union is empty, so degenerate
+    boxes never abort a run."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_r = (ra[:, 2] - ra[:, 0]) * (ra[:, 3] - ra[:, 1])
-    area_c = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
-    union = area_r[:, None] + area_c[None, :] - inter
-    return np.divide(inter, union, out=np.zeros_like(union, dtype=float), where=union > 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0.0)

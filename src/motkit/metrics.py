@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_lap
-from .geometry import BoundingBox, iou, iou_matrix
+from .geometry import BoundingBox, corner_array, corner_iou, iou_matrix
 
 # MOTChallenge convention; override per call if needed.
 DEFAULT_MOT_GATE = 0.5
@@ -64,12 +64,17 @@ class MotAccumulator:
         matched_gt: dict[int, int] = {}
         used_tracks: set[int] = set()  # the values of matched_gt
 
-        # 1) carry over correspondences that still hold
-        for gt_id, gt_box in gt:
-            track_id = self._last_track.get(gt_id)
-            if track_id is None or track_id not in hyp_by_id or track_id in used_tracks:
-                continue
-            if iou(gt_box, hyp_by_id[track_id]) >= self.iou_gate:
+        # 1) carry over correspondences that still hold; a track carried by
+        #    two ground truths goes to the first that clears the gate
+        carried = [
+            (gt_id, gt_box, self._last_track[gt_id])
+            for gt_id, gt_box in gt
+            if self._last_track.get(gt_id) in hyp_by_id
+        ]
+        gt_corners = corner_array([b for _, b, _ in carried])
+        overlaps = corner_iou(gt_corners, corner_array([hyp_by_id[t] for _, _, t in carried]))
+        for (gt_id, _, track_id), overlap in zip(carried, overlaps.tolist()):
+            if track_id not in used_tracks and overlap >= self.iou_gate:
                 matched_gt[gt_id] = track_id
                 used_tracks.add(track_id)
 
@@ -137,6 +142,32 @@ def average_precision(
     the still-unmatched ground-truth box it overlaps best (at or above the
     threshold), one ground truth per detection.
     """
+    return _class_aps(dets, gts, class_id, (iou_thresh,))[0]
+
+
+def ap_table(
+    dets: dict[object, list[BoundingBox]],
+    gts: dict[object, list[BoundingBox]],
+) -> dict[int, list[float]]:
+    """AP of each ground-truth class (ascending) at each COCO_IOU_THRESHOLDS
+    entry, as scored by average_precision."""
+    classes = sorted({b.class_id for boxes in gts.values() for b in boxes})
+    if not classes:
+        raise ValueError("mAP undefined: empty ground truth")
+    return {cls: _class_aps(dets, gts, cls, COCO_IOU_THRESHOLDS) for cls in classes}
+
+
+def coco_map(
+    dets: dict[object, list[BoundingBox]],
+    gts: dict[object, list[BoundingBox]],
+) -> float:
+    """Mean AP over ground-truth classes and IoU thresholds 0.50:0.05:0.95."""
+    return float(np.mean(list(ap_table(dets, gts).values())))
+
+
+def _class_aps(dets, gts, class_id: int, thresholds) -> list[float]:
+    """average_precision of one class at each of `thresholds`, with each
+    image's detection x ground-truth IoU matrix computed once for all."""
     n_gt = sum(1 for boxes in gts.values() for b in boxes if b.class_id == class_id)
     if n_gt == 0:
         raise ValueError(f"no ground truth for class {class_id}; AP undefined")
@@ -147,48 +178,39 @@ def average_precision(
             if box.class_id == class_id:
                 flat.append((image_key, idx, box))
     flat.sort(key=lambda t: (-t[2].score, repr(t[0]), t[1]))
-
-    claimed: set[tuple[object, int]] = set()
-    tp = np.zeros(len(flat))
-    for rank, (image_key, _, det_box) in enumerate(flat):
-        candidates = [
-            (j, g)
-            for j, g in enumerate(gts.get(image_key, []))
-            if g.class_id == class_id and (image_key, j) not in claimed
-        ]
-        best_j, best_iou = -1, 0.0
-        for j, g in candidates:
-            overlap = iou(det_box, g)
-            if overlap > best_iou:
-                best_j, best_iou = j, overlap
-        if best_j >= 0 and best_iou >= iou_thresh:
-            claimed.add((image_key, best_j))
-            tp[rank] = 1.0
-
     if not flat:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp / np.arange(1, len(flat) + 1)
-    recall = cum_tp / n_gt
+        return [0.0] * len(thresholds)
 
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        at_least = precision[recall >= r]
-        ap += at_least.max() if at_least.size else 0.0
-    return ap / 101.0
+    ranks_by_image: dict[object, list[int]] = {}
+    for rank, (image_key, _, _) in enumerate(flat):
+        ranks_by_image.setdefault(image_key, []).append(rank)
+    tp = np.zeros((len(thresholds), len(flat)))
+    for image_key, ranks in ranks_by_image.items():
+        truth = [g for g in gts.get(image_key, []) if g.class_id == class_id]
+        if not truth:
+            continue
+        overlaps = iou_matrix([flat[r][2] for r in ranks], truth).tolist()
+        best = [max(row) for row in overlaps]
+        for t, thresh in enumerate(thresholds):
+            claimed = [False] * len(truth)
+            for rank, row, top in zip(ranks, overlaps, best):
+                if top < thresh:
+                    continue  # claims only lower a row, so it cannot match
+                best_j, best_iou = -1, 0.0
+                for j, overlap in enumerate(row):
+                    if not claimed[j] and overlap > best_iou:
+                        best_j, best_iou = j, overlap
+                if best_j >= 0 and best_iou >= thresh:
+                    claimed[best_j] = True
+                    tp[t, rank] = 1.0
 
-
-def coco_map(
-    dets: dict[object, list[BoundingBox]],
-    gts: dict[object, list[BoundingBox]],
-) -> float:
-    """Mean AP over ground-truth classes and IoU thresholds 0.50:0.05:0.95."""
-    classes = sorted({b.class_id for boxes in gts.values() for b in boxes})
-    if not classes:
-        raise ValueError("mAP undefined: empty ground truth")
-    values = [
-        average_precision(dets, gts, thresh, cls)
-        for cls in classes
-        for thresh in COCO_IOU_THRESHOLDS
-    ]
-    return float(np.mean(values))
+    # 101-point interpolated AP of each threshold's true positives
+    cum_tp = np.cumsum(tp, axis=1)
+    aps = []
+    for precision, recall in zip(cum_tp / np.arange(1, len(flat) + 1), cum_tp / n_gt):
+        ap = 0.0
+        for r in np.linspace(0.0, 1.0, 101):
+            at_least = precision[recall >= r]
+            ap += at_least.max() if at_least.size else 0.0
+        aps.append(ap / 101.0)
+    return aps

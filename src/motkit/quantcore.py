@@ -1,9 +1,8 @@
 """Bit-exact quantized operator semantics.
 
-Uniform quantizer, multi-threshold requantization with affine absorption,
-integer convolution lowered to a matrix multiply, and mixed-width channel
-split/concat. All operators are pure; accumulators are wide (int64) and
-never saturate mid-accumulation.
+Multi-threshold requantization with affine absorption, and integer
+convolution lowered to a matrix multiply. All operators are pure;
+accumulators are wide (int64) and never saturate mid-accumulation.
 """
 
 from __future__ import annotations
@@ -11,62 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QuantSpec:
-    """Uniform N-bit quantization: integer range plus a real scale factor.
-
-    An N-bit uniform quantizer has 2^N - 1 thresholds; unsigned values live
-    in [0, 2^N - 1], signed in [-2^(N-1), 2^(N-1) - 1].
-    """
-
-    bits: int
-    scale: float = 1.0
-    signed: bool = False
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def qmin(self) -> int:
-        return -(1 << (self.bits - 1)) if self.signed else 0
-
-    @property
-    def qmax(self) -> int:
-        return (1 << (self.bits - 1)) - 1 if self.signed else (1 << self.bits) - 1
-
-
-@dataclass(frozen=True)
-class IntTensor:
-    """Integer tensor with its quantization spec; values must be in range."""
-
-    values: np.ndarray
-    spec: QuantSpec
-
-    def __post_init__(self):
-        v = self.values
-        if not np.issubdtype(v.dtype, np.integer):
-            raise ValueError(f"IntTensor requires integer dtype, got {v.dtype}")
-        if v.size and (v.min() < self.spec.qmin or v.max() > self.spec.qmax):
-            raise ValueError(
-                f"values outside [{self.spec.qmin}, {self.spec.qmax}] for "
-                f"{self.spec.bits}-bit spec"
-            )
-
-
-def quantize(x: np.ndarray, spec: QuantSpec) -> IntTensor:
-    """round(x / scale), clamped into the spec range."""
-    q = np.round(np.asarray(x, dtype=float) / spec.scale)
-    q = np.clip(q, spec.qmin, spec.qmax).astype(np.int64)
-    return IntTensor(q, spec)
-
-
-def dequantize(t: IntTensor) -> np.ndarray:
-    return t.values.astype(float) * t.spec.scale
 
 
 @dataclass(frozen=True)
@@ -199,45 +142,11 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, pad: int = 0) ->
     return out.reshape(weights.shape[0], out_h, out_w)
 
 
-def conv_int(x, weights: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
+def conv_int(x: np.ndarray, weights: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Exact integer convolution with a wide (int64) accumulator."""
-    values = x.values if isinstance(x, IntTensor) else np.asarray(x)
+    values = np.asarray(x)
     if not np.issubdtype(values.dtype, np.integer):
         raise ValueError("conv_int expects integer inputs")
     if not np.issubdtype(np.asarray(weights).dtype, np.integer):
         raise ValueError("conv_int expects integer weights")
     return conv2d(values.astype(np.int64), np.asarray(weights, dtype=np.int64), stride, pad)
-
-
-def split_channels(t: IntTensor, sizes: list[int]) -> list[IntTensor]:
-    """Slice a tensor along channels into parts of the given sizes."""
-    if sum(sizes) != t.values.shape[0] or any(s <= 0 for s in sizes):
-        raise ValueError(f"split sizes {sizes} do not partition {t.values.shape[0]} channels")
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(IntTensor(t.values[start : start + s], t.spec))
-        start += s
-    return parts
-
-
-def concat_channels(ts: list[IntTensor]) -> IntTensor:
-    """Concatenate along channels; inputs may differ in bit width.
-
-    Spatial dims, scale and signedness must match; the result carries the
-    widest input's bit count and all values unchanged.
-    """
-    if not ts:
-        raise ValueError("nothing to concatenate")
-    first = ts[0]
-    for t in ts[1:]:
-        if t.values.shape[1:] != first.values.shape[1:]:
-            raise ValueError("spatial dims differ across concat inputs")
-        if t.spec.scale != first.spec.scale or t.spec.signed != first.spec.signed:
-            raise ValueError("concat inputs must share scale and signedness")
-    out_spec = QuantSpec(
-        bits=max(t.spec.bits for t in ts),
-        scale=first.spec.scale,
-        signed=first.spec.signed,
-    )
-    return IntTensor(np.concatenate([t.values for t in ts], axis=0), out_spec)

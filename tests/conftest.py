@@ -16,11 +16,6 @@ def translated(box: BoundingBox, dx: float, dy: float) -> BoundingBox:
     )
 
 
-def corner_array(boxes) -> np.ndarray:
-    """(N, 4) float corner array of `boxes`, (0, 4) when there are none."""
-    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
-
-
 def conv_block_graph() -> OpGraph:
     """Conv block as imported from training code, before streamlining.
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corner_array, translated
+from box_oracle import iou
+from conftest import translated
 from motkit.assignment import associate, solve_lap
-from motkit.geometry import BoundingBox, iou
+from motkit.geometry import BoundingBox, corner_array
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:

@@ -1,0 +1,240 @@
+"""Differential tests: every IoU user in motkit against ``box_oracle``.
+
+``corner_iou`` (aligned and pairwise), ``decode_heads``, ``nms``,
+``average_precision``, ``coco_map``/``ap_table`` and ``MotAccumulator.step``
+must give exactly what the scalar-IoU code they replaced gives: compared
+with ``==``, no tolerance. Coordinates and scores are drawn from coarse
+grids, so touching edges, degenerate boxes, score ties and IoUs that land
+on a threshold are common.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import box_oracle
+from motkit import decode
+from motkit.decode import HeadMap, decode_heads, nms
+from motkit.geometry import BoundingBox, corner_array, corner_iou
+from motkit.metrics import (
+    COCO_IOU_THRESHOLDS,
+    MotAccumulator,
+    ap_table,
+    average_precision,
+    coco_map,
+)
+
+
+def grid_boxes():
+    """Boxes of 3 classes on a 1/2-pixel grid, zero widths and heights
+    included, with 4 scores."""
+    half = st.integers(0, 40).map(lambda v: v / 2)
+    return st.builds(
+        lambda x, y, w, h, s, c: BoundingBox(x, y, x + w, y + h, s, c),
+        half,
+        half,
+        st.integers(0, 24).map(lambda v: v / 2),
+        st.integers(0, 24).map(lambda v: v / 2),
+        st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        st.integers(0, 2),
+    )
+
+
+class TestCornerIou:
+    @given(st.lists(grid_boxes(), max_size=12), st.lists(grid_boxes(), max_size=12))
+    def test_pairwise_bit_equal_to_scalar(self, rows, cols):
+        m = corner_iou(corner_array(rows)[:, None], corner_array(cols)[None])
+        assert m.shape == (len(rows), len(cols))
+        assert m.tolist() == [[box_oracle.iou(r, c) for c in cols] for r in rows]
+
+    @given(st.lists(st.tuples(grid_boxes(), grid_boxes()), max_size=12))
+    def test_aligned_bit_equal_to_scalar(self, pairs):
+        a = corner_array([p for p, _ in pairs])
+        b = corner_array([q for _, q in pairs])
+        assert corner_iou(a, b).tolist() == [box_oracle.iou(p, q) for p, q in pairs]
+
+    @given(grid_boxes(), grid_boxes())
+    def test_single_rows_bit_equal_to_scalar(self, a, b):
+        value = corner_iou(np.array(a.corners()), np.array(b.corners()))
+        assert value.shape == ()
+        assert float(value) == box_oracle.iou(a, b)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.builds(
+                lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+                *[st.floats(-100, 100)] * 2,
+                *[st.floats(0, 50)] * 2,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_arbitrary_floats_bit_equal_to_scalar(self, boxes):
+        m = corner_iou(corner_array(boxes)[:, None], corner_array(boxes)[None])
+        assert m.tolist() == [[box_oracle.iou(r, c) for c in boxes] for r in boxes]
+
+    def test_touching_and_degenerate_boxes(self):
+        boxes = [
+            BoundingBox(0, 0, 10, 10),
+            BoundingBox(10, 0, 20, 10),  # shares an edge with the first
+            BoundingBox(10, 10, 20, 20),  # shares a corner with the first
+            BoundingBox(5, 5, 5, 15),  # a line through the first
+            BoundingBox(5, 5, 5, 5),  # a point inside the first
+        ]
+        m = corner_iou(corner_array(boxes)[:, None], corner_array(boxes)[None])
+        assert m.tolist() == [[box_oracle.iou(r, c) for c in boxes] for r in boxes]
+        assert m[0, 1:].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert np.diag(m).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+
+
+class TestNms:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(grid_boxes(), max_size=40),
+        st.sampled_from([0.0, 0.45, 1.0]),
+        st.booleans(),
+        st.sampled_from([1, 3, 64]),
+    )
+    def test_matches_oracle(self, boxes, thresh, class_aware, block):
+        # small blocks put block boundaries inside these short inputs
+        with mock.patch.object(decode, "NMS_BLOCK", block):
+            got = nms(boxes, thresh, class_aware)
+        assert got == box_oracle.nms(boxes, thresh, class_aware)
+
+    @pytest.mark.parametrize("class_aware", [True, False])
+    def test_matches_oracle_across_full_blocks(self, class_aware):
+        # 700 overlapping boxes of two classes: many full blocks per class
+        rng = np.random.default_rng(4)
+        xy = rng.integers(0, 120, (700, 2)) / 2
+        wh = rng.integers(4, 60, (700, 2)) / 2
+        boxes = [
+            BoundingBox(x, y, x + w, y + h, float(s), int(c))
+            for (x, y), (w, h), s, c in zip(
+                xy.tolist(), wh.tolist(), rng.integers(1, 9, 700) / 8, rng.integers(0, 2, 700)
+            )
+        ]
+        assert nms(boxes, 0.45, class_aware) == box_oracle.nms(boxes, 0.45, class_aware)
+
+
+class TestDecodeHeads:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("score_thresh", [0.0, 0.5, 0.9])
+    def test_matches_oracle(self, seed, score_thresh):
+        # odd seeds: float32 maps; seeds 2 and 3: integer logits, so class
+        # logits tie and a logit of 0 scores exactly the 0.5 threshold
+        rng = np.random.default_rng(seed)
+        dtype = np.float32 if seed % 2 else np.float64
+        maps = []
+        for s in (8, 16, 32):
+            data = rng.normal(scale=3.0, size=(9, 64 // s, 96 // s))
+            maps.append(HeadMap(s, (np.round(data) if seed >= 2 else data).astype(dtype)))
+        got = decode_heads(maps, score_thresh)
+        assert got == box_oracle.decode_heads(maps, score_thresh)
+        assert [b.class_id for b in got] == [
+            b.class_id for b in box_oracle.decode_heads(maps, score_thresh)
+        ]
+
+
+# Image keys: ints and strings, some images with only detections or only
+# ground truth, duplicate detections through repeated list entries.
+images = st.dictionaries(
+    st.sampled_from([0, 1, 2, "a", "b"]), st.lists(grid_boxes(), max_size=8), max_size=5
+)
+
+
+def with_duplicates(dets):
+    return {key: boxes + boxes[:2] for key, boxes in dets.items()}
+
+
+class TestAveragePrecision:
+    @settings(max_examples=150, deadline=None)
+    @given(images, images, st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.95, 1.0]))
+    def test_matches_oracle(self, dets, gts, thresh):
+        dets = with_duplicates(dets)
+        for cls in sorted({b.class_id for boxes in gts.values() for b in boxes}):
+            got = average_precision(dets, gts, thresh, cls)
+            assert got == box_oracle.average_precision(dets, gts, thresh, cls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(images, images)
+    def test_coco_map_and_table_match_oracle(self, dets, gts):
+        dets = with_duplicates(dets)
+        if not any(gts.values()):
+            with pytest.raises(ValueError):
+                coco_map(dets, gts)
+            return
+        assert coco_map(dets, gts) == box_oracle.coco_map(dets, gts)
+        table = ap_table(dets, gts)
+        assert list(table) == sorted({b.class_id for boxes in gts.values() for b in boxes})
+        for cls, aps in table.items():
+            assert aps == [
+                box_oracle.average_precision(dets, gts, t, cls) for t in COCO_IOU_THRESHOLDS
+            ]
+
+    def test_no_ground_truth_for_class_rejected_like_oracle(self):
+        gts = {"img": [BoundingBox(0, 0, 1, 1, class_id=1)]}
+        for scorer in (average_precision, box_oracle.average_precision):
+            with pytest.raises(ValueError):
+                scorer({}, gts, 0.5, 0)
+
+
+def counts(c):
+    return (c.fn, c.fp, c.idsw, c.g)
+
+
+def assert_same_frames(frames, gate=0.5):
+    acc, ref = MotAccumulator(gate), box_oracle.MotAccumulator(gate)
+    for gt, hyp in frames:
+        assert counts(acc.step(gt, hyp)) == counts(ref.step(gt, hyp))
+    assert (acc.fn, acc.fp, acc.idsw, acc.g) == (ref.fn, ref.fp, ref.idsw, ref.g)
+    return acc
+
+
+def frame_objects(ids):
+    """Unique ids from `ids`, each with a box from a small grid, so that
+    ground truth and hypotheses often overlap and correspondences change."""
+    cell = st.builds(
+        lambda x, y, w: BoundingBox(x, y, x + w, y + w), *[st.sampled_from([0, 4, 8, 40])] * 2,
+        st.sampled_from([4, 8, 12]),
+    )
+    return st.lists(st.tuples(ids, cell), max_size=5, unique_by=lambda t: t[0])
+
+
+class TestMotAccumulator:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(frame_objects(st.integers(1, 4)), frame_objects(st.integers(10, 13))),
+            max_size=12,
+        ),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_frame_counts_match_oracle(self, frames, gate):
+        assert_same_frames(frames, gate)
+
+    def test_track_carried_by_two_ground_truths(self):
+        a, b = BoundingBox(0, 0, 10, 10), BoundingBox(1, 0, 11, 10)
+        frames = [
+            ([(1, a)], [(7, a)]),  # gt 1 -> track 7
+            ([(2, a)], [(7, a)]),  # gt 2 -> track 7
+            # both last saw track 7; gt 2 comes first and carries it over,
+            # gt 1 goes to track 8 in the Hungarian step: one switch
+            ([(2, b), (1, a)], [(7, a), (8, b)]),
+        ]
+        acc = assert_same_frames(frames)
+        assert acc.idsw == 1
+
+    def test_id_switches_frame_by_frame(self):
+        a, b = BoundingBox(0, 0, 10, 10), BoundingBox(30, 0, 40, 10)
+        frames = [
+            ([(1, a), (2, b)], [(5, a), (6, b)]),
+            ([(1, a), (2, b)], [(6, a), (5, b)]),  # both swap
+            ([(1, a)], []),
+            ([(1, a), (2, b)], [(6, a), (7, b)]),  # 1 keeps 6, 2 moves to 7
+        ]
+        acc = assert_same_frames(frames)
+        assert acc.idsw == 3

@@ -9,9 +9,11 @@ from conftest import (
     fork_join_stream_graph,
     mul_conv_chain_graph,
 )
+from motkit import cli
 from motkit.cli import main
 from motkit.dataflow import save_stream_graph
 from motkit.io import read_mot, write_tensor
+from motkit.metrics import COCO_IOU_THRESHOLDS
 from motkit.streamline import (
     PASS_PIPELINE,
     load_graph,
@@ -167,6 +169,30 @@ class TestEval:
         assert main(["eval-det", str(gt), str(det)]) == 0
         assert "mAP    1.000000" in capsys.readouterr().out
 
+    def test_eval_det_csv_rows_average_to_printed_map(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        det = tmp_path / "det.json"
+        gt.write_text(json.dumps({
+            "a": [[0, 0, 10, 10, 0], [20, 0, 30, 10, 2]],
+            "b": [[0, 0, 10, 10, 2], [40, 40, 60, 60, 5]],
+        }))
+        det.write_text(json.dumps({
+            "a": [[1, 0, 11, 10, 0.9, 0], [21, 1, 31, 11, 0.8, 2], [0, 0, 5, 5, 0.7, 2]],
+            "b": [[0, 2, 10, 12, 0.6, 2], [41, 40, 61, 60, 0.5, 5], [0, 0, 9, 9, 0.4, 7]],
+        }))
+        csv = tmp_path / "ap.csv"
+        assert main(["eval-det", str(gt), str(det), "--csv", str(csv)]) == 0
+        printed = capsys.readouterr().out.strip()
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "class_id,iou_thresh,ap"
+        rows = [line.split(",") for line in lines[1:]]
+        expected_keys = [
+            (str(cls), str(t)) for cls in (0, 2, 5) for t in COCO_IOU_THRESHOLDS
+        ]
+        assert [(cls, t) for cls, t, _ in rows] == expected_keys
+        mean_ap = sum(float(ap) for _, _, ap in rows) / len(rows)
+        assert printed == f"mAP    {mean_ap:.6f}"
+
     def test_eval_mot_without_gt_is_validation_error(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text("")
@@ -232,6 +258,39 @@ class TestDecode:
         frames = read_mot(res)
         assert sorted(frames) == [1, 2, 3]
         assert all(len(rows) == 1 for rows in frames.values())
+
+    def test_track_reads_and_decodes_head_maps_frame_by_frame(self, tmp_path, monkeypatch):
+        for frame in (1, 2, 3):
+            for stride in (8, 16, 32):
+                data = np.full((84, 32 // stride, 32 // stride), -1e4, dtype=np.float32)
+                write_tensor(data, tmp_path / f"frame{frame:04d}_stride{stride}.tnsr")
+        events = []
+        read_tensor, decode_heads = cli.mio.read_tensor, cli.decode_heads
+
+        def logged_read(path):
+            events.append("read")
+            return read_tensor(path)
+
+        def logged_decode(maps, score_thresh):
+            events.append("decode")
+            return decode_heads(maps, score_thresh)
+
+        monkeypatch.setattr(cli.mio, "read_tensor", logged_read)
+        monkeypatch.setattr(cli, "decode_heads", logged_decode)
+        rc = main(["track", "--head-maps", str(tmp_path), "-o", str(tmp_path / "res.txt")])
+        assert rc == 0
+        assert events == ["read", "read", "read", "decode"] * 3
+
+    def test_track_missing_stride_exits_two_before_any_read(self, tmp_path, monkeypatch):
+        for frame, strides in ((1, (8, 16, 32)), (2, (8, 32))):
+            for stride in strides:
+                data = np.full((84, 32 // stride, 32 // stride), -1e4, dtype=np.float32)
+                write_tensor(data, tmp_path / f"frame{frame:04d}_stride{stride}.tnsr")
+        reads = []
+        monkeypatch.setattr(cli.mio, "read_tensor", reads.append)
+        rc = main(["track", "--head-maps", str(tmp_path), "-o", str(tmp_path / "res.txt")])
+        assert rc == 2
+        assert reads == []
 
     def test_track_drops_zero_area_head_map_candidates(self, tmp_path, capsys):
         # regression logits -1 clamp to zero distances: the confident cell at

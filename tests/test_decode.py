@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from box_oracle import iou
 from motkit.decode import HeadMap, decode_heads, nms, reduce_dfl, sigmoid
-from motkit.geometry import BoundingBox, iou
+from motkit.geometry import BoundingBox
 
 NEG = -1e4  # class logit low enough to score ~0 everywhere
 
@@ -209,3 +211,18 @@ class TestNms:
                 if a.class_id == b.class_id:
                     assert iou(a, b) <= 0.45
         assert nms(kept, 0.45) == kept
+
+    def test_class_blind_memory_stays_blocked(self):
+        # 4,000 mostly disjoint boxes of one group: a single N x N float
+        # temporary would be 122 MiB; the blocked greedy stays far below
+        rng = np.random.default_rng(13)
+        xy = rng.uniform(0, 2000, (4000, 2))
+        boxes = [BoundingBox(x, y, x + 20, y + 20, 0.5) for x, y in xy.tolist()]
+        tracemalloc.start()
+        try:
+            kept = nms(boxes, 0.45, class_aware=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) > 3500
+        assert peak < 40 * 2**20

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lap_oracle
-from conftest import corner_array
 from motkit import synthetic
 from motkit.assignment import associate, solve_lap
-from motkit.geometry import BoundingBox, iou_matrix
+from motkit.geometry import BoundingBox, corner_array, iou_matrix
 
 ENTRY_POOLS = {
     "binary": [0.0, 1.0],

@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motkit.quantcore import (
-    IntTensor,
-    MultiThresholdOp,
-    QuantSpec,
-    absorb_affine,
-    concat_channels,
-    conv2d,
-    conv_int,
-    dequantize,
-    multithreshold,
-    quantize,
-    split_channels,
-)
+from motkit.quantcore import MultiThresholdOp, absorb_affine, conv_int, multithreshold
 
 
 def naive_conv(x, w, stride=1, pad=0):
@@ -132,44 +120,6 @@ class TestAbsorbAffine:
         assert_absorption_equivalent(op, float(a), float(b))
 
 
-class TestQuantize:
-    def test_zero(self):
-        spec = QuantSpec(4, 0.5)
-        assert quantize(np.array([0.0]), spec).values[0] == 0
-
-    def test_round_half_up_case(self):
-        spec = QuantSpec(4, 0.5)
-        t = quantize(np.array([1.3]), spec)
-        assert t.values[0] == 3  # round(2.6) = 3
-        assert dequantize(t)[0] == pytest.approx(1.5)
-
-    def test_saturation(self):
-        spec = QuantSpec(4, 0.5)
-        assert quantize(np.array([100.0]), spec).values[0] == 15
-
-    def test_signed_range(self):
-        spec = QuantSpec(4, 1.0, signed=True)
-        assert spec.qmin == -8 and spec.qmax == 7
-        assert quantize(np.array([-100.0]), spec).values[0] == -8
-
-    @given(st.lists(st.floats(0, 7.5, width=32), min_size=1, max_size=20))
-    def test_round_trip_error_bounded(self, xs):
-        spec = QuantSpec(4, 0.5)
-        x = np.array(xs, dtype=float)
-        back = dequantize(quantize(x, spec))
-        assert np.all(np.abs(back - x) <= spec.scale / 2 + 1e-12)
-
-    @given(st.lists(st.integers(0, 15), min_size=1, max_size=20))
-    def test_idempotent_on_grid_points(self, qs):
-        spec = QuantSpec(4, 0.25)
-        grid = np.array(qs, dtype=float) * spec.scale
-        assert np.array_equal(quantize(grid, spec).values, qs)
-
-    def test_out_of_range_values_rejected(self):
-        with pytest.raises(ValueError):
-            IntTensor(np.array([[[16]]], dtype=np.int64), QuantSpec(4, 1.0))
-
-
 class TestConvInt:
     def test_identity_1x1_kernel(self):
         x = np.arange(12, dtype=np.int64).reshape(1, 3, 4)
@@ -212,41 +162,3 @@ class TestConvInt:
     def test_float_inputs_rejected(self):
         with pytest.raises(ValueError):
             conv_int(np.zeros((1, 2, 2)), np.zeros((1, 1, 1, 1), dtype=np.int64))
-
-
-class TestSplitConcat:
-    def test_split_then_concat_is_identity(self):
-        t = IntTensor(np.arange(24, dtype=np.int64).reshape(6, 2, 2) % 16, QuantSpec(4, 0.5))
-        back = concat_channels(split_channels(t, [1, 2, 3]))
-        assert np.array_equal(back.values, t.values)
-        assert back.spec == t.spec
-
-    def test_concat_mixed_widths_takes_max_bits(self):
-        four = IntTensor(np.full((2, 3, 3), 15, dtype=np.int64), QuantSpec(4, 0.5))
-        five = IntTensor(np.full((1, 3, 3), 31, dtype=np.int64), QuantSpec(5, 0.5))
-        out = concat_channels([four, five])
-        assert out.spec.bits == 5
-        assert np.array_equal(out.values[:2], four.values)
-        assert np.array_equal(out.values[2:], five.values)
-
-    def test_concat_single_tensor(self):
-        t = IntTensor(np.zeros((2, 2, 2), dtype=np.int64), QuantSpec(4, 1.0))
-        out = concat_channels([t])
-        assert np.array_equal(out.values, t.values) and out.spec == t.spec
-
-    def test_bad_split_sizes_rejected(self):
-        t = IntTensor(np.zeros((4, 2, 2), dtype=np.int64), QuantSpec(4, 1.0))
-        with pytest.raises(ValueError):
-            split_channels(t, [1, 2])
-
-    def test_mismatched_spatial_rejected(self):
-        a = IntTensor(np.zeros((1, 2, 2), dtype=np.int64), QuantSpec(4, 1.0))
-        b = IntTensor(np.zeros((1, 3, 3), dtype=np.int64), QuantSpec(4, 1.0))
-        with pytest.raises(ValueError):
-            concat_channels([a, b])
-
-    def test_mismatched_scale_rejected(self):
-        a = IntTensor(np.zeros((1, 2, 2), dtype=np.int64), QuantSpec(4, 1.0))
-        b = IntTensor(np.zeros((1, 2, 2), dtype=np.int64), QuantSpec(4, 0.5))
-        with pytest.raises(ValueError):
-            concat_channels([a, b])
