@@ -110,7 +110,11 @@ def im2col(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndar
     out_w = (w + 2 * pad - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(f"kernel {kernel} does not fit {h}x{w} input with pad {pad}")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
+    else:
+        xp = x
     cols = np.empty((kernel * kernel * c, out_h * out_w), dtype=x.dtype)
     for ky in range(kernel):
         for kx in range(kernel):

@@ -20,6 +20,7 @@ agnostic.
 from __future__ import annotations
 
 import copy
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -109,7 +110,11 @@ class ScaleViolation:
 class OpGraph:
     """Mutable DAG of operator nodes joined by tensor edges. Each node keeps
     the ids of its in- and out-edges, so adjacency queries cost O(degree);
-    change edge ends only through connect, reroute and remove_edge."""
+    change edge ends only through connect, reroute and remove_edge.
+
+    While a pass runs, ``_touched`` maps every node that add_node or an edge
+    mutator touched to whether add_node made it, in first-touch order with
+    added nodes in the order they were added; otherwise it is None."""
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
@@ -117,6 +122,7 @@ class OpGraph:
         self._ins: dict[str, list[str]] = {}
         self._outs: dict[str, list[str]] = {}
         self._counter = 0
+        self._touched: dict[str, bool] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -129,6 +135,9 @@ class OpGraph:
         self.nodes[node_id] = node
         self._ins[node_id] = []
         self._outs[node_id] = []
+        if self._touched is not None:  # the id may be one this rewrite removed
+            self._touched.pop(node_id, None)
+            self._touched[node_id] = True
         return node
 
     def connect(
@@ -153,6 +162,7 @@ class OpGraph:
         self.edges[edge_id] = edge
         self._outs[src].append(edge_id)
         self._ins[dst].append(edge_id)
+        self._touch(src, dst)
         return edge
 
     def reroute(
@@ -161,6 +171,7 @@ class OpGraph:
     ) -> None:
         """Move the source end of `edge` to (src, src_out) and/or its
         destination end to (dst, dst_in)."""
+        self._touch(edge.src, edge.dst)
         if src is not None:
             self._outs[edge.src].remove(edge.id)
             self._outs[src].append(edge.id)
@@ -169,6 +180,7 @@ class OpGraph:
             self._ins[edge.dst].remove(edge.id)
             self._ins[dst].append(edge.id)
             edge.dst, edge.dst_in = dst, dst_in
+        self._touch(edge.src, edge.dst)
 
     def fresh_id(self, prefix: str) -> str:
         while True:
@@ -181,6 +193,12 @@ class OpGraph:
         edge = self.edges.pop(edge_id)
         self._outs[edge.src].remove(edge_id)
         self._ins[edge.dst].remove(edge_id)
+        self._touch(edge.src, edge.dst)
+
+    def _touch(self, *node_ids: str) -> None:
+        if self._touched is not None:
+            for nid in node_ids:
+                self._touched.setdefault(nid, False)
 
     def remove_node(self, node_id: str) -> None:
         if self._ins[node_id] or self._outs[node_id]:
@@ -205,12 +223,16 @@ class OpGraph:
     # -- queries -----------------------------------------------------------
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        ids = self._ins.get(node_id, ())
-        return sorted((self.edges[eid] for eid in ids), key=lambda e: (e.dst_in, e.id))
+        edges = [self.edges[eid] for eid in self._ins.get(node_id, ())]
+        if len(edges) > 1:
+            edges.sort(key=lambda e: (e.dst_in, e.id))
+        return edges
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        ids = self._outs.get(node_id, ())
-        return sorted((self.edges[eid] for eid in ids), key=lambda e: (e.src_out, e.id))
+        edges = [self.edges[eid] for eid in self._outs.get(node_id, ())]
+        if len(edges) > 1:
+            edges.sort(key=lambda e: (e.src_out, e.id))
+        return edges
 
     def validate(self) -> list[str]:
         """Check kinds, arities, required attrs and acyclicity; return the
@@ -275,7 +297,8 @@ class OpGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> OpGraph:
-        """Build a graph from its JSON form; a malformed document is a GraphError."""
+        """Build a graph from its JSON form; a malformed document is a GraphError.
+        An optional ``fresh_id`` entry restores the id counter (default 0)."""
         g = cls()
         for spec in graph_specs(doc, "nodes", ("id", "kind"), GraphError):
             if not isinstance(spec.get("attrs", {}), dict):
@@ -304,6 +327,8 @@ class OpGraph:
                 signed=spec.get("signed"),
                 shape=tuple(shape) if shape is not None else None,
             )
+        g._counter = doc.get("fresh_id", 0)
+        check_int("fresh_id", g._counter, 0, GraphError)
         return g
 
     def canonical_json(self) -> str:
@@ -311,8 +336,10 @@ class OpGraph:
 
 
 def save_graph(g: OpGraph, path) -> None:
+    """Write g's JSON form plus its id counter, so a reloaded graph draws the
+    same fresh ids."""
     with open(path, "w") as fh:
-        json.dump(g.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump({**g.to_json_dict(), "fresh_id": g._counter}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -450,16 +477,47 @@ def _insert_after(g: OpGraph, node_id: str, kind: str, attrs: dict) -> Node:
 
 
 def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite) -> bool:
-    """Rewrite the first site, in node insertion order, where `rewrite(g, node,
-    notes)` applies (returns True) and rescan until none is left; that order
-    fixes the fresh ids the rewrites draw. `notes` is an ordered set, so a site
-    skipped on every rescan is reported once."""
+    """Apply `rewrite(g, node, notes)` (True when it rewrote) until no site is
+    left, driven by a heap worklist keyed by node insertion rank.
+
+    The heap starts with every node and always yields the lowest-ranked queued
+    node, so rewrites happen at the same sites, in the same order and with the
+    same fresh ids as rescanning the whole graph from its first node after
+    every rewrite would give. A site's verdict depends only on its own edges,
+    its neighbours' kinds and attrs, and, for a join, its producers'
+    out-degree. So after a rewrite only the nodes it added or attached an edge
+    end to (``OpGraph._touched``), and their consumers, go back on the heap.
+    `notes` is an ordered set: each skipped site is reported once, in the
+    order a rescan would first meet it."""
+    rank = {nid: i for i, nid in enumerate(g.nodes)}
+    heap = [(i, nid) for nid, i in rank.items()]  # sorted, so already a heap
+    queued = set(rank.values())
+    next_rank = len(rank)
     notes: dict[str, None] = {}
     changed = False
+    g._touched = touched = {}
     try:
-        while any(rewrite(g, node, notes) for node in list(g.nodes.values())):
+        while heap:
+            r, nid = heapq.heappop(heap)
+            queued.discard(r)
+            node = g.nodes.get(nid)
+            # a stale rank belongs to a removed node whose id came back
+            if node is None or rank[nid] != r or not rewrite(g, node, notes):
+                continue
             changed = True
+            dirty = [t for t in touched if t in g.nodes]
+            for t in dirty:
+                if touched[t]:  # a new node ranks after every older one
+                    rank[t] = next_rank
+                    next_rank += 1
+            dirty += [g.edges[eid].dst for t in dirty for eid in g._outs[t]]
+            for t in dirty:
+                if rank[t] not in queued:
+                    queued.add(rank[t])
+                    heapq.heappush(heap, (rank[t], t))
+            touched.clear()
     finally:  # a pass that raises still reports what it noted
+        g._touched = None
         if diagnostics is not None:
             diagnostics.extend(notes)
     return changed

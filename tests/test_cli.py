@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     FORK_JOIN_WORKLOAD,
     conv_block_graph,
+    fork_join_graph,
     fork_join_stream_graph,
     mul_conv_chain_graph,
 )
@@ -359,6 +360,16 @@ class TestStreamlineCli:
             expected = run_pipeline(expected)
         assert load_graph(out).canonical_json() == expected.canonical_json()
 
+    @pytest.mark.parametrize("make", [conv_block_graph, fork_join_graph, mul_conv_chain_graph])
+    def test_writes_what_the_library_writes(self, tmp_path, make):
+        """The saved id counter makes the CLI draw the library's fresh ids."""
+        g = make()
+        src, out, want = tmp_path / "in.json", tmp_path / "out.json", tmp_path / "want.json"
+        save_graph(g, src)
+        assert main(["streamline", str(src), "-o", str(out)]) == 0
+        save_graph(run_pipeline(g), want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_unknown_pass_rejected(self, tmp_path):
         src = tmp_path / "in.json"
         save_graph(conv_block_graph(), src)
@@ -390,6 +401,9 @@ class TestStreamlineCli:
             {"nodes": [{"id": "in", "kind": "Input", "attrs": [1]}]},
             "int_shape",
             "negative_shape_entry",
+            {"nodes": [{"id": "in", "kind": "Input"}], "fresh_id": -1},
+            {"nodes": [{"id": "in", "kind": "Input"}], "fresh_id": 2.0},
+            {"nodes": [{"id": "in", "kind": "Input"}], "fresh_id": "7"},
             {
                 "nodes": [
                     {"id": "in", "kind": "Input"},
@@ -405,7 +419,8 @@ class TestStreamlineCli:
             },
         ],
         ids=["node_without_id", "list_document", "edge_without_dst", "string_src_out",
-             "attrs_not_object", "int_shape", "negative_shape_entry", "mul_without_scale"],
+             "attrs_not_object", "int_shape", "negative_shape_entry", "negative_fresh_id",
+             "float_fresh_id", "string_fresh_id", "mul_without_scale"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, doc):
         if isinstance(doc, str):  # a fault in one edge of a valid graph

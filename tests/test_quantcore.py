@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motkit.quantcore import MultiThresholdOp, absorb_affine, conv_int, multithreshold
+from motkit.quantcore import MultiThresholdOp, absorb_affine, conv_int, im2col, multithreshold
 
 
 def naive_conv(x, w, stride=1, pad=0):
@@ -118,6 +118,36 @@ class TestAbsorbAffine:
     def test_random_integer_cases_bit_exact(self, thresholds, a, b):
         op = MultiThresholdOp(np.array(sorted(thresholds), dtype=float), out_bits=2)
         assert_absorption_equivalent(op, float(a), float(b))
+
+
+def im2col_np_pad(x, kernel, stride=1, pad=0):
+    """im2col as it was before padding by slice assignment: np.pad, then slices."""
+    c, h, w = x.shape
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((kernel * kernel * c, out_h * out_w), dtype=x.dtype)
+    for ky in range(kernel):
+        for kx in range(kernel):
+            patch = xp[:, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
+            cols[(ky * kernel + kx) * c : (ky * kernel + kx + 1) * c] = patch.reshape(c, -1)
+    return cols
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_bit_equal_to_np_pad(self, dtype):
+        rng = np.random.default_rng(8)
+        for pad in range(3):
+            for stride in (1, 2):
+                for kernel in (1, 2, 3):
+                    x = rng.integers(-9, 10, size=(3, 5, 6)).astype(dtype)
+                    if dtype == np.float64:
+                        x[0, 0, 0] = -0.0
+                    got = im2col(x, kernel, stride, pad)
+                    want = im2col_np_pad(x, kernel, stride, pad)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestConvInt:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
+from motkit import streamline
 from motkit.streamline import (
     GraphError,
     OpGraph,
@@ -252,6 +253,51 @@ class TestMoveScalePastConv:
         assert order == ["Input", "Mul"] + ["Conv"] * 4 + ["Mul"] * 3 + ["Output"]
 
 
+class TestWorklist:
+    def test_join_rechecked_when_a_later_rewrite_frees_its_producer(self):
+        """The worklist re-queues the consumers of every node a rewrite
+        touched: a producer's out-degree decides whether a join merges."""
+        g = OpGraph()
+        for nid, kind in (("in", "Input"), ("p", "Mul"), ("q", "Mul"), ("join", "Concat"),
+                          ("out", "Output"), ("tap", "Output")):
+            g.add_node(nid, kind, **({"scale": 2.0} if kind == "Mul" else {}))
+        for src, dst, slot in (("in", "p", 0), ("in", "q", 0), ("p", "join", 0),
+                               ("q", "join", 1), ("join", "out", 0), ("p", "tap", 0)):
+            g.connect(src, dst, dst_in=slot)
+
+        def move_tap_then_merge(g, node, notes):
+            tap_edge = g.in_edges("tap")[0]
+            if node.id == "tap" and tap_edge.src == "p":
+                g.reroute(tap_edge, src="in")  # ranks after join, frees p
+                return True
+            return streamline._merge_affine_at_join_at(g, node, notes)
+
+        assert streamline._to_fixed_point(g, None, move_tap_then_merge)
+        assert "p" not in g.nodes and "q" not in g.nodes
+        (merged,) = [e.dst for e in g.out_edges("join")]
+        assert g.nodes[merged].kind == "Mul" and g._touched is None
+
+    def test_reused_id_ranks_as_a_new_node(self):
+        """A node added under a removed node's id is visited where a rescan
+        meets it, after every older node, not at the removed node's rank."""
+        g = OpGraph()
+        for nid in ("a", "b", "c"):
+            g.add_node(nid, "Mul", scale=1.0)
+        visited = []
+
+        def rewrite(g, node, notes):
+            if node.id in visited or (node.id == "b" and "new" not in node.attrs):
+                return False
+            visited.append(node.id)
+            if node.id == "a":
+                g.remove_node("b")
+                g.add_node("b", "Mul", scale=1.0, new=True)
+            return True
+
+        assert streamline._to_fixed_point(g, None, rewrite)
+        assert visited == ["a", "c", "b"]
+
+
 class TestForkJoinPasses:
     def test_fork_copies_affine_onto_each_branch(self):
         g = fork_join_graph()
@@ -424,4 +470,5 @@ class TestSerialization:
         path = tmp_path / "g.json"
         save_graph(conv_block_graph(), path)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"nodes", "edges"}
+        assert set(doc) == {"nodes", "edges", "fresh_id"}
+        assert doc["fresh_id"] == 7  # the fixture's seven edges drew fresh ids

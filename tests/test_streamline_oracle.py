@@ -15,10 +15,13 @@ must leave its input untouched.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import streamline_oracle as oracle
 from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
@@ -146,11 +149,12 @@ class _Chain:
 
 
 @st.composite
-def graph_cases(draw):
+def graph_cases(draw, min_blocks: int = 1, max_blocks: int = 5):
     """(recorded build calls, integer input) of a random block chain."""
     chain = _Chain(draw, draw(st.integers(2, 3)))
     blocks = ("conv_block", "fork_add", "fork_concat", "split_concat", "twin_join")
-    for kind in draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=5)):
+    kinds = st.lists(st.sampled_from(blocks), min_size=min_blocks, max_size=max_blocks)
+    for kind in draw(kinds):
         getattr(chain, kind)()
     chain.node("Output")
     x = np.array(
@@ -193,6 +197,7 @@ def check_pipeline(g_new, g_old, x):
     assert d_new == list(dict.fromkeys(d_old))
     if err_old is None:
         assert out_new.canonical_json() == out_old.canonical_json()
+        assert out_new.validate() == out_old.validate()
         assert_same_outputs(out_new, out_old, x)
         # streamlining itself is exact on these graphs
         assert_same_outputs(out_new, g_new, x)
@@ -237,11 +242,99 @@ def test_matches_oracle(case):
     check_passes(build(OpGraph, calls), build(oracle.OpGraph, calls), x)
 
 
+# Longer chains: a rewrite late in the chain can make an earlier site
+# eligible, which is where the worklist's rank order matters.
+@settings(max_examples=30, deadline=None)
+@given(graph_cases(min_blocks=6, max_blocks=15))
+def test_long_chains_match_oracle(case):
+    calls, x = case
+    check_pipeline(build(OpGraph, calls), build(oracle.OpGraph, calls), x)
+    check_passes(build(OpGraph, calls), build(oracle.OpGraph, calls), x)
+
+
+def reused_id_graph(graph_cls):
+    """Two Mul -> Conv chains off one input. The first Mul is named like the
+    first fresh id, so moving it frees "mul_m1" and the move draws that id for
+    the Mul it inserts: the node now under that id is new and must rank after
+    the second chain's Mul, which therefore moves next."""
+    g = graph_cls()
+    g.add_node("in", "Input")
+    w = np.ones((2, 2, 1, 1))
+    for chain, ids in enumerate((("mul_m1", "ca", "cb", "oa"), ("x", "cc", "ob"))):
+        prev = "in"
+        for nid in ids:
+            kind = {"m": "Mul", "x": "Mul", "c": "Conv", "o": "Output"}[nid[0]]
+            attrs = {"Mul": {"scale": 2.0}, "Conv": {"weights": w}}.get(kind, {})
+            g.add_node(nid, kind, **attrs)
+            g.connect(prev, nid, edge_id=f"to_{nid}")
+            prev = nid
+    return g
+
+
 def test_fixture_graphs_match_oracle():
     x = np.random.default_rng(0).integers(-8, 8, (2, SPATIAL, SPATIAL)).astype(float)
     for make in (conv_block_graph, fork_join_graph):
         doc = make().to_json_dict()
         for check in (check_pipeline, check_passes):
             check(OpGraph.from_json_dict(doc), oracle.OpGraph.from_json_dict(doc), x)
-    for check in (check_pipeline, check_passes):
-        check(mul_conv_chain_graph(), mul_conv_chain_graph(oracle.OpGraph), x)
+    for make in (mul_conv_chain_graph, reused_id_graph):
+        for check in (check_pipeline, check_passes):
+            check(make(OpGraph), make(oracle.OpGraph), x)
+
+
+SITES = (
+    "_move_scale_past_conv_at",
+    "_push_affine_through_fork_at",
+    "_merge_affine_at_join_at",
+    "_absorb_affine_at",
+)
+# Site checks a pass may spend per rewrite beyond one check of every node.
+CHECKS_PER_REWRITE = 12
+
+
+@contextlib.contextmanager
+def counted_sites():
+    """Count site checks, rewrites and the nodes each pass call starts with."""
+    counts = Counter()
+
+    def count_checks(site):
+        def wrapped(g, node, notes):
+            counts["checks"] += 1
+            rewrote = site(g, node, notes)
+            counts["rewrites"] += rewrote
+            return rewrote
+        return wrapped
+
+    def count_nodes(p):
+        def wrapped(g, diagnostics=None):
+            counts["sweep"] += len(g.nodes)
+            return p(g, diagnostics)
+        return wrapped
+
+    saved = {name: getattr(streamline, name) for name in SITES + ("PASS_PIPELINE",)}
+    try:
+        for name in SITES:
+            setattr(streamline, name, count_checks(saved[name]))
+        streamline.PASS_PIPELINE = tuple(map(count_nodes, saved["PASS_PIPELINE"]))
+        yield counts
+    finally:
+        for name, value in saved.items():
+            setattr(streamline, name, value)
+
+
+# fixed examples, no shrinking: a budget breach shows on any chain this long
+@pytest.mark.parametrize("blocks", [20, 40])
+@settings(max_examples=5, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=st.data())
+def test_site_checks_within_budget(blocks, data):
+    """A rewrite re-checks only the sites it touched: one check per node per
+    pass call and round, plus a constant per rewrite."""
+    calls, _ = data.draw(graph_cases(min_blocks=blocks, max_blocks=blocks))
+    g = build(OpGraph, calls)
+    with counted_sites() as counts:
+        try:
+            streamline.run_pipeline(g)
+        except GraphError:  # a zero scale before a MultiThreshold
+            pass
+    assert counts["rewrites"] > 0
+    assert counts["checks"] <= counts["sweep"] + CHECKS_PER_REWRITE * counts["rewrites"]
