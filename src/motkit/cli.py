@@ -230,12 +230,9 @@ def cmd_sim_fifo(args) -> int:
         raise ValueError("workload required (flag --workload or 'workload' key in graph file)")
 
     if args.probe:
-        recommended = df.size_fifos(graph, workload, args.cycle_cap)
-        for eid, depth in recommended.items():
-            graph.edges[eid].depth = depth
-        verify = df.simulate(graph, workload, args.cycle_cap)
-        doc = {"recommended_depths": dict(sorted(recommended.items())),
-               "verification": verify.to_json_dict()}
+        probe = df.probe_fifos(graph, workload, args.cycle_cap)
+        doc = {"recommended_depths": dict(sorted(probe.max_occupancy.items())),
+               "verification": probe.to_json_dict()}
     else:
         doc = df.simulate(graph, workload, args.cycle_cap).to_json_dict()
 

@@ -13,8 +13,11 @@ Cycles in which only latency countdowns run are skipped in one step (see
 `simulate`); every reported count is the one a cycle-by-cycle run gives.
 
 FIFO sizing follows the probe procedure: run once with effectively
-unbounded depths, read off each FIFO's largest saturation, then verify a
-run at exactly those depths completes.
+unbounded depths and read off each FIFO's largest saturation. That run is
+its own verification (replay lemma): a run at depths `D` with peaks
+`M <= D` repeats cycle for cycle at depths `M`, since from equal states
+phases 1 and 4 act alike and phase 2 drains `min(staged, depth - occ)`
+alike, as the first run kept `occ + amount <= M` or filled up (`M = D`).
 """
 
 from __future__ import annotations
@@ -409,23 +412,21 @@ def _with_depths(g: StreamGraph, depths: dict[str, int]) -> StreamGraph:
     return h
 
 
-def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict[str, int]:
-    """Recommend per-edge FIFO depths: probe deep, read the saturation.
-
-    The probe run uses depths no achievable occupancy can exceed; each
-    edge's recommendation is its observed maximum. A verification run at
-    exactly the recommended depths must complete, otherwise something is
-    wrong with the graph and we raise.
-    """
+def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
+    """`g` run at depths no occupancy can exceed; a GraphError unless it completes."""
     report = simulate(_with_depths(g, _token_bound(g, workload)), workload, cycle_cap)
     if not report.completed:
         raise GraphError(f"probe run did not complete: {report.outcome}")
-    recommended = dict(report.max_occupancy)
+    return report
 
-    verify = simulate(_with_depths(g, recommended), workload, cycle_cap)
-    if not verify.completed:
-        raise GraphError(f"verification at recommended depths failed: {verify.outcome}")
-    return recommended
+
+def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict[str, int]:
+    """Recommend per-edge FIFO depths: each edge's peak in `probe_fifos`.
+
+    By the replay lemma (module docstring: no drain took a FIFO past its
+    peak unless it filled it) a run at these depths repeats the probe,
+    report and all, so it completes and is not simulated again."""
+    return dict(probe_fifos(g, workload, cycle_cap).max_occupancy)
 
 
 def throughput(g: StreamGraph) -> int:

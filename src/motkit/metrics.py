@@ -204,13 +204,13 @@ def _class_aps(dets, gts, class_id: int, thresholds) -> list[float]:
                     claimed[best_j] = True
                     tp[t, rank] = 1.0
 
-    # 101-point interpolated AP of each threshold's true positives
+    # 101-point interpolated AP per threshold. Recall never decreases, so
+    # precision[recall >= r] is a suffix: a reversed running maximum gives its
+    # maximum (0.0 past the end); levels are summed in order, bit-exactly.
     cum_tp = np.cumsum(tp, axis=1)
+    levels = np.linspace(0.0, 1.0, 101)
     aps = []
     for precision, recall in zip(cum_tp / np.arange(1, len(flat) + 1), cum_tp / n_gt):
-        ap = 0.0
-        for r in np.linspace(0.0, 1.0, 101):
-            at_least = precision[recall >= r]
-            ap += at_least.max() if at_least.size else 0.0
-        aps.append(ap / 101.0)
+        envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+        aps.append(sum(envelope[np.searchsorted(recall, levels)].tolist()) / 101.0)
     return aps

@@ -175,6 +175,26 @@ class TestAveragePrecision:
                 box_oracle.average_precision(dets, gts, t, cls) for t in COCO_IOU_THRESHOLDS
             ]
 
+    def test_recall_plateaus_and_precision_ties_match_oracle(self):
+        """Ranked TP, FP, TP, FP, FP, TP over 4 ground truths, with score
+        ties: recall plateaus at 0.25 and 0.5 and stops at 0.75 (levels
+        past it score 0), and precision 0.5 recurs at ranks 2, 4 and 6.
+        Envelope 1 on 26 levels, 2/3 on 25 and 0.5 on 25."""
+        def det(x, score):
+            return BoundingBox(x, 0, x + 10, 10, score)
+
+        truth = [det(x, 1.0) for x in (0, 20, 40, 60)]
+        ranked = [det(0, 0.9), det(100, 0.9), det(20, 0.8), det(100, 0.8), det(0, 0.8),
+                  det(40, 0.5)]
+        dets, gts = {"img": ranked, "other": [det(0, 0.3)]}, {"img": truth}
+        for thresh in (0.5, 1.0):
+            got = average_precision(dets, gts, thresh, 0)
+            assert got == box_oracle.average_precision(dets, gts, thresh, 0)
+            assert got == pytest.approx((26 + 25 * 2 / 3 + 25 * 0.5) / 101)
+        assert ap_table(dets, gts)[0] == [
+            box_oracle.average_precision(dets, gts, t, 0) for t in COCO_IOU_THRESHOLDS
+        ]
+
     def test_no_ground_truth_for_class_rejected_like_oracle(self):
         gts = {"img": [BoundingBox(0, 0, 1, 1, class_id=1)]}
         for scorer in (average_precision, box_oracle.average_precision):

@@ -10,7 +10,7 @@ from conftest import (
     fork_join_stream_graph,
     mul_conv_chain_graph,
 )
-from motkit import cli
+from motkit import cli, dataflow
 from motkit.cli import main
 from motkit.dataflow import save_stream_graph
 from motkit.io import read_mot, write_tensor
@@ -480,6 +480,26 @@ class TestSimFifoCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verification"]["outcome"] == "completed"
         assert doc["recommended_depths"]["e3"] == 8
+
+    def test_probe_simulates_once_and_reports_the_run_at_its_depths(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "graph.json"
+        save_stream_graph(fork_join_stream_graph(), path, workload=FORK_JOIN_WORKLOAD)
+        simulate, calls = dataflow.simulate, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(dataflow, "simulate", counting)
+        assert main(["sim-fifo", str(path), "--probe"]) == 0
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+        sized = fork_join_stream_graph()
+        for eid, depth in doc["recommended_depths"].items():
+            sized.edges[eid].depth = depth
+        assert doc["verification"] == simulate(sized, FORK_JOIN_WORKLOAD).to_json_dict()
 
     def test_workload_required(self, tmp_path):
         path = tmp_path / "graph.json"

@@ -7,9 +7,17 @@ latency countdowns. Every `SimReport` must equal the oracle's field by
 field, with the same key order in its dicts, at a cycle cap of 1, below
 completion, at it and above it; `size_fifos` must recommend the same depths
 or fail with the same error.
+
+The replay tests check the lemma that lets `size_fifos` skip its
+verification run, on the same cases and on every 16th fifo-sweep pool
+design: a completed run repeats, report and dict key order included, at
+depths equal to its own peaks, and a run at the recommended depths repeats
+the probe.
 """
 
 import math
+import sys
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +30,9 @@ from conftest import (
 )
 from motkit import dataflow
 from motkit.dataflow import GraphError, StreamGraph
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import wl_fifo  # noqa: E402  (the benchmark's pool of designs)
 
 
 @st.composite
@@ -121,3 +132,43 @@ def test_simulate_matches_oracle(case, data):
     assert _sizing(dataflow.size_fifos, doc, workload) == _sizing(
         oracle.size_fifos, doc, workload
     )
+
+
+def _assert_replays(g, workload, depths, report):
+    """`g` run at `depths` gives `report`, field by field and in key order."""
+    again = dataflow.simulate(dataflow._with_depths(g, depths), workload)
+    assert again == report
+    assert list(again.max_occupancy) == list(report.max_occupancy)
+    assert list(again.stall_cycles) == list(report.stall_cycles)
+
+
+def _check_replay(g, workload) -> bool:
+    """Replay a completed run at its own peaks and the probe at the
+    recommended depths; True if the given-depth run completed with stalls."""
+    given_run = dataflow.simulate(g, workload)
+    if given_run.completed:
+        _assert_replays(g, workload, given_run.max_occupancy, given_run)
+    try:
+        probe = dataflow.probe_fifos(g, workload)
+    except GraphError:
+        return False
+    _assert_replays(g, workload, dataflow.size_fifos(g, workload), probe)
+    return given_run.completed and any(given_run.stall_cycles.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases())
+@example(case=_fixture(chain_stream_graph(), 20))
+@example(case=_fixture(burst_stream_graph(burst_depth=2), 16))
+@example(case=_fixture(fork_join_stream_graph(), FORK_JOIN_WORKLOAD))
+def test_runs_replay_at_their_own_peaks(case):
+    doc, workload = case
+    _check_replay(StreamGraph.from_json_dict(doc), workload)
+
+
+def test_fifo_sweep_pool_sample_replays():
+    stalled = 0
+    for index in range(0, wl_fifo.POOL, 16):
+        g, tokens, _ = wl_fifo.make_design(index)
+        stalled += _check_replay(g, tokens)
+    assert stalled > 0
