@@ -2,7 +2,8 @@
 
 Node firing model: a node fires when every input FIFO holds `consume`
 tokens and its previous burst has fully left the staging buffer; it then
-occupies `latency` cycles and stages `produce` tokens per output edge.
+occupies `latency` cycles (a folded node: its folding's cycles per output,
+as in `throughput`) and stages `produce` tokens per output edge.
 Staged tokens drain into each FIFO as space allows, and the node cannot
 start a new firing until the whole burst has fit - this reproduces the
 stall of a producer whose burst is too large for its consumer to absorb
@@ -49,6 +50,10 @@ class Folding:
     out_ch: int
     k: int = 1
 
+    def __post_init__(self):
+        for name in ("simd", "pe", "in_ch", "out_ch", "k"):
+            check_int(f"folding {name}", getattr(self, name), 1, GraphError)
+
     def cycles_per_output(self) -> int:
         if self.in_ch % self.simd != 0:
             raise GraphError(f"in_ch {self.in_ch} not a multiple of simd {self.simd}")
@@ -59,7 +64,9 @@ class Folding:
 
 @dataclass(slots=True)
 class StreamNode:
-    """One pipeline stage: firing rates, latency, optional folding."""
+    """One pipeline stage: firing rates, latency, optional folding. A folded
+    node fires in its folding's cycles per output; its latency must then be
+    left at 1 or equal that count."""
 
     id: str
     consume: int = 1
@@ -235,6 +242,20 @@ def load_stream_graph(path) -> tuple[StreamGraph, int | None]:
     return StreamGraph.from_json_dict(doc), doc.get("workload")
 
 
+def _firing_latency(node: StreamNode) -> int:
+    """Cycles one firing of `node` occupies: its folding's cycles per output
+    when folded, else its latency; a GraphError if the two disagree."""
+    if node.folding is None:
+        return node.latency
+    cycles = node.folding.cycles_per_output()
+    if node.latency not in (1, cycles):
+        raise GraphError(
+            f"node {node.id}: latency {node.latency} disagrees with its folding's "
+            f"{cycles} cycles per output"
+        )
+    return cycles
+
+
 def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
     """Run the pipeline on `workload` source tokens.
 
@@ -270,7 +291,7 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     outs = [[eidx[e.id] for e in g.out_edges(nid)] for nid in g.nodes]
     consume = [node.consume for node in g.nodes.values()]
     produce = [node.produce for node in g.nodes.values()]
-    latency = [node.latency for node in g.nodes.values()]
+    latency = [_firing_latency(node) for node in g.nodes.values()]
     depth = [e.depth for e in g.edges.values()]
     edge_src = [pos[e.src] for e in g.edges.values()]
     n, m = len(pos), len(eids)
@@ -441,8 +462,7 @@ def throughput(g: StreamGraph) -> int:
     worst = 0
     for node in g.nodes.values():
         if node.folding is not None:
-            per_output = node.folding.cycles_per_output()
-            cycles = per_output * node.outputs_per_frame
+            cycles = _firing_latency(node) * node.outputs_per_frame
         else:
             cycles = node.latency * math.ceil(node.outputs_per_frame / node.produce)
         worst = max(worst, cycles)

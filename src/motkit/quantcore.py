@@ -29,7 +29,8 @@ class MultiThresholdOp:
     count_above: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        t = np.atleast_2d(np.asarray(self.thresholds, dtype=float))
+        t = np.asarray(self.thresholds, dtype=float)
+        t = t.reshape(1, -1) if t.ndim < 2 else t  # as np.atleast_2d
         object.__setattr__(self, "thresholds", t)
         n = (1 << self.out_bits) - 1
         if t.shape[1] != n:
@@ -37,15 +38,12 @@ class MultiThresholdOp:
                 f"{self.out_bits}-bit output needs {n} thresholds per channel, "
                 f"got {t.shape[1]}"
             )
-        if np.any(np.diff(t, axis=1) <= 0.0):
+        if ((t[:, 1:] - t[:, :-1]) <= 0.0).any():  # np.diff's arithmetic
             raise ValueError("thresholds must be strictly ascending per channel")
-        flips = self.count_above
-        if flips is None:
-            flips = np.zeros(t.shape[0], dtype=bool)
-        else:
-            flips = np.asarray(flips, dtype=bool).reshape(-1)
-            if flips.shape[0] != t.shape[0]:
-                raise ValueError("count_above length must match channel count")
+        flips = np.zeros(t.shape[0], bool) if self.count_above is None else self.count_above
+        flips = np.asarray(flips, dtype=bool).reshape(-1)
+        if flips.shape[0] != t.shape[0]:
+            raise ValueError("count_above length must match channel count")
         object.__setattr__(self, "count_above", flips)
 
     @property
@@ -86,16 +84,18 @@ def absorb_affine(op: MultiThresholdOp, a, b) -> MultiThresholdOp:
     x. Negative a reverses the threshold order; rows are re-sorted and the
     channel's comparison direction flipped to compensate.
     """
-    a = np.broadcast_to(np.asarray(a, dtype=float), (op.channels,)).copy()
-    b = np.broadcast_to(np.asarray(b, dtype=float), (op.channels,)).copy()
-    if np.any(a == 0.0):
+    a, b = _channelwise(a, op.channels), _channelwise(b, op.channels)
+    if (a == 0.0).any():
         raise ValueError("zero scale is not invertible in threshold space")
     t = (op.thresholds - b[:, None]) / a[:, None]
-    flips = op.count_above.copy()
     neg = a < 0.0
-    t[neg] = t[neg, ::-1]
-    flips[neg] = ~flips[neg]
-    return MultiThresholdOp(t, op.out_bits, op.out_bias, flips)
+    t = np.where(neg[:, None], t[:, ::-1], t)
+    return MultiThresholdOp(t, op.out_bits, op.out_bias, op.count_above ^ neg)
+
+
+def _channelwise(v, channels: int) -> np.ndarray:  # np.broadcast_to raises if v won't fit
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == (channels,) else np.broadcast_to(v, (channels,))
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndarray:

@@ -19,7 +19,6 @@ agnostic.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 from collections import Counter
@@ -53,6 +52,10 @@ _SINGLE_INPUT_KINDS = frozenset(
 
 _ARRAY_ATTRS = {"weights", "thresholds"}
 
+_AFFINE_KINDS = frozenset({"Mul", "Add"})  # the sites of absorb and push-through-fork
+_SCALE_KINDS = frozenset({"Mul"})  # the sites of move-past-conv
+_JOIN_KINDS = frozenset({"Concat", "EltwiseAdd"})  # the sites of merge-at-join
+
 # attrs that interpret and the passes read from each kind of node
 _REQUIRED_ATTRS = {
     "Mul": ("scale",),
@@ -74,6 +77,15 @@ class Node:
     id: str
     kind: str
     attrs: dict = field(default_factory=dict)
+
+
+def _copied(v):
+    """`v` with every array, list and dict in it copied; other values shared."""
+    if isinstance(v, dict):
+        return {k: _copied(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_copied(x) for x in v]
+    return v.copy() if isinstance(v, np.ndarray) else v
 
 
 @dataclass
@@ -208,9 +220,7 @@ class OpGraph:
     def copy(self) -> OpGraph:
         """Independent copy with the same ids, order and id counter."""
         g = OpGraph()
-        g.nodes = {
-            nid: Node(nid, n.kind, copy.deepcopy(n.attrs)) for nid, n in self.nodes.items()
-        }
+        g.nodes = {nid: Node(nid, n.kind, _copied(n.attrs)) for nid, n in self.nodes.items()}
         g.edges = {
             eid: Edge(eid, e.src, e.dst, e.src_out, e.dst_in, e.scale, e.bits, e.signed, e.shape)
             for eid, e in self.edges.items()
@@ -248,7 +258,7 @@ class OpGraph:
                 raise GraphError(f"Input node {node.id} has inputs")
             if node.kind in _SINGLE_INPUT_KINDS and n_in != 1:
                 raise GraphError(f"{node.kind} node {node.id} needs exactly 1 input, has {n_in}")
-            if node.kind in ("Concat", "EltwiseAdd") and n_in < 2:
+            if node.kind in _JOIN_KINDS and n_in < 2:
                 raise GraphError(f"{node.kind} node {node.id} needs >= 2 inputs")
             if node.kind == "Output" and self._outs[node.id]:
                 raise GraphError(f"Output node {node.id} has outputs")
@@ -450,14 +460,6 @@ def interpret(g: OpGraph, inputs) -> dict[str, np.ndarray]:
 # -- pass helpers -------------------------------------------------------------
 
 
-def _affine_params(node: Node) -> tuple[np.ndarray, np.ndarray]:
-    if node.kind == "Mul":
-        a = np.asarray(node.attrs["scale"], dtype=float)
-        return a, np.zeros_like(a)
-    b = np.asarray(node.attrs["bias"], dtype=float)
-    return np.ones_like(b), b
-
-
 def _bypass_single_node(g: OpGraph, node_id: str) -> None:
     """Remove a 1-in/1-out node, reconnecting its input edge to its consumer."""
     in_e = g.in_edges(node_id)[0]
@@ -476,23 +478,23 @@ def _insert_after(g: OpGraph, node_id: str, kind: str, attrs: dict) -> Node:
     return new
 
 
-def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite) -> bool:
+def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite, kinds=NODE_KINDS) -> bool:
     """Apply `rewrite(g, node, notes)` (True when it rewrote) until no site is
     left, driven by a heap worklist keyed by node insertion rank.
 
-    The heap starts with every node and always yields the lowest-ranked queued
-    node, so rewrites happen at the same sites, in the same order and with the
-    same fresh ids as rescanning the whole graph from its first node after
-    every rewrite would give. A site's verdict depends only on its own edges,
-    its neighbours' kinds and attrs, and, for a join, its producers'
-    out-degree. So after a rewrite only the nodes it added or attached an edge
-    end to (``OpGraph._touched``), and their consumers, go back on the heap.
-    `notes` is an ordered set: each skipped site is reported once, in the
-    order a rescan would first meet it."""
-    rank = {nid: i for i, nid in enumerate(g.nodes)}
+    The heap holds only nodes of `kinds`, the kinds `rewrite` can rewrite or
+    note. It starts with every such node and always yields the lowest-ranked
+    one, so rewrites happen at the same sites, in the same order and with the
+    same fresh ids as rescanning the whole graph after every rewrite would. A
+    site's verdict depends only on its own edges, its neighbours' kinds and
+    attrs, and, for a join, its producers' out-degree. So after a rewrite only
+    the nodes it added or attached an edge end to (``OpGraph._touched``), and
+    their consumers, go back on the heap. `notes` is an ordered set: each
+    skipped site is reported once, in the order a rescan would first meet it."""
+    rank = {nid: i for i, (nid, node) in enumerate(g.nodes.items()) if node.kind in kinds}
     heap = [(i, nid) for nid, i in rank.items()]  # sorted, so already a heap
     queued = set(rank.values())
-    next_rank = len(rank)
+    next_rank = len(g.nodes)
     notes: dict[str, None] = {}
     changed = False
     g._touched = touched = {}
@@ -507,12 +509,12 @@ def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite) -> bool:
             changed = True
             dirty = [t for t in touched if t in g.nodes]
             for t in dirty:
-                if touched[t]:  # a new node ranks after every older one
+                if touched[t] and g.nodes[t].kind in kinds:  # new: after every older node
                     rank[t] = next_rank
                     next_rank += 1
             dirty += [g.edges[eid].dst for t in dirty for eid in g._outs[t]]
             for t in dirty:
-                if rank[t] not in queued:
+                if g.nodes[t].kind in kinds and rank[t] not in queued:
                     queued.add(rank[t])
                     heapq.heappush(heap, (rank[t], t))
             touched.clear()
@@ -530,11 +532,11 @@ def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite) -> bool:
 def pass_absorb_affine(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
     """Fold Mul/Add nodes directly preceding a MultiThreshold into its
     thresholds (t <- (t - b) / a) and drop them from the graph."""
-    return _to_fixed_point(g, diagnostics, _absorb_affine_at)
+    return _to_fixed_point(g, diagnostics, _absorb_affine_at, _AFFINE_KINDS)
 
 
 def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    if node.kind not in ("Mul", "Add"):
+    if node.kind not in _AFFINE_KINDS:
         return False
     outs = g.out_edges(node.id)
     if len(outs) != 1:
@@ -542,12 +544,12 @@ def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
     consumer = g.nodes[outs[0].dst]
     if consumer.kind != "MultiThreshold":
         return False
-    a, b = _affine_params(node)
-    if np.any(a == 0.0):
+    p = np.asarray(node.attrs["scale" if node.kind == "Mul" else "bias"], dtype=float)
+    a, b = (p, np.zeros_like(p)) if node.kind == "Mul" else (np.ones_like(p), p)
+    if (a == 0.0).any():
         raise GraphError(f"node {node.id}: zero scale cannot be absorbed")
     op = quantcore.absorb_affine(_mt_from_attrs(consumer.attrs), a, b)
-    consumer.attrs["thresholds"] = op.thresholds
-    consumer.attrs["count_above"] = op.count_above
+    consumer.attrs.update(thresholds=op.thresholds, count_above=op.count_above)
     _bypass_single_node(g, node.id)
     return True
 
@@ -556,11 +558,11 @@ def pass_move_scale_past_conv(g: OpGraph, diagnostics: list[str] | None = None) 
     """Relocate a scalar Mul from before a Conv to after it (exact by
     linearity). Per-channel scales that actually differ would mix under the
     convolution, so those sites are skipped with a diagnostic."""
-    return _to_fixed_point(g, diagnostics, _move_scale_past_conv_at)
+    return _to_fixed_point(g, diagnostics, _move_scale_past_conv_at, _SCALE_KINDS)
 
 
 def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    if node.kind != "Mul":
+    if node.kind not in _SCALE_KINDS:
         return False
     outs = g.out_edges(node.id)
     if len(outs) != 1 or g.nodes[outs[0].dst].kind != "Conv":
@@ -582,20 +584,18 @@ def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> 
 def pass_push_affine_through_fork(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
     """Copy an affine node feeding a fork (output fanout >= 2) onto the head
     of each branch so it can keep moving down independently."""
-    return _to_fixed_point(g, diagnostics, _push_affine_through_fork_at)
+    return _to_fixed_point(g, diagnostics, _push_affine_through_fork_at, _AFFINE_KINDS)
 
 
 def _push_affine_through_fork_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    if node.kind not in ("Mul", "Add"):
+    if node.kind not in _AFFINE_KINDS:
         return False
     outs = g.out_edges(node.id)
     if len(outs) < 2:
         return False
     in_e = g.in_edges(node.id)[0]
     for branch_edge in outs:
-        branch = g.add_node(
-            g.fresh_id(f"{node.kind.lower()}_f"), node.kind, **copy.deepcopy(node.attrs)
-        )
+        branch = g.add_node(g.fresh_id(f"{node.kind.lower()}_f"), node.kind, **_copied(node.attrs))
         g.connect(in_e.src, branch.id, src_out=in_e.src_out)
         g.reroute(branch_edge, src=branch.id, src_out=0)
     g.remove_edge(in_e.id)
@@ -608,15 +608,15 @@ def pass_merge_affine_at_join(g: OpGraph, diagnostics: list[str] | None = None) 
     input carries a bit-identical copy; mismatching branches are reported
     and left alone (the training-time shared-scale constraint is what would
     make them identical)."""
-    return _to_fixed_point(g, diagnostics, _merge_affine_at_join_at)
+    return _to_fixed_point(g, diagnostics, _merge_affine_at_join_at, _JOIN_KINDS)
 
 
 def _merge_affine_at_join_at(g: OpGraph, join: Node, notes: dict[str, None]) -> bool:
-    if join.kind not in ("Concat", "EltwiseAdd"):
+    if join.kind not in _JOIN_KINDS:
         return False
     ins = g.in_edges(join.id)
     srcs = [g.nodes[e.src] for e in ins]
-    if not all(s.kind in ("Mul", "Add") for s in srcs):
+    if not all(s.kind in _AFFINE_KINDS for s in srcs):
         return False
     kinds = {s.kind for s in srcs}
     if len(kinds) != 1 or len({s.id for s in srcs}) != len(srcs):
@@ -658,18 +658,25 @@ PASS_PIPELINE = (
 
 # A cap on pipeline rounds, in case passes ever undo each other's rewrites.
 MAX_ROUNDS = 20
+ROUND_CAP_NOTE = (
+    f"pipeline: round {MAX_ROUNDS} (MAX_ROUNDS) still rewrote; the graph may not be "
+    "fully streamlined, run the pipeline again to continue"
+)
 
 
 def run_pipeline(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
     """Streamline a copy of `g`, leaving `g` untouched: run every pass of
     PASS_PIPELINE in turn until a round rewrites nothing or MAX_ROUNDS rounds
-    have run. Each distinct diagnostic is reported once, in first-seen order."""
+    have run. Each distinct diagnostic is reported once, in first-seen order;
+    the last one says so if the last allowed round still rewrote."""
     g = g.copy()
     notes: list[str] = []
     try:
         for _ in range(MAX_ROUNDS):
             if not any([p(g, notes) for p in PASS_PIPELINE]):  # a list: every pass runs
                 break
+        else:
+            notes.append(ROUND_CAP_NOTE)
     finally:
         if diagnostics is not None:
             diagnostics.extend(dict.fromkeys(notes))

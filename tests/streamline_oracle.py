@@ -8,16 +8,21 @@ before and after each round to find the fixed point. ``motkit.streamline``
 must produce the same graph (node and edge ids, attributes and edge order),
 the same interpreter output and the same errors; its diagnostics are this
 list with repeats removed.
+
+``MultiThresholdOp``, ``absorb_affine`` and ``_mt_from_attrs`` are frozen
+too (``motkit.quantcore`` and ``motkit.streamline`` before their checks were
+made cheaper), so the absorb pass here does not follow the live threshold
+code.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from motkit import quantcore
 from motkit.streamline import (
     _ARRAY_ATTRS,
     _SINGLE_INPUT_KINDS,
@@ -25,8 +30,83 @@ from motkit.streamline import (
     Edge,
     GraphError,
     Node,
-    _mt_from_attrs,
 )
+
+
+# -- threshold code -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MultiThresholdOp:
+    """Per-channel ascending thresholds t_0 < ... < t_{n-1}, n = 2^out_bits - 1.
+
+    Output for channel c is out_bias + |{i : t_i <= x}|: the index of the
+    smallest threshold above x, saturating at n. count_above[c] inverts the
+    comparison for that channel (out_bias + |{i : t_i >= x}|); it is set by
+    absorb_affine when a negative scale flips the input ordering, so the
+    absorbed operator stays exact even when x lands on a threshold.
+    """
+
+    thresholds: np.ndarray
+    out_bits: int
+    out_bias: int = 0
+    count_above: np.ndarray = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self):
+        t = np.atleast_2d(np.asarray(self.thresholds, dtype=float))
+        object.__setattr__(self, "thresholds", t)
+        n = (1 << self.out_bits) - 1
+        if t.shape[1] != n:
+            raise ValueError(
+                f"{self.out_bits}-bit output needs {n} thresholds per channel, "
+                f"got {t.shape[1]}"
+            )
+        if np.any(np.diff(t, axis=1) <= 0.0):
+            raise ValueError("thresholds must be strictly ascending per channel")
+        flips = self.count_above
+        if flips is None:
+            flips = np.zeros(t.shape[0], dtype=bool)
+        else:
+            flips = np.asarray(flips, dtype=bool).reshape(-1)
+            if flips.shape[0] != t.shape[0]:
+                raise ValueError("count_above length must match channel count")
+        object.__setattr__(self, "count_above", flips)
+
+    @property
+    def channels(self) -> int:
+        return self.thresholds.shape[0]
+
+    @property
+    def levels(self) -> int:
+        return self.thresholds.shape[1]
+
+
+def absorb_affine(op: MultiThresholdOp, a, b) -> MultiThresholdOp:
+    """Fold y = a*x + b into the thresholds: t <- (t - b) / a.
+
+    The returned operator applied to x equals op applied to a*x + b for all
+    x. Negative a reverses the threshold order; rows are re-sorted and the
+    channel's comparison direction flipped to compensate.
+    """
+    a = np.broadcast_to(np.asarray(a, dtype=float), (op.channels,)).copy()
+    b = np.broadcast_to(np.asarray(b, dtype=float), (op.channels,)).copy()
+    if np.any(a == 0.0):
+        raise ValueError("zero scale is not invertible in threshold space")
+    t = (op.thresholds - b[:, None]) / a[:, None]
+    flips = op.count_above.copy()
+    neg = a < 0.0
+    t[neg] = t[neg, ::-1]
+    flips[neg] = ~flips[neg]
+    return MultiThresholdOp(t, op.out_bits, op.out_bias, flips)
+
+
+def _mt_from_attrs(attrs: dict) -> MultiThresholdOp:
+    return MultiThresholdOp(
+        np.asarray(attrs["thresholds"], dtype=float),
+        int(attrs["out_bits"]),
+        int(attrs.get("out_bias", 0)),
+        attrs.get("count_above"),
+    )
 
 
 class OpGraph:
@@ -249,7 +329,7 @@ def pass_absorb_affine(g: OpGraph, diagnostics: list[str] | None = None) -> OpGr
             a, b = _affine_params(node)
             if np.any(a == 0.0):
                 raise GraphError(f"node {node.id}: zero scale cannot be absorbed")
-            op = quantcore.absorb_affine(_mt_from_attrs(consumer.attrs), a, b)
+            op = absorb_affine(_mt_from_attrs(consumer.attrs), a, b)
             consumer.attrs["thresholds"] = op.thresholds
             consumer.attrs["count_above"] = op.count_above
             _bypass_single_node(g, node.id)

@@ -515,9 +515,12 @@ class TestSimFifoCli:
             ("nodes", "folding", {"simd": 1, "pe": 1, "in_ch": 8, "out_ch": 8, "lanes": 4}),
             ("nodes", "produce", True),
             ("edges", "depth", 2.0),
+            # 64 cycles per output against the node's latency of 8
+            ("nodes", "folding", {"simd": 1, "pe": 1, "in_ch": 8, "out_ch": 8}),
+            ("nodes", "folding", {"simd": 0, "pe": 1, "in_ch": 8, "out_ch": 8}),
         ],
         ids=["float_latency", "string_consume", "missing_id", "unknown_folding_key",
-             "bool_produce", "float_depth"],
+             "bool_produce", "float_depth", "folding_disagrees_with_latency", "zero_simd"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, section, key, value):
         doc = fork_join_stream_graph().to_json_dict()

@@ -105,6 +105,43 @@ class TestSimulate:
             simulate(chain_stream_graph(), 0)
 
 
+class TestFolding:
+    """A folded node fires in its folding's cycles per output, the interval
+    `throughput` gives it; a latency that says otherwise is refused."""
+
+    FOLD8 = Folding(simd=2, pe=4, in_ch=8, out_ch=8, k=1)  # (8/2) * (8/4) = 8 cycles
+
+    def _burst_graph(self, **producer):
+        g = StreamGraph()
+        g.add_node("src")
+        g.add_node("producer", consume=8, produce=8, **producer)
+        g.add_node("sink")
+        g.connect("src", "producer", depth=8, edge_id="e0")
+        g.connect("producer", "sink", depth=8, edge_id="e1")
+        return g
+
+    @pytest.mark.parametrize("latency", [{}, {"latency": 8}], ids=["default", "agreeing"])
+    def test_folded_node_fires_in_cycles_per_output(self, latency):
+        folded = simulate(self._burst_graph(folding=self.FOLD8, **latency), 32)
+        assert folded == simulate(self._burst_graph(latency=8), 32)
+        assert folded != simulate(self._burst_graph(), 32)
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda g: simulate(g, 32), throughput, lambda g: size_fifos(g, 32)],
+        ids=["simulate", "throughput", "size_fifos"],
+    )
+    def test_latency_disagreeing_with_folding_rejected(self, run):
+        with pytest.raises(GraphError, match="disagrees with its folding"):
+            run(self._burst_graph(folding=self.FOLD8, latency=4))
+
+    def test_nonpositive_folding_rejected(self):
+        with pytest.raises(GraphError, match="folding simd"):
+            Folding(simd=0, pe=1, in_ch=8, out_ch=8)
+        with pytest.raises(GraphError, match="folding k"):
+            Folding(simd=1, pe=1, in_ch=8, out_ch=8, k=-1)
+
+
 class TestFromJson:
     @pytest.mark.parametrize(
         "doc",
@@ -114,6 +151,7 @@ class TestFromJson:
             {"nodes": ["a"]},
             {"nodes": [{"id": 7}]},
             {"nodes": [{"id": "a", "folding": [1, 1, 8, 8]}]},
+            {"nodes": [{"id": "a", "folding": {"simd": 0, "pe": 1, "in_ch": 8, "out_ch": 8}}]},
             {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a"}]},
             {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a", "dst": "b", "id": 3}]},
         ],

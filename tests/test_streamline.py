@@ -176,6 +176,21 @@ class TestAbsorbAffine:
         with pytest.raises(GraphError, match="bad_mul"):
             pass_absorb_affine(g)
 
+    def test_descending_thresholds_refused_even_if_absorbing_overflows(self):
+        """Absorbing Mul(1e-10) would map these to inf, inf, inf, which no longer
+        read as descending (inf - inf is nan): the thresholds a graph holds are
+        checked before they are absorbed, not only the result."""
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("m", "Mul", scale=1e-10)
+        g.add_node("mt", "MultiThreshold", thresholds=np.array([1e300, 1e299, 1e298]),
+                   out_bits=2)
+        g.add_node("out", "Output")
+        for src, dst in (("in", "m"), ("m", "mt"), ("mt", "out")):
+            g.connect(src, dst)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            run_pipeline(g)
+
     def test_randomized_chains_bit_equal(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
@@ -405,6 +420,117 @@ class TestPipeline:
         g = fork_join_graph()
         g2 = run_pipeline(g)
         assert_graphs_equivalent(g, g2, shape=(2, 3, 3), trials=64)
+
+    @staticmethod
+    def fork_add_chain(blocks: int) -> OpGraph:
+        """Input -> Mul -> `blocks` fork/adds (a Conv branch and a skip into an
+        EltwiseAdd) -> MultiThreshold -> Output. The Mul takes two rounds per
+        block (fork, then move past the Conv and merge at the join)."""
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("pre", "Mul", scale=2.0)
+        g.connect("in", "pre")
+        tail = "pre"
+        for i in range(blocks):
+            g.add_node(f"conv{i}", "Conv", weights=np.ones((2, 2, 1, 1)))
+            g.add_node(f"add{i}", "EltwiseAdd")
+            g.connect(tail, f"conv{i}")
+            g.connect(f"conv{i}", f"add{i}", dst_in=0)
+            g.connect(tail, f"add{i}", dst_in=1)
+            tail = f"add{i}"
+        g.add_node("mt", "MultiThreshold", thresholds=np.array([[0.0, 1, 2]] * 2), out_bits=2)
+        g.add_node("out", "Output")
+        g.connect(tail, "mt")
+        g.connect("mt", "out")
+        return g
+
+    def test_round_cap_reported_when_the_last_round_still_rewrote(self):
+        diags = []
+        g = run_pipeline(self.fork_add_chain(11), diagnostics=diags)
+        assert diags == [streamline.ROUND_CAP_NOTE]
+        assert [n.kind for n in g.nodes.values()].count("Mul") == 1
+        diags = []
+        g = run_pipeline(g, diagnostics=diags)
+        assert diags == [] and "Mul" not in {n.kind for n in g.nodes.values()}
+
+    def test_no_round_cap_note_when_the_pipeline_settles(self):
+        diags = []
+        g = run_pipeline(self.fork_add_chain(9), diagnostics=diags)
+        assert diags == [] and "Mul" not in {n.kind for n in g.nodes.values()}
+
+
+def mutate_attrs(attrs: dict) -> None:
+    """Change every array and list in `attrs` in place, nested ones included."""
+    for value in attrs.values():
+        if isinstance(value, np.ndarray):
+            if value.dtype == bool:
+                np.logical_not(value, out=value)
+            else:
+                value += 1
+        elif isinstance(value, list):
+            mutate_attrs(dict(enumerate(value)))
+            value.append(0)
+        elif isinstance(value, dict):
+            mutate_attrs(value)
+
+
+def attrs_json(attrs: dict) -> str:
+    return json.dumps(
+        {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in attrs.items()},
+        sort_keys=True,
+    )
+
+
+class TestCopiesIndependent:
+    """Copies share no array, list or dict with their source: changing one in
+    place changes nothing else."""
+
+    @staticmethod
+    def graph() -> OpGraph:
+        """A conv block whose attrs hold arrays, flat and nested lists and a
+        dict, then a Split/Concat pair that no pass rewrites."""
+        g = conv_block_graph()
+        g.nodes["mul_in"].attrs["scale"] = [0.5, 0.5]
+        g.nodes["mt"].attrs.update(
+            thresholds=[[-24.0, 0.0, 24.0], [-96.0, 0.0, 96.0]],
+            count_above=np.array([False, True]),
+            meta={"tags": [1, [2]]},
+        )
+        g.remove_edge(g.in_edges("out")[0].id)
+        g.add_node("split", "Split", sizes=[1, 1])
+        g.add_node("cat", "Concat")
+        g.connect("mul_out", "split")
+        g.connect("split", "cat", src_out=0, dst_in=0)
+        g.connect("split", "cat", src_out=1, dst_in=1)
+        g.connect("cat", "out")
+        g.validate()
+        return g
+
+    @pytest.mark.parametrize("make", [OpGraph.copy, run_pipeline], ids=["copy", "run_pipeline"])
+    def test_changing_the_copy_leaves_the_source(self, make):
+        g = self.graph()
+        before = g.canonical_json()
+        out = make(g)
+        for node in out.nodes.values():
+            mutate_attrs(node.attrs)
+        assert out.canonical_json() != before
+        assert g.canonical_json() == before
+
+    def test_fork_branches_share_nothing(self):
+        g = fork_join_graph()
+        g.add_node("tap", "Output")
+        g.connect("pre", "tap")
+        pre = g.nodes["pre"].attrs
+        pre.update(scale=np.array([0.5, 0.5]), meta={"tags": [1, [2]]})
+        before = attrs_json(pre)
+        pass_push_affine_through_fork(g)
+        branches = [n.attrs for n in g.nodes.values() if n.kind == "Mul"]
+        assert len(branches) == 3
+        for i, attrs in enumerate(branches):
+            others = [attrs_json(b) for j, b in enumerate(branches) if j != i]
+            mutate_attrs(attrs)
+            assert [attrs_json(b) for j, b in enumerate(branches) if j != i] == others
+        assert attrs_json(pre) == before
 
 
 class TestScaleGroups:

@@ -1,4 +1,5 @@
-"""Differential test: the indexed, in-place passes against the frozen oracle.
+"""Differential test: the indexed, in-place passes and the threshold code
+against the frozen oracle.
 
 Graphs are chains of the four block kinds of a quantized YOLOv8 backbone
 (conv block, fork/add, fork/concat, split/concat) plus twin-affine joins,
@@ -21,11 +22,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import streamline_oracle as oracle
 from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
-from motkit import streamline
+from motkit import quantcore, streamline
 from motkit.streamline import GraphError, OpGraph, interpret
 
 SPATIAL = 4
@@ -194,6 +195,8 @@ def check_pipeline(g_new, g_old, x):
     out_old, err_old = outcome(lambda: oracle.run_pipeline(g_old, diagnostics=d_old))
     assert err_new == err_old
     assert g_new.canonical_json() == before
+    # the oracle also stops after MAX_ROUNDS rounds, but without saying so
+    d_new = [d for d in d_new if d != streamline.ROUND_CAP_NOTE]
     assert d_new == list(dict.fromkeys(d_old))
     if err_old is None:
         assert out_new.canonical_json() == out_old.canonical_json()
@@ -338,3 +341,115 @@ def test_site_checks_within_budget(blocks, data):
             pass
     assert counts["rewrites"] > 0
     assert counts["checks"] <= counts["sweep"] + CHECKS_PER_REWRITE * counts["rewrites"]
+
+
+# -- threshold code -------------------------------------------------------------
+# MultiThresholdOp, absorb_affine and _mt_from_attrs against their frozen
+# copies: bit-identical thresholds and count_above, or the same exception type
+# and message.
+
+
+def raised(make, *args):
+    """(result, None) or (None, (exception type, message))."""
+    try:
+        return make(*args), None
+    except Exception as exc:  # which exception it is is the outcome compared
+        return None, (type(exc), str(exc))
+
+
+def assert_same_op(new, old):
+    for name in ("thresholds", "count_above"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert (new.out_bits, new.out_bias) == (old.out_bits, old.out_bias)
+
+
+def compare_threshold_code(thresholds, bits, bias, flips, a, b):
+    """Build, absorb and read back from attrs on both sides; return the first
+    error, or None."""
+    attrs = {"thresholds": thresholds, "out_bits": bits, "out_bias": bias, "count_above": flips}
+    for make_new, make_old in (
+        (lambda: quantcore.MultiThresholdOp(*copy.deepcopy((thresholds, bits, bias, flips))),
+         lambda: oracle.MultiThresholdOp(*copy.deepcopy((thresholds, bits, bias, flips)))),
+        (lambda: streamline._mt_from_attrs(copy.deepcopy(attrs)),
+         lambda: oracle._mt_from_attrs(copy.deepcopy(attrs))),
+    ):
+        new, err_new = raised(make_new)
+        old, err_old = raised(make_old)
+        assert err_new == err_old
+        if err_old is not None:
+            return err_old
+        assert_same_op(new, old)
+    new, err_new = raised(quantcore.absorb_affine, new, copy.deepcopy(a), copy.deepcopy(b))
+    old, err_old = raised(oracle.absorb_affine, old, copy.deepcopy(a), copy.deepcopy(b))
+    assert err_new == err_old
+    if err_old is None:
+        assert_same_op(new, old)
+    return err_old
+
+
+VALUES = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.sampled_from((0.0, -0.0, 1e-20, -1e-20, 1e300, -1e300, np.inf, -np.inf, np.nan)),
+    st.floats(),  # nan and infinities included: the arithmetic must match anyway
+)
+
+
+@st.composite
+def threshold_cases(draw):
+    """(thresholds, out_bits, out_bias, count_above, a, b); each part is
+    sometimes malformed: a wrong count, unsorted rows, a wrong count_above
+    length, zero scales, mismatched affine shapes."""
+    channels = draw(st.integers(1, 3))
+    bits = draw(st.integers(1, 3))
+    width = (1 << bits) - 1 + draw(st.sampled_from((0,) * 6 + (-1, 1)))
+    rows = []
+    for _ in range(channels):
+        if draw(st.integers(0, 3)):  # mostly ascending, unless nan or rounding intervenes
+            rows.append(sorted(draw(st.lists(VALUES, min_size=width, max_size=width,
+                                             unique=True))))
+        else:
+            rows.append(draw(st.lists(VALUES, min_size=width, max_size=width)))
+    thresholds = np.array(rows) if channels > 1 or draw(st.booleans()) else np.array(rows[0])
+    flips = draw(st.one_of(
+        st.none(),
+        st.lists(st.booleans(), min_size=channels, max_size=channels),
+        st.lists(st.booleans(), min_size=1, max_size=4),
+    ))
+
+    def affine():
+        if draw(st.booleans()):
+            return draw(VALUES)
+        size = draw(st.sampled_from((channels, channels, 1, channels + 1)))
+        return draw(st.lists(VALUES, min_size=size, max_size=size))
+
+    return thresholds, bits, draw(st.integers(-2, 2)), flips, affine(), affine()
+
+
+class TestThresholdOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(threshold_cases())
+    # inf - inf is nan, so the frozen code takes equal infinities as ascending
+    @example((np.array([[0.0, np.inf, np.inf]]), 2, 0, None, -1.0, 0.0))
+    def test_matches_frozen_threshold_code(self, case):
+        with np.errstate(all="ignore"):  # inf and nan warn, and warnings are errors here
+            compare_threshold_code(*case)
+
+    @pytest.mark.parametrize(
+        "thresholds, flips, a, b, message",
+        [
+            ([[0.0, 1.0]], None, 1.0, 0.0, "needs 3 thresholds per channel, got 2"),
+            ([[0.0, 2.0, 4.0], [0.0, 0.0, 1.0]], None, 1.0, 0.0, "strictly ascending"),
+            ([[0.0, 2.0, 4.0], [0.0, 1.0, 2.0]], [True], 1.0, 0.0, "count_above length"),
+            ([[0.0, 2.0, 4.0], [0.0, 1.0, 2.0]], None, [1.0, 0.0], 0.0, "zero scale"),
+            ([[0.0, 2.0, 4.0], [0.0, 1.0, 2.0]], None, [1.0, 2.0, 3.0], 0.0, "broadcast"),
+            ([[0.0, 2.0, 4.0], [0.0, 1.0, 2.0]], None, 1.0, [[1.0, 2.0]], "more dimensions"),
+            # 1e-20 - 1 rounds to -1: well-formed rows collapse under absorption
+            ([[0.0, 1e-20, 1.0]], None, 1.0, 1.0, "strictly ascending"),
+        ],
+        ids=["threshold_count", "not_ascending", "count_above_length", "zero_scale",
+             "scale_shape", "bias_shape", "rounding_collapse"],
+    )
+    def test_malformed_cases_raise_the_same_error(self, thresholds, flips, a, b, message):
+        err = compare_threshold_code(np.array(thresholds), 2, 0, flips, a, b)
+        assert err is not None and err[0] is ValueError and message in err[1]
