@@ -11,10 +11,10 @@ absorbed into MultiThreshold nodes or parked as the final output scale:
 
 Every pass preserves the reference interpreter's output exactly; the
 interpreter doubles as the equivalence oracle in tests. A pass rewrites its
-graph in place; ``run_pipeline`` copies its input once and streamlines the
-copy, as FINN's ``ModelWrapper.transform`` does. Graphs serialize
-to a plain JSON document so fixtures and golden files stay language
-agnostic.
+graph in place; ``run_pipeline`` copies its input once, as FINN's
+``ModelWrapper.transform`` does, and streamlines the copy with one worklist
+that tries all four rewrites at each site. Graphs serialize to a plain JSON
+document so fixtures and golden files stay language agnostic.
 """
 
 from __future__ import annotations
@@ -480,7 +480,8 @@ def _insert_after(g: OpGraph, node_id: str, kind: str, attrs: dict) -> Node:
 
 def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite, kinds=NODE_KINDS) -> bool:
     """Apply `rewrite(g, node, notes)` (True when it rewrote) until no site is
-    left, driven by a heap worklist keyed by node insertion rank.
+    left, driven by a heap worklist keyed by node insertion rank. `rewrite` is
+    one pass's site check, or for run_pipeline all four in turn.
 
     The heap holds only nodes of `kinds`, the kinds `rewrite` can rewrite or
     note. It starts with every such node and always yields the lowest-ranked
@@ -656,30 +657,26 @@ PASS_PIPELINE = (
 )
 
 
-# A cap on pipeline rounds, in case passes ever undo each other's rewrites.
-MAX_ROUNDS = 20
-ROUND_CAP_NOTE = (
-    f"pipeline: round {MAX_ROUNDS} (MAX_ROUNDS) still rewrote; the graph may not be "
-    "fully streamlined, run the pipeline again to continue"
-)
+def _streamline_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
+    """PASS_PIPELINE's site checks in its order; at most one applies at a node
+    (a Mul into a Conv, a fork, a join, an affine into a MultiThreshold)."""
+    return (
+        _move_scale_past_conv_at(g, node, notes)
+        or _push_affine_through_fork_at(g, node, notes)
+        or _merge_affine_at_join_at(g, node, notes)
+        or _absorb_affine_at(g, node, notes)
+    )
 
 
 def run_pipeline(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
-    """Streamline a copy of `g`, leaving `g` untouched: run every pass of
-    PASS_PIPELINE in turn until a round rewrites nothing or MAX_ROUNDS rounds
-    have run. Each distinct diagnostic is reported once, in first-seen order;
-    the last one says so if the last allowed round still rewrote."""
+    """Streamline a copy of `g`, leaving `g` untouched, with one worklist for
+    all four site checks: rewrites, fresh ids, diagnostics and errors are those
+    of rescanning from the first node after every rewrite. It ends, as each
+    rewrite removes an affine (absorb), moves one strictly past a Conv or a
+    join (move, merge), or splits a fork's affine into copies of out-degree 1,
+    which cannot fork again until a move gives them new consumers."""
     g = g.copy()
-    notes: list[str] = []
-    try:
-        for _ in range(MAX_ROUNDS):
-            if not any([p(g, notes) for p in PASS_PIPELINE]):  # a list: every pass runs
-                break
-        else:
-            notes.append(ROUND_CAP_NOTE)
-    finally:
-        if diagnostics is not None:
-            diagnostics.extend(dict.fromkeys(notes))
+    _to_fixed_point(g, diagnostics, _streamline_at, _AFFINE_KINDS | _JOIN_KINDS)
     return g
 
 

@@ -86,6 +86,30 @@ def mul_conv_chain_graph(graph_cls=OpGraph) -> OpGraph:
     return g
 
 
+def fork_add_chain(blocks: int) -> OpGraph:
+    """Input -> Mul -> `blocks` fork/adds (a Conv branch and a skip into an
+    EltwiseAdd) -> MultiThreshold -> Output: the C2f bottleneck chain. The Mul
+    forks, moves past each branch Conv and merges at each join, then folds
+    into the thresholds."""
+    g = OpGraph()
+    g.add_node("in", "Input")
+    g.add_node("pre", "Mul", scale=2.0)
+    g.connect("in", "pre")
+    tail = "pre"
+    for i in range(blocks):
+        g.add_node(f"conv{i}", "Conv", weights=np.ones((2, 2, 1, 1)))
+        g.add_node(f"add{i}", "EltwiseAdd")
+        g.connect(tail, f"conv{i}")
+        g.connect(f"conv{i}", f"add{i}", dst_in=0)
+        g.connect(tail, f"add{i}", dst_in=1)
+        tail = f"add{i}"
+    g.add_node("mt", "MultiThreshold", thresholds=np.array([[0.0, 1, 2]] * 2), out_bits=2)
+    g.add_node("out", "Output")
+    g.connect(tail, "mt")
+    g.connect("mt", "out")
+    return g
+
+
 def chain_stream_graph(depths: dict[str, int] | None = None) -> StreamGraph:
     """Rate-matched 3-stage linear pipeline, one token per firing."""
     d = depths or {}

@@ -4,10 +4,13 @@
 motkit's original implementation, copied verbatim: every adjacency query
 scans the whole edge list, every pass deep-copies the graph and restarts
 its scan after each rewrite, and the pipeline compares ``canonical_json``
-before and after each round to find the fixed point. ``motkit.streamline``
-must produce the same graph (node and edge ids, attributes and edge order),
-the same interpreter output and the same errors; its diagnostics are this
-list with repeats removed.
+before and after each round to find the fixed point. Each pass of
+``motkit.streamline`` must produce the same graph (node and edge ids,
+attributes and edge order), the same interpreter output and the same errors;
+its diagnostics are this list with repeats removed. ``motkit.streamline``'s
+one-worklist pipeline runs the passes' rewrites in another order than these
+rounds, so it must match them only up to fresh ids; ``rescan_pipeline`` at the
+end is the reference it must match exactly.
 
 ``MultiThresholdOp``, ``absorb_affine`` and ``_mt_from_attrs`` are frozen
 too (``motkit.quantcore`` and ``motkit.streamline`` before their checks were
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from motkit import streamline
 from motkit.streamline import (
     _ARRAY_ATTRS,
     _SINGLE_INPUT_KINDS,
@@ -467,3 +471,25 @@ def run_pipeline(
             break
     return g
 
+
+def rescan_pipeline(g, diagnostics: list[str] | None = None):
+    """Reference for ``motkit.streamline.run_pipeline`` on its own ``OpGraph``:
+    after every rewrite, scan the graph again from its first node, trying the
+    live site checks of the four passes at each node in ``PASS_PIPELINE``
+    order, until a scan rewrites nothing. Each noted site is reported once, in
+    first-seen order, also when a rewrite raises."""
+    sites = (
+        streamline._move_scale_past_conv_at,
+        streamline._push_affine_through_fork_at,
+        streamline._merge_affine_at_join_at,
+        streamline._absorb_affine_at,
+    )
+    g = g.copy()
+    notes: dict[str, None] = {}
+    try:
+        while any(site(g, node, notes) for node in list(g.nodes.values()) for site in sites):
+            pass
+    finally:
+        if diagnostics is not None:
+            diagnostics.extend(notes)
+    return g

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     FORK_JOIN_WORKLOAD,
     conv_block_graph,
+    fork_add_chain,
     fork_join_graph,
     fork_join_stream_graph,
     mul_conv_chain_graph,
@@ -369,6 +370,13 @@ class TestStreamlineCli:
         assert main(["streamline", str(src), "-o", str(out)]) == 0
         save_graph(run_pipeline(g), want)
         assert out.read_bytes() == want.read_bytes()
+
+    def test_long_fork_add_chain_streamlined_in_one_run(self, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        save_graph(fork_add_chain(40), src)
+        assert main(["streamline", str(src), "-o", str(out)]) == 0
+        assert "Mul" not in {n.kind for n in load_graph(out).nodes.values()}
+        assert capsys.readouterr().err == ""
 
     def test_unknown_pass_rejected(self, tmp_path):
         src = tmp_path / "in.json"

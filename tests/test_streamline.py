@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
+from conftest import conv_block_graph, fork_add_chain, fork_join_graph, mul_conv_chain_graph
 from motkit import streamline
 from motkit.streamline import (
     GraphError,
@@ -421,42 +421,16 @@ class TestPipeline:
         g2 = run_pipeline(g)
         assert_graphs_equivalent(g, g2, shape=(2, 3, 3), trials=64)
 
-    @staticmethod
-    def fork_add_chain(blocks: int) -> OpGraph:
-        """Input -> Mul -> `blocks` fork/adds (a Conv branch and a skip into an
-        EltwiseAdd) -> MultiThreshold -> Output. The Mul takes two rounds per
-        block (fork, then move past the Conv and merge at the join)."""
-        g = OpGraph()
-        g.add_node("in", "Input")
-        g.add_node("pre", "Mul", scale=2.0)
-        g.connect("in", "pre")
-        tail = "pre"
-        for i in range(blocks):
-            g.add_node(f"conv{i}", "Conv", weights=np.ones((2, 2, 1, 1)))
-            g.add_node(f"add{i}", "EltwiseAdd")
-            g.connect(tail, f"conv{i}")
-            g.connect(f"conv{i}", f"add{i}", dst_in=0)
-            g.connect(tail, f"add{i}", dst_in=1)
-            tail = f"add{i}"
-        g.add_node("mt", "MultiThreshold", thresholds=np.array([[0.0, 1, 2]] * 2), out_bits=2)
-        g.add_node("out", "Output")
-        g.connect(tail, "mt")
-        g.connect("mt", "out")
-        return g
-
-    def test_round_cap_reported_when_the_last_round_still_rewrote(self):
+    @pytest.mark.parametrize("blocks", [1, 9, 11, 40, 200])
+    def test_one_call_streamlines_fork_add_chains(self, blocks):
+        """However long the chain, one call leaves no Mul and nothing to
+        report, and a second call changes nothing."""
+        g = fork_add_chain(blocks)
         diags = []
-        g = run_pipeline(self.fork_add_chain(11), diagnostics=diags)
-        assert diags == [streamline.ROUND_CAP_NOTE]
-        assert [n.kind for n in g.nodes.values()].count("Mul") == 1
-        diags = []
-        g = run_pipeline(g, diagnostics=diags)
-        assert diags == [] and "Mul" not in {n.kind for n in g.nodes.values()}
-
-    def test_no_round_cap_note_when_the_pipeline_settles(self):
-        diags = []
-        g = run_pipeline(self.fork_add_chain(9), diagnostics=diags)
-        assert diags == [] and "Mul" not in {n.kind for n in g.nodes.values()}
+        g2 = run_pipeline(g, diagnostics=diags)
+        assert diags == [] and "Mul" not in {n.kind for n in g2.nodes.values()}
+        assert_graphs_equivalent(g, g2, shape=(2, 3, 3), trials=4)
+        assert run_pipeline(g2).canonical_json() == g2.canonical_json()
 
 
 def mutate_attrs(attrs: dict) -> None:
