@@ -5,6 +5,10 @@ point ((cx + 0.5) * S, (cy + 0.5) * S); the four regression channels are
 distances (left, top, right, bottom) from that point in stride units. The
 class score is a single joint representation: sigmoid of the max class
 logit, with no separate objectness term.
+
+Candidates travel as one float64 (N, 6) row array, columns x_min, y_min,
+x_max, y_max, score, class_id; nms ranks and suppresses rows and builds a
+BoundingBox only for each box it keeps.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, corner_array, corner_iou
+from .geometry import BoundingBox, corner_iou
 
 EXPECTED_STRIDES = (8, 16, 32)
 REGRESSION_CHANNELS = 4
@@ -75,12 +79,14 @@ def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray
     return np.concatenate([expected, data[4 * num_bins :]], axis=0)
 
 
-def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> list[BoundingBox]:
-    """Turn head maps into scored, clipped candidate boxes.
+def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> np.ndarray:
+    """Turn head maps into scored, clipped candidate rows, stride by stride
+    in row-major cell order.
 
     Requires each stride in {8, 16, 32} exactly once and mutually consistent
     image dimensions. Negative regressed distances clamp to zero. Candidates
-    below score_thresh are dropped; survivors are clipped to image bounds.
+    below score_thresh are dropped; survivors are clipped to image bounds,
+    and inverted corners (a NaN regression) raise ValueError as in BoundingBox.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError(f"score_thresh outside [0, 1]: {score_thresh}")
@@ -102,43 +108,49 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> list[Boundi
     rows = []
     for stride in EXPECTED_STRIDES:
         m = by_stride[stride]
-        cy, cx = np.mgrid[0 : m.height, 0 : m.width]
-        px = (cx + 0.5) * stride
-        py = (cy + 0.5) * stride
-        dist = np.clip(m.data[:REGRESSION_CHANNELS], 0.0, None) * stride
-        x0 = np.clip(px - dist[0], 0.0, img_w)
-        y0 = np.clip(py - dist[1], 0.0, img_h)
-        x1 = np.clip(px + dist[2], 0.0, img_w)
-        y1 = np.clip(py + dist[3], 0.0, img_h)
-        cls_logits = m.data[REGRESSION_CHANNELS:]
-        class_id = cls_logits.argmax(axis=0)
-        score = sigmoid(cls_logits.max(axis=0))
-        keep = score >= score_thresh
-        rows.append(np.stack([x0, y0, x1, y1, score, class_id])[:, keep].T)
-    return [BoundingBox(*row[:5], int(row[5])) for row in np.concatenate(rows).tolist()]
+        flat = m.data.reshape(m.channels, -1)
+        score = sigmoid(flat[REGRESSION_CHANNELS:].max(axis=0))
+        cells = np.flatnonzero(score >= score_thresh)
+        cy, cx = np.divmod(cells, m.width)
+        picked = flat[:, cells]
+        # corners: centre - (left, top) and centre + (right, bottom), clipped
+        dist = np.clip(picked[:REGRESSION_CHANNELS], 0.0, None) * stride * [[-1], [-1], [1], [1]]
+        centre = (np.stack([cx, cy, cx, cy]) + 0.5) * stride
+        corners = np.clip(centre + dist, 0.0, [[img_w], [img_h], [img_w], [img_h]])
+        class_id = picked[REGRESSION_CHANNELS:].argmax(axis=0)
+        rows.append(np.vstack([corners, score[cells], class_id]).T)
+    rows = np.concatenate(rows)
+    inverted = ~(rows[:, 2:4] >= rows[:, :2]).all(axis=1)  # NaN regressions
+    if inverted.any():
+        raise ValueError(f"inverted corners: {tuple(rows[inverted][0, :4].tolist())}")
+    return rows
 
 
 def nms(
-    boxes: list[BoundingBox], iou_thresh: float = 0.45, class_aware: bool = True
+    boxes: np.ndarray | list[BoundingBox], iou_thresh: float = 0.45, class_aware: bool = True
 ) -> list[BoundingBox]:
     """Greedy descending-score suppression.
 
-    A box is dropped when its IoU with an already-kept box (of the same
-    class, if class_aware) exceeds iou_thresh. Output is sorted by
-    descending score with a content-based tie-break, so the result does not
-    depend on input order.
+    `boxes` is a decode_heads row array or a BoundingBox list. A box is
+    dropped when its IoU with an already-kept box (of the same class, if
+    class_aware) exceeds iou_thresh. Output is a BoundingBox list sorted by
+    descending score with a content-based tie-break (class_id, x_min,
+    y_min, x_max, y_max), so the result does not depend on input order.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh outside [0, 1]: {iou_thresh}")
-    ordered = sorted(
-        boxes, key=lambda b: (-b.score, b.class_id, b.x_min, b.y_min, b.x_max, b.y_max)
-    )
+    if not isinstance(boxes, np.ndarray):
+        boxes = [(b.x_min, b.y_min, b.x_max, b.y_max, b.score, b.class_id) for b in boxes]
+    rows = np.asarray(boxes, dtype=float).reshape(len(boxes), 6)  # raises unless (N, 6)
+    # rank by (-score, class_id, x_min, y_min, x_max, y_max): lexsort's last
+    # key is the primary one, and it keeps equal keys in input order
+    ranked = rows[np.lexsort((*rows[:, 3::-1].T, rows[:, 5], -rows[:, 4]))]
     # Classes made contiguous (one group if not class_aware), rank order
     # within each; then blocks of rows in that order, each checked against
     # the boxes of its classes kept so far and resolved greedily inside.
-    groups = np.array([b.class_id if class_aware else 0 for b in ordered], dtype=int)
+    groups = ranked[:, 5] if class_aware else np.zeros(len(ranked))
     order = np.argsort(groups, kind="stable")
-    corners, groups = corner_array(ordered)[order], groups[order]
+    corners, groups = ranked[order, :4], groups[order]
     group_start = np.searchsorted(groups, groups)
     kept = np.zeros(len(order), dtype=bool)
     for start in range(0, len(order), NMS_BLOCK):
@@ -153,4 +165,4 @@ def nms(
             if not dead[j]:
                 dead |= inner[j]
         kept[block] = ~dead
-    return [ordered[i] for i in np.sort(order[kept])]
+    return [BoundingBox(*r[:5], int(r[5])) for r in ranked[np.sort(order[kept])].tolist()]

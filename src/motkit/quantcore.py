@@ -95,6 +95,8 @@ def absorb_affine(op: MultiThresholdOp, a, b) -> MultiThresholdOp:
 
 def _channelwise(v, channels: int) -> np.ndarray:  # np.broadcast_to raises if v won't fit
     v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        return v.repeat(channels)  # one call; broadcast_to costs several
     return v if v.shape == (channels,) else np.broadcast_to(v, (channels,))
 
 

@@ -245,6 +245,22 @@ class TestDecode:
         assert out[1] == "0.0000,0.0000,12.0000,12.0000,0.500000,0"
         assert len(out) == 2
 
+    def test_decode_nan_regression_exits_two(self, tmp_path, capsys):
+        paths = []
+        for stride in (8, 16, 32):
+            data = np.full((84, 32 // stride, 32 // stride), -1e4, dtype=np.float32)
+            if stride == 8:
+                data[0:4, 0, 0] = np.nan
+                data[4, 0, 0] = 0.0
+            path = tmp_path / f"s{stride}.tnsr"
+            write_tensor(data, path)
+            paths.append(str(path))
+        rc = main(["decode", "--maps", *paths, "--score-thresh", "0.25"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: inverted corners: (nan,")
+
     def test_track_from_head_map_directory(self, tmp_path):
         for frame in (1, 2, 3):
             for stride in (8, 16, 32):

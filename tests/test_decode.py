@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import box_oracle
 from box_oracle import iou
 from motkit.decode import HeadMap, decode_heads, nms, reduce_dfl, sigmoid
 from motkit.geometry import BoundingBox
@@ -75,7 +76,8 @@ def test_reduce_dfl_collapses_bins_to_expectations():
 
 class TestDecodeHeads:
     def test_all_low_logits_give_empty_output(self):
-        assert decode_heads(make_maps(), score_thresh=0.25) == []
+        rows = decode_heads(make_maps(), score_thresh=0.25)
+        assert (rows.dtype, rows.shape) == (np.float64, (0, 6))
 
     def test_single_cell_hand_computed(self):
         # cell (0,0) of the stride-8 map on a 32x32 input: center (4,4),
@@ -84,12 +86,12 @@ class TestDecodeHeads:
         maps = make_maps(img_w=32, img_h=32)
         maps[0].data[0:4, 0, 0] = 1.0
         maps[0].data[4, 0, 0] = 0.0
-        boxes = decode_heads(maps, score_thresh=0.25)
-        assert len(boxes) == 1
-        box = boxes[0]
-        assert box.corners() == pytest.approx((0.0, 0.0, 12.0, 12.0))
-        assert box.score == pytest.approx(0.5)
-        assert box.class_id == 0
+        rows = decode_heads(maps, score_thresh=0.25)
+        assert len(rows) == 1
+        x_min, y_min, x_max, y_max, score, class_id = rows[0].tolist()
+        assert (x_min, y_min, x_max, y_max) == pytest.approx((0.0, 0.0, 12.0, 12.0))
+        assert score == pytest.approx(0.5)
+        assert class_id == 0
 
     def test_candidate_count_320x192(self):
         # 40*24 + 20*12 + 10*6 = 1260 cells across the three strides
@@ -115,9 +117,30 @@ class TestDecodeHeads:
         maps = make_maps(img_w=64, img_h=32)
         for m in maps:
             m.data[...] = rng.normal(scale=4.0, size=m.data.shape)
-        for box in decode_heads(maps, score_thresh=0.0):
-            assert 0.0 <= box.x_min <= box.x_max <= 64.0
-            assert 0.0 <= box.y_min <= box.y_max <= 32.0
+        for x_min, y_min, x_max, y_max, _, _ in decode_heads(maps, score_thresh=0.0):
+            assert 0.0 <= x_min <= x_max <= 64.0
+            assert 0.0 <= y_min <= y_max <= 32.0
+
+    @pytest.mark.parametrize("side", range(4))
+    def test_nan_regression_on_a_scoring_cell_rejected(self, side):
+        # a NaN distance gives NaN corners, which BoundingBox rejects; the
+        # message names the first such candidate, as the per-box decoder's did
+        maps = make_maps(img_w=32, img_h=32)
+        for m, (y, x) in ((maps[0], (1, 2)), (maps[1], (0, 1))):
+            m.data[0:4, y, x] = 1.0
+            m.data[side, y, x] = np.nan
+            m.data[4, y, x] = 0.0
+        errors = []
+        for decoder in (decode_heads, box_oracle.decode_heads):
+            with pytest.raises(ValueError, match="inverted corners") as info:
+                decoder(maps, score_thresh=0.25)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_nan_regression_below_threshold_ignored(self):
+        maps = make_maps(img_w=32, img_h=32)
+        maps[0].data[0:4, 1, 2] = np.nan
+        assert len(decode_heads(maps, score_thresh=0.25)) == 0
 
     def test_missing_stride_rejected(self):
         maps = make_maps()[:2]
@@ -211,6 +234,11 @@ class TestNms:
                 if a.class_id == b.class_id:
                     assert iou(a, b) <= 0.45
         assert nms(kept, 0.45) == kept
+
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (2, 7)])
+    def test_rows_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            nms(np.zeros(shape), 0.45)
 
     def test_class_blind_memory_stays_blocked(self):
         # 4,000 mostly disjoint boxes of one group: a single N x N float

@@ -119,6 +119,32 @@ class TestAbsorbAffine:
         op = MultiThresholdOp(np.array(sorted(thresholds), dtype=float), out_bits=2)
         assert_absorption_equivalent(op, float(a), float(b))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 3),
+        *[st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.1, 1e-300, np.inf, -np.inf, np.nan])] * 2,
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_scalar_and_per_channel_parameters_absorb_alike(self, channels, a, b, a_vec, b_vec):
+        # a scalar takes its own path through absorb_affine; spelled out per
+        # channel it must give the same bits, or the same error
+        thresholds = np.arange(channels * 3, dtype=float).reshape(channels, 3)
+        op = MultiThresholdOp(thresholds, out_bits=2, count_above=np.arange(channels) % 2 == 1)
+
+        def outcome(a, b):
+            try:
+                with np.errstate(all="ignore"):  # inf - inf: nan thresholds either way
+                    out = absorb_affine(op, a, b)
+            except ValueError as exc:
+                return str(exc)
+            return out.thresholds.shape, out.thresholds.tobytes(), out.count_above.tobytes()
+
+        per_channel = outcome(
+            np.full(channels, a) if a_vec else a, np.full(channels, b) if b_vec else b
+        )
+        assert outcome(a, b) == per_channel
+
 
 def im2col_np_pad(x, kernel, stride=1, pad=0):
     """im2col as it was before padding by slice assignment: np.pad, then slices."""
