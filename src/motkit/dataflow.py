@@ -23,17 +23,14 @@ alike, as the first run kept `occ + amount <= M` or filled up (`M = D`).
 
 from __future__ import annotations
 
-import json
 import math
+from copy import copy
 from dataclasses import asdict, dataclass
 
-from .io import check_int, graph_specs
+from .graph import Graph, GraphError, graph_specs, read_doc, write_doc
+from .io import check_int
 
 DEFAULT_CYCLE_CAP = 10_000_000
-
-
-class GraphError(ValueError):
-    """Malformed stream graph; distinct from a simulated deadlock."""
 
 
 @dataclass(frozen=True)
@@ -115,67 +112,35 @@ class SimReport:
         }
 
 
-class StreamGraph:
-    """Nodes joined by bounded FIFO edges; sources feed, sinks drain."""
-
-    def __init__(self):
-        self.nodes: dict[str, StreamNode] = {}
-        self.edges: dict[str, FifoEdge] = {}
-        # each node's edges in connection order (tuples: small, and the
-        # shared empty one costs nothing); edges are never removed
-        self._in: dict[str, tuple[FifoEdge, ...]] = {}
-        self._out: dict[str, tuple[FifoEdge, ...]] = {}
+class StreamGraph(Graph):
+    """Nodes joined by bounded FIFO edges; sources feed, sinks drain. Edges
+    are never removed, and adjacency queries list them in connection order."""
 
     def add_node(self, node_id: str, **kwargs) -> StreamNode:
-        if node_id in self.nodes:
-            raise GraphError(f"duplicate node id {node_id!r}")
         node = StreamNode(node_id, **kwargs)
         for name in ("consume", "produce", "latency"):
             check_int(f"node {node_id}: {name}", getattr(node, name), 1, GraphError)
-        self.nodes[node_id] = node
-        self._in[node_id] = ()
-        self._out[node_id] = ()
-        return node
+        return self._add_node(node)
 
     def connect(self, src: str, dst: str, depth: int = 1, edge_id: str | None = None) -> FifoEdge:
-        if src not in self.nodes or dst not in self.nodes:
-            raise GraphError(f"edge references unknown node: {src} -> {dst}")
         if edge_id is None:
             edge_id = f"{src}->{dst}"
         if not isinstance(edge_id, str):
             raise GraphError(f"edge id must be a string, got {edge_id!r}")
-        if edge_id in self.edges:
-            raise GraphError(f"duplicate edge id {edge_id!r}")
         check_int(f"edge {edge_id}: depth", depth, 0, GraphError)
-        edge = FifoEdge(edge_id, src, dst, depth)
-        self.edges[edge_id] = edge
-        self._out[src] += (edge,)
-        self._in[dst] += (edge,)
-        return edge
+        return self._add_edge(FifoEdge(edge_id, src, dst, depth))
 
     def in_edges(self, node_id: str) -> list[FifoEdge]:
-        return list(self._in[node_id])
+        return [self.edges[eid] for eid in self._ins[node_id]]
 
     def out_edges(self, node_id: str) -> list[FifoEdge]:
-        return list(self._out[node_id])
+        return [self.edges[eid] for eid in self._outs[node_id]]
 
     def sources(self) -> list[str]:
-        return [nid for nid, ins in self._in.items() if not ins]
+        return [nid for nid, ins in self._ins.items() if not ins]
 
     def sinks(self) -> list[str]:
-        return [nid for nid, outs in self._out.items() if not outs]
-
-    def topo_order(self) -> list[str]:
-        indeg = {nid: len(ins) for nid, ins in self._in.items()}
-        order = [nid for nid, d in indeg.items() if d == 0]
-        for nid in order:  # first in, first out: the list grows as nodes get ready
-            for e in self._out[nid]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    order.append(e.dst)
-        if len(order) != len(self.nodes):
-            raise GraphError("stream graph contains a cycle")
-        return order
+        return [nid for nid, outs in self._outs.items() if not outs]
 
     def validate(self) -> None:
         if not self.nodes:
@@ -188,19 +153,9 @@ class StreamGraph:
         isolated = set(sources) & set(sinks)
         if isolated:
             raise GraphError(f"isolated nodes: {sorted(isolated)}")
-        order = self.topo_order()
-        # every node must sit on some source->sink path
-        reach_fwd = set(sources)
-        for nid in order:
-            if nid in reach_fwd:
-                reach_fwd.update(e.dst for e in self._out[nid])
-        reach_bwd = set(sinks)
-        for nid in reversed(order):
-            if nid in reach_bwd:
-                reach_bwd.update(e.src for e in self._in[nid])
-        stranded = set(self.nodes) - (reach_fwd & reach_bwd)
-        if stranded:
-            raise GraphError(f"nodes not on any source->sink path: {sorted(stranded)}")
+        # Acyclic, so every node lies on a source->sink path: its in-edges
+        # lead back to a source and its out-edges on to a sink.
+        self.topo_order()
 
     # -- serialization -----------------------------------------------------
 
@@ -212,17 +167,18 @@ class StreamGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> StreamGraph:
-        """Build a graph from its JSON form; anything malformed is a GraphError."""
+        """Build a graph from its JSON form; anything malformed is a GraphError.
+        A node without a folding, or with a null one, is unfolded."""
         g = cls()
         optional = ("consume", "produce", "latency", "outputs_per_frame")
-        for spec in graph_specs(doc, "nodes", ("id",), GraphError):
+        for spec in graph_specs(doc, "nodes", ("id",)):
             fold = spec.get("folding")
             try:
-                folding = Folding(**fold) if fold else None
+                folding = None if fold is None else Folding(**fold)
             except TypeError as exc:
                 raise GraphError(f"node {spec['id']}: bad folding {fold!r}") from exc
             g.add_node(spec["id"], folding=folding, **{k: spec[k] for k in optional if k in spec})
-        for spec in graph_specs(doc, "edges", ("src", "dst"), GraphError):
+        for spec in graph_specs(doc, "edges", ("src", "dst")):
             g.connect(spec["src"], spec["dst"], spec.get("depth", 1), spec.get("id"))
         return g
 
@@ -231,14 +187,11 @@ def save_stream_graph(g: StreamGraph, path, workload: int | None = None) -> None
     doc = g.to_json_dict()
     if workload is not None:
         doc["workload"] = workload
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_doc(doc, path)
 
 
 def load_stream_graph(path) -> tuple[StreamGraph, int | None]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_doc(path)
     return StreamGraph.from_json_dict(doc), doc.get("workload")
 
 
@@ -424,13 +377,10 @@ def _token_bound(g: StreamGraph, workload: int) -> dict[str, int]:
 
 def _with_depths(g: StreamGraph, depths: dict[str, int]) -> StreamGraph:
     """A copy of `g` whose edges have the given depths."""
-    h = StreamGraph()
-    for n in g.nodes.values():
-        h.add_node(n.id, consume=n.consume, produce=n.produce, latency=n.latency,
-                   folding=n.folding, outputs_per_frame=n.outputs_per_frame)
-    for e in g.edges.values():
-        h.connect(e.src, e.dst, depths[e.id], e.id)
-    return h
+    return g._with_records(
+        {nid: copy(n) for nid, n in g.nodes.items()},
+        {eid: FifoEdge(eid, e.src, e.dst, depths[eid]) for eid, e in g.edges.items()},
+    )
 
 
 def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:

@@ -241,27 +241,8 @@ def _read_boxes(path, with_score: bool) -> dict[str, list[BoundingBox]]:
     return out
 
 
-# -- graph documents --------------------------------------------------------------
-# Each checker raises `error`, the calling module's graph error.
-
-
 def check_int(what: str, value, minimum: int, error: type[ValueError]) -> None:
     """Counts, latencies and ports are whole numbers: no floats, no bools."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
 
-
-def graph_specs(doc, key: str, names: tuple[str, ...], error: type[ValueError]) -> list[dict]:
-    """The node or edge specs of a graph document, each naming `names` by a string."""
-    if not isinstance(doc, dict):
-        raise error("graph must be a JSON object")
-    specs = doc.get(key, [])
-    if not isinstance(specs, list):
-        raise error(f"{key!r} must be a list")
-    for spec in specs:
-        if not isinstance(spec, dict):
-            raise error(f"{key} entry {spec!r} is not an object")
-        for name in names:
-            if not isinstance(spec.get(name), str):
-                raise error(f"{key} entry {spec!r} needs a string {name!r}")
-    return specs

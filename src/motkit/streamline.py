@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantcore
-from .io import check_int, graph_specs
+from .graph import Graph, GraphError, graph_specs, read_doc, write_doc
+from .io import check_int
 from .quantcore import MultiThresholdOp
 
 NODE_KINDS = frozenset(
@@ -66,10 +67,6 @@ _REQUIRED_ATTRS = {
     "MaxPool": ("kernel",),
     "Resize": ("factor",),
 }
-
-
-class GraphError(ValueError):
-    """Malformed graph: unknown kind, bad arity, missing attr, cycle, dangling reference."""
 
 
 @dataclass
@@ -119,20 +116,17 @@ class ScaleViolation:
     found: float | None
 
 
-class OpGraph:
-    """Mutable DAG of operator nodes joined by tensor edges. Each node keeps
-    the ids of its in- and out-edges, so adjacency queries cost O(degree);
-    change edge ends only through connect, reroute and remove_edge.
+class OpGraph(Graph):
+    """Mutable DAG of operator nodes joined by tensor edges. Adjacency
+    queries cost O(degree) and list edges by port, then id; change edge ends
+    only through connect, reroute and remove_edge.
 
     While a pass runs, ``_touched`` maps every node that add_node or an edge
     mutator touched to whether add_node made it, in first-touch order with
     added nodes in the order they were added; otherwise it is None."""
 
     def __init__(self):
-        self.nodes: dict[str, Node] = {}
-        self.edges: dict[str, Edge] = {}
-        self._ins: dict[str, list[str]] = {}
-        self._outs: dict[str, list[str]] = {}
+        super().__init__()
         self._counter = 0
         self._touched: dict[str, bool] | None = None
 
@@ -141,12 +135,7 @@ class OpGraph:
     def add_node(self, node_id: str, kind: str, **attrs) -> Node:
         if kind not in NODE_KINDS:
             raise GraphError(f"unknown node kind {kind!r}")
-        if node_id in self.nodes:
-            raise GraphError(f"duplicate node id {node_id!r}")
-        node = Node(node_id, kind, attrs)
-        self.nodes[node_id] = node
-        self._ins[node_id] = []
-        self._outs[node_id] = []
+        node = self._add_node(Node(node_id, kind, attrs))
         if self._touched is not None:  # the id may be one this rewrite removed
             self._touched.pop(node_id, None)
             self._touched[node_id] = True
@@ -164,16 +153,9 @@ class OpGraph:
         signed: bool | None = None,
         shape: tuple[int, ...] | None = None,
     ) -> Edge:
-        if src not in self.nodes or dst not in self.nodes:
-            raise GraphError(f"edge references unknown node: {src} -> {dst}")
         if edge_id is None:
             edge_id = self.fresh_id("e")
-        if edge_id in self.edges:
-            raise GraphError(f"duplicate edge id {edge_id!r}")
-        edge = Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed, shape)
-        self.edges[edge_id] = edge
-        self._outs[src].append(edge_id)
-        self._ins[dst].append(edge_id)
+        edge = self._add_edge(Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed, shape))
         self._touch(src, dst)
         return edge
 
@@ -219,14 +201,11 @@ class OpGraph:
 
     def copy(self) -> OpGraph:
         """Independent copy with the same ids, order and id counter."""
-        g = OpGraph()
-        g.nodes = {nid: Node(nid, n.kind, _copied(n.attrs)) for nid, n in self.nodes.items()}
-        g.edges = {
-            eid: Edge(eid, e.src, e.dst, e.src_out, e.dst_in, e.scale, e.bits, e.signed, e.shape)
-            for eid, e in self.edges.items()
-        }
-        g._ins = {nid: ids.copy() for nid, ids in self._ins.items()}
-        g._outs = {nid: ids.copy() for nid, ids in self._outs.items()}
+        g = self._with_records(
+            {nid: Node(nid, n.kind, _copied(n.attrs)) for nid, n in self.nodes.items()},
+            {eid: Edge(eid, e.src, e.dst, e.src_out, e.dst_in, e.scale, e.bits, e.signed, e.shape)
+             for eid, e in self.edges.items()},
+        )
         g._counter = self._counter
         return g
 
@@ -267,19 +246,6 @@ class OpGraph:
                     raise GraphError(f"{node.kind} node {node.id} lacks attr {attr!r}")
         return self.topo_order()  # raises on cycles
 
-    def topo_order(self) -> list[str]:
-        indeg = {nid: len(ids) for nid, ids in self._ins.items()}
-        # insertion order keeps evaluation deterministic; `order` is the FIFO queue
-        order = [nid for nid in self.nodes if indeg[nid] == 0]
-        for nid in order:
-            for e in self.out_edges(nid):
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    order.append(e.dst)
-        if len(order) != len(self.nodes):
-            raise GraphError("graph contains a cycle")
-        return order
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -310,31 +276,38 @@ class OpGraph:
         """Build a graph from its JSON form; a malformed document is a GraphError.
         An optional ``fresh_id`` entry restores the id counter (default 0)."""
         g = cls()
-        for spec in graph_specs(doc, "nodes", ("id", "kind"), GraphError):
+        for spec in graph_specs(doc, "nodes", ("id", "kind")):
             if not isinstance(spec.get("attrs", {}), dict):
                 raise GraphError(f"node {spec['id']}: attrs must be an object")
             attrs = dict(spec.get("attrs", {}))
             for key in _ARRAY_ATTRS & attrs.keys():
                 attrs[key] = np.asarray(attrs[key], dtype=float)
             g.add_node(spec["id"], spec["kind"], **attrs)
-        for spec in graph_specs(doc, "edges", ("id", "src", "dst"), GraphError):
+        for spec in graph_specs(doc, "edges", ("id", "src", "dst")):
+            eid, scale, bits, signed = (spec.get(k) for k in ("id", "scale", "bits", "signed"))
             for port in ("src_out", "dst_in"):
-                check_int(f"edge {spec['id']}: {port}", spec.get(port, 0), 0, GraphError)
+                check_int(f"edge {eid}: {port}", spec.get(port, 0), 0, GraphError)
             shape = spec.get("shape")
             if shape is not None:
                 if not isinstance(shape, list):
-                    raise GraphError(f"edge {spec['id']}: shape must be null or a list")
+                    raise GraphError(f"edge {eid}: shape must be null or a list")
                 for dim in shape:
-                    check_int(f"edge {spec['id']}: shape entry", dim, 0, GraphError)
+                    check_int(f"edge {eid}: shape entry", dim, 0, GraphError)
+            if scale is not None and (isinstance(scale, bool) or not isinstance(scale, (int, float))):
+                raise GraphError(f"edge {eid}: scale must be null or a number, got {scale!r}")
+            if bits is not None:
+                check_int(f"edge {eid}: bits", bits, 1, GraphError)
+            if signed is not None and not isinstance(signed, bool):
+                raise GraphError(f"edge {eid}: signed must be null or a bool, got {signed!r}")
             g.connect(
                 spec["src"],
                 spec["dst"],
                 src_out=spec.get("src_out", 0),
                 dst_in=spec.get("dst_in", 0),
-                edge_id=spec["id"],
-                scale=spec.get("scale"),
-                bits=spec.get("bits"),
-                signed=spec.get("signed"),
+                edge_id=eid,
+                scale=scale,
+                bits=bits,
+                signed=signed,
                 shape=tuple(shape) if shape is not None else None,
             )
         g._counter = doc.get("fresh_id", 0)
@@ -348,14 +321,11 @@ class OpGraph:
 def save_graph(g: OpGraph, path) -> None:
     """Write g's JSON form plus its id counter, so a reloaded graph draws the
     same fresh ids."""
-    with open(path, "w") as fh:
-        json.dump({**g.to_json_dict(), "fresh_id": g._counter}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_doc({**g.to_json_dict(), "fresh_id": g._counter}, path)
 
 
 def load_graph(path) -> OpGraph:
-    with open(path) as fh:
-        return OpGraph.from_json_dict(json.load(fh))
+    return OpGraph.from_json_dict(read_doc(path))
 
 
 # -- interpreter -------------------------------------------------------------

@@ -5,6 +5,12 @@ verbatim: it advances every cycle one at a time and scans the edge list for
 each adjacency query. ``size_fifos`` and ``_token_bound`` are the sizing
 procedure on top of it. ``motkit.dataflow`` must return the same
 ``SimReport`` (fields and dict key order) and the same recommended depths.
+
+``in_edges``, ``out_edges``, ``topo_order`` and ``validate`` are
+``StreamGraph``'s own graph checks from before it shared ``motkit.graph``'s
+core, written over the public ``nodes`` and ``edges`` dicts: edges are never
+removed, so a node's edges in connection order are its edges in ``edges``
+order. Only the cycle message has changed since.
 """
 
 from __future__ import annotations
@@ -179,3 +185,51 @@ def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP
     if not verify.completed:
         raise GraphError(f"verification at recommended depths failed: {verify.outcome}")
     return recommended
+
+
+def in_edges(g: StreamGraph, nid: str) -> list:
+    return [e for e in g.edges.values() if e.dst == nid]
+
+
+def out_edges(g: StreamGraph, nid: str) -> list:
+    return [e for e in g.edges.values() if e.src == nid]
+
+
+def topo_order(g: StreamGraph) -> list[str]:
+    indeg = {nid: len(in_edges(g, nid)) for nid in g.nodes}
+    order = [nid for nid, d in indeg.items() if d == 0]
+    for nid in order:  # first in, first out: the list grows as nodes get ready
+        for e in out_edges(g, nid):
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                order.append(e.dst)
+    if len(order) != len(g.nodes):
+        raise GraphError("stream graph contains a cycle")
+    return order
+
+
+def validate(g: StreamGraph) -> None:
+    if not g.nodes:
+        raise GraphError("empty stream graph")
+    sources = [nid for nid in g.nodes if not in_edges(g, nid)]
+    sinks = [nid for nid in g.nodes if not out_edges(g, nid)]
+    if not sources:
+        raise GraphError("no source node (node without inputs)")
+    if not sinks:
+        raise GraphError("no sink node (node without outputs)")
+    isolated = set(sources) & set(sinks)
+    if isolated:
+        raise GraphError(f"isolated nodes: {sorted(isolated)}")
+    order = topo_order(g)
+    # every node must sit on some source->sink path
+    reach_fwd = set(sources)
+    for nid in order:
+        if nid in reach_fwd:
+            reach_fwd.update(e.dst for e in out_edges(g, nid))
+    reach_bwd = set(sinks)
+    for nid in reversed(order):
+        if nid in reach_bwd:
+            reach_bwd.update(e.src for e in in_edges(g, nid))
+    stranded = set(g.nodes) - (reach_fwd & reach_bwd)
+    if stranded:
+        raise GraphError(f"nodes not on any source->sink path: {sorted(stranded)}")

@@ -425,6 +425,11 @@ class TestStreamlineCli:
             {"nodes": [{"id": "in", "kind": "Input", "attrs": [1]}]},
             "int_shape",
             "negative_shape_entry",
+            ("scale", "abc"),
+            ("scale", True),
+            ("bits", 0),
+            ("bits", 8.0),
+            ("signed", "yes"),
             {"nodes": [{"id": "in", "kind": "Input"}], "fresh_id": -1},
             {"nodes": [{"id": "in", "kind": "Input"}], "fresh_id": 2.0},
             {"nodes": [{"id": "in", "kind": "Input"}], "fresh_id": "7"},
@@ -443,14 +448,17 @@ class TestStreamlineCli:
             },
         ],
         ids=["node_without_id", "list_document", "edge_without_dst", "string_src_out",
-             "attrs_not_object", "int_shape", "negative_shape_entry", "negative_fresh_id",
+             "attrs_not_object", "int_shape", "negative_shape_entry", "string_scale",
+             "bool_scale", "zero_bits", "float_bits", "string_signed", "negative_fresh_id",
              "float_fresh_id", "string_fresh_id", "mul_without_scale"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, doc):
-        if isinstance(doc, str):  # a fault in one edge of a valid graph
+        if isinstance(doc, (str, tuple)):  # a fault in one edge of a valid graph
             fault, doc = doc, conv_block_graph().to_json_dict()
             edge = doc["edges"][2]
-            if fault == "edge_without_dst":
+            if isinstance(fault, tuple):  # a bad annotation
+                edge[fault[0]] = fault[1]
+            elif fault == "edge_without_dst":
                 del edge["dst"]
             elif fault == "int_shape":
                 edge["shape"] = 5
@@ -542,9 +550,12 @@ class TestSimFifoCli:
             # 64 cycles per output against the node's latency of 8
             ("nodes", "folding", {"simd": 1, "pe": 1, "in_ch": 8, "out_ch": 8}),
             ("nodes", "folding", {"simd": 0, "pe": 1, "in_ch": 8, "out_ch": 8}),
+            ("nodes", "folding", {}),
+            ("nodes", "folding", False),
         ],
         ids=["float_latency", "string_consume", "missing_id", "unknown_folding_key",
-             "bool_produce", "float_depth", "folding_disagrees_with_latency", "zero_simd"],
+             "bool_produce", "float_depth", "folding_disagrees_with_latency", "zero_simd",
+             "empty_folding", "false_folding"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, section, key, value):
         doc = fork_join_stream_graph().to_json_dict()

@@ -154,6 +154,8 @@ class TestFromJson:
             {"nodes": [{"id": "a", "folding": {"simd": 0, "pe": 1, "in_ch": 8, "out_ch": 8}}]},
             {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a"}]},
             {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a", "dst": "b", "id": 3}]},
+            {"nodes": [{"id": "a", "folding": {}}]},
+            {"nodes": [{"id": "a", "folding": False}]},
         ],
     )
     def test_malformed_document_is_graph_error(self, doc):

@@ -8,6 +8,10 @@ field, with the same key order in its dicts, at a cycle cap of 1, below
 completion, at it and above it; `size_fifos` must recommend the same depths
 or fail with the same error.
 
+The graph-check test holds ``StreamGraph``'s adjacency order, topological
+order and validation on the shared graph core to the frozen ones, on the same
+graphs and on cyclic, stranded and isolated variants of them.
+
 The replay tests check the lemma that lets `size_fifos` skip its
 verification run, on the same cases and on every 16th fifo-sweep pool
 design: a completed run repeats, report and dict key order included, at
@@ -15,6 +19,7 @@ depths equal to its own peaks, and a run at the recommended depths repeats
 the probe.
 """
 
+import copy
 import math
 import sys
 from pathlib import Path
@@ -28,7 +33,7 @@ from conftest import (
     chain_stream_graph,
     fork_join_stream_graph,
 )
-from motkit import dataflow
+from motkit import dataflow, streamline
 from motkit.dataflow import GraphError, StreamGraph
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -172,3 +177,52 @@ def test_fifo_sweep_pool_sample_replays():
         g, tokens, _ = wl_fifo.make_design(index)
         stalled += _check_replay(g, tokens)
     assert stalled > 0
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, GraphError message), with the frozen cycle
+    message mapped to the shared core's: the one message that changed."""
+    try:
+        return fn(*args), None
+    except GraphError as exc:
+        msg = str(exc)
+        return None, "graph contains a cycle" if msg == "stream graph contains a cycle" else msg
+
+
+def _assert_same_checks(doc):
+    g = StreamGraph.from_json_dict(doc)
+    assert _outcome(g.validate) == _outcome(oracle.validate, g)
+    assert _outcome(g.topo_order) == _outcome(oracle.topo_order, g)
+    for nid in g.nodes:
+        assert g.in_edges(nid) == oracle.in_edges(g, nid)
+        assert g.out_edges(nid) == oracle.out_edges(g, nid)
+
+
+def test_graph_errors_are_one_class():
+    assert streamline.GraphError is dataflow.GraphError
+    _assert_same_checks({"nodes": [], "edges": []})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases(), data=st.data())
+def test_graph_checks_match_oracle(case, data):
+    doc, _ = case
+    _assert_same_checks(doc)
+    edge = data.draw(st.sampled_from(doc["edges"]))
+    stem = data.draw(st.sampled_from(doc["nodes"]))["id"]
+    variants = [
+        # a back edge: a cycle, and no source left if it enters one
+        ([], [{"id": "back", "src": edge["dst"], "dst": edge["src"]}]),
+        # a stranded pair: fed from the graph but reaching no sink
+        ([{"id": "x"}, {"id": "y"}], [
+            {"id": "to_x", "src": stem, "dst": "x"},
+            {"id": "x_y", "src": "x", "dst": "y"},
+            {"id": "y_x", "src": "y", "dst": "x"},
+        ]),
+        ([{"id": "lone"}], []),  # an isolated node
+    ]
+    for nodes, edges in variants:
+        bad = copy.deepcopy(doc)
+        bad["nodes"] += nodes
+        bad["edges"] += edges
+        _assert_same_checks(bad)

@@ -287,6 +287,7 @@ def check_pass(g_new, g_old, x, new_pass, old_pass):
     if err_old is not None:
         return None
     assert g_new.canonical_json() == out_old.canonical_json()
+    assert g_new.topo_order() == out_old.topo_order()
     assert changed == (out_old.canonical_json() != before)
     assert d_new == list(dict.fromkeys(d_old))
     assert_same_outputs(g_new, out_old, x)
