@@ -18,6 +18,7 @@ from . import io as mio
 from . import metrics, streamline
 from . import dataflow as df
 from .decode import HeadMap, decode_heads, nms, reduce_dfl
+from .geometry import box_rows
 from .synthetic import generate_sequence
 from .tracker import SortConfig, SortTracker
 
@@ -29,7 +30,6 @@ _DEFAULTS = {
     "iou_min": 0.3,
     "max_age": 1,
     "min_hits": 3,
-    "mot_gate": 0.5,
 }
 
 
@@ -80,37 +80,32 @@ def cmd_track(args) -> int:
     if len(chosen) != 1:
         raise ValueError(f"exactly one input kind required, got {chosen or 'none'}")
 
-    if args.synthetic:
-        n_objects, n_frames = int(args.synthetic[0]), int(args.synthetic[1])
-        noise, seed = float(args.synthetic[2]), int(args.synthetic[3])
-        gt_frames, det_frames = generate_sequence(n_objects, n_frames, noise, seed)
-        if args.gt_out:
-            mio.write_mot(gt_frames, args.gt_out)
-        detections = {f: [b for _, b in boxes] for f, boxes in det_frames.items()}
-    elif args.detections:
-        detections = {
-            f: [b for _, b in boxes] for f, boxes in mio.read_mot(args.detections).items()
-        }
-    else:
+    if args.head_maps:
         # every frame's paths are checked first; then one frame's maps at a time
         detections = {}
         for frame, paths in _headmap_paths(args.head_maps).items():
-            boxes = decode_heads(_read_headmaps(paths, args.dfl_bins), cfg["score_thresh"])
-            detections[frame] = nms(boxes, cfg["nms_iou"], class_aware=not args.no_class_aware)
-
-    if args.class_filter is not None:
-        keep = set(args.class_filter)
-        detections = {
-            f: [b for b in boxes if b.class_id in keep] for f, boxes in detections.items()
-        }
+            rows = decode_heads(_read_headmaps(paths, args.dfl_bins), cfg["score_thresh"])
+            detections[frame] = nms(rows, cfg["nms_iou"], class_aware=not args.no_class_aware)
+    else:
+        if args.synthetic:
+            n_objects, n_frames = int(args.synthetic[0]), int(args.synthetic[1])
+            noise, seed = float(args.synthetic[2]), int(args.synthetic[3])
+            gt_frames, frames = generate_sequence(n_objects, n_frames, noise, seed)
+            if args.gt_out:
+                mio.write_mot(gt_frames, args.gt_out)
+        else:
+            frames = mio.read_mot(args.detections)
+        detections = {f: box_rows([b for _, b in boxes]) for f, boxes in frames.items()}
 
     # SORT's [u, v, s, r] state cannot hold a box without area; decode_heads
     # yields one where both regressed distances along an axis clamp to zero.
     dropped = 0
-    for frame, boxes in detections.items():
-        kept = [b for b in boxes if b.width > 0.0 and b.height > 0.0]
-        dropped += len(boxes) - len(kept)
-        detections[frame] = kept
+    for frame, rows in detections.items():
+        if args.class_filter is not None:
+            rows = rows[np.isin(rows[:, 5], args.class_filter)]
+        has_area = (rows[:, 2] - rows[:, 0] > 0.0) & (rows[:, 3] - rows[:, 1] > 0.0)
+        dropped += len(rows) - int(np.count_nonzero(has_area))
+        detections[frame] = rows[has_area]
     if dropped:
         print(f"dropped {dropped} zero-area detections", file=sys.stderr)
 
@@ -131,12 +126,12 @@ def cmd_track(args) -> int:
 def cmd_decode(args) -> int:
     maps = _read_headmaps(args.maps, args.dfl_bins)
     cfg = _settings(args)
-    boxes = decode_heads(maps, cfg["score_thresh"])
-    boxes = nms(boxes, cfg["nms_iou"], class_aware=not args.no_class_aware)
+    rows = nms(decode_heads(maps, cfg["score_thresh"]), cfg["nms_iou"],
+               class_aware=not args.no_class_aware)
     lines = ["x_min,y_min,x_max,y_max,score,class_id"]
     lines += [
-        f"{b.x_min:.4f},{b.y_min:.4f},{b.x_max:.4f},{b.y_max:.4f},{b.score:.6f},{b.class_id}"
-        for b in boxes
+        f"{x0:.4f},{y0:.4f},{x1:.4f},{y1:.4f},{score:.6f},{int(cls)}"
+        for x0, y0, x1, y1, score, cls in rows.tolist()
     ]
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -149,7 +144,7 @@ def cmd_decode(args) -> int:
 def cmd_eval_mot(args) -> int:
     gt = mio.read_mot(args.gt)
     hyp = mio.read_mot(args.result)
-    gate = args.mot_gate if args.mot_gate is not None else _DEFAULTS["mot_gate"]
+    gate = args.mot_gate if args.mot_gate is not None else metrics.DEFAULT_MOT_GATE
     acc = metrics.evaluate_sequence(gt, hyp, gate)
     value = metrics.mota(acc)
     rows = [

@@ -118,7 +118,7 @@ class StreamGraph(Graph):
 
     def add_node(self, node_id: str, **kwargs) -> StreamNode:
         node = StreamNode(node_id, **kwargs)
-        for name in ("consume", "produce", "latency"):
+        for name in ("consume", "produce", "latency", "outputs_per_frame"):
             check_int(f"node {node_id}: {name}", getattr(node, name), 1, GraphError)
         return self._add_node(node)
 

@@ -6,9 +6,8 @@ distances (left, top, right, bottom) from that point in stride units. The
 class score is a single joint representation: sigmoid of the max class
 logit, with no separate objectness term.
 
-Candidates travel as one float64 (N, 6) row array, columns x_min, y_min,
-x_max, y_max, score, class_id; nms ranks and suppresses rows and builds a
-BoundingBox only for each box it keeps.
+Candidates travel as geometry's float64 (N, 6) box rows, columns x_min,
+y_min, x_max, y_max, score, class_id, from decode_heads through nms.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox, corner_iou
+from .geometry import Boxes, box_rows, corner_iou
 
 EXPECTED_STRIDES = (8, 16, 32)
 REGRESSION_CHANNELS = 4
@@ -86,7 +85,7 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> np.ndarray:
     Requires each stride in {8, 16, 32} exactly once and mutually consistent
     image dimensions. Negative regressed distances clamp to zero. Candidates
     below score_thresh are dropped; survivors are clipped to image bounds,
-    and inverted corners (a NaN regression) raise ValueError as in BoundingBox.
+    and inverted corners (a NaN regression) raise box_rows's ValueError.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError(f"score_thresh outside [0, 1]: {score_thresh}")
@@ -119,29 +118,20 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> np.ndarray:
         corners = np.clip(centre + dist, 0.0, [[img_w], [img_h], [img_w], [img_h]])
         class_id = picked[REGRESSION_CHANNELS:].argmax(axis=0)
         rows.append(np.vstack([corners, score[cells], class_id]).T)
-    rows = np.concatenate(rows)
-    inverted = ~(rows[:, 2:4] >= rows[:, :2]).all(axis=1)  # NaN regressions
-    if inverted.any():
-        raise ValueError(f"inverted corners: {tuple(rows[inverted][0, :4].tolist())}")
-    return rows
+    return box_rows(np.concatenate(rows))
 
 
-def nms(
-    boxes: np.ndarray | list[BoundingBox], iou_thresh: float = 0.45, class_aware: bool = True
-) -> list[BoundingBox]:
+def nms(boxes: Boxes, iou_thresh: float = 0.45, class_aware: bool = True) -> np.ndarray:
     """Greedy descending-score suppression.
 
-    `boxes` is a decode_heads row array or a BoundingBox list. A box is
-    dropped when its IoU with an already-kept box (of the same class, if
-    class_aware) exceeds iou_thresh. Output is a BoundingBox list sorted by
-    descending score with a content-based tie-break (class_id, x_min,
-    y_min, x_max, y_max), so the result does not depend on input order.
+    A box is dropped when its IoU with an already-kept box (of the same
+    class, if class_aware) exceeds iou_thresh. Returns the kept rows by
+    descending score, ties broken by class_id, x_min, y_min, x_max, y_max,
+    so the result does not depend on input order.
     """
     if not 0.0 <= iou_thresh <= 1.0:
         raise ValueError(f"iou_thresh outside [0, 1]: {iou_thresh}")
-    if not isinstance(boxes, np.ndarray):
-        boxes = [(b.x_min, b.y_min, b.x_max, b.y_max, b.score, b.class_id) for b in boxes]
-    rows = np.asarray(boxes, dtype=float).reshape(len(boxes), 6)  # raises unless (N, 6)
+    rows = box_rows(boxes)
     # rank by (-score, class_id, x_min, y_min, x_max, y_max): lexsort's last
     # key is the primary one, and it keeps equal keys in input order
     ranked = rows[np.lexsort((*rows[:, 3::-1].T, rows[:, 5], -rows[:, 4]))]
@@ -165,4 +155,4 @@ def nms(
             if not dead[j]:
                 dead |= inner[j]
         kept[block] = ~dead
-    return [BoundingBox(*r[:5], int(r[5])) for r in ranked[np.sort(order[kept])].tolist()]
+    return ranked[np.sort(order[kept])]

@@ -1,7 +1,7 @@
 """Axis-aligned bounding boxes and overlap measures.
 
-Corner form (x_min, y_min, x_max, y_max) is the canonical representation
-throughout; center/size conversions live next to the code that needs them.
+Boxes travel as box_rows' float64 (N, 6) rows (x_min, y_min, x_max, y_max,
+score, class_id); BoundingBox holds one box at the edges of motkit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ class BoundingBox:
     """Corner-form box with a detection score and class index.
 
     Invariants (checked at construction): x_max >= x_min, y_max >= y_min,
-    score in [0, 1].
+    score in [0, 1], integral class_id.
     """
 
     x_min: float
@@ -34,6 +34,8 @@ class BoundingBox:
             )
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score outside [0, 1]: {self.score}")
+        if not float(self.class_id).is_integer():
+            raise ValueError(f"class id must be an integer, got {self.class_id}")
 
     @property
     def width(self) -> float:
@@ -47,14 +49,30 @@ class BoundingBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-def corner_array(boxes: list[BoundingBox]) -> np.ndarray:
-    """(N, 4) float corner array of `boxes`, (0, 4) when there are none."""
-    return np.array([b.corners() for b in boxes], dtype=float).reshape(-1, 4)
+Boxes = np.ndarray | list[BoundingBox]  # what box_rows accepts
 
 
-def iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU, shape (len(rows), len(cols))."""
-    return corner_iou(corner_array(rows)[:, None], corner_array(cols)[None])
+def box_rows(boxes: Boxes) -> np.ndarray:
+    """(N, 6) float64 rows of `boxes`. A list is valid by construction; an array
+    must be (N, 6), and its first row breaking a BoundingBox invariant raises
+    BoundingBox's ValueError. A float64 array comes back as it is, uncopied."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = [(b.x_min, b.y_min, b.x_max, b.y_max, b.score, b.class_id) for b in boxes]
+        return np.array(boxes, dtype=float).reshape(-1, 6)
+    rows = np.asarray(boxes, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 6:
+        raise ValueError(f"box rows must have shape (N, 6), got {rows.shape}")
+    score, class_id = rows[:, 4], rows[:, 5]
+    ok = (rows[:, 2:4] >= rows[:, :2]).all(axis=1) & (score >= 0.0) & (score <= 1.0)
+    ok &= np.isfinite(class_id) & (np.floor(class_id) == class_id)  # NaN fails each
+    if not ok.all():
+        BoundingBox(*rows[~ok][0].tolist())  # raises for the first bad row
+    return rows
+
+
+def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
+    """Pairwise IoU of two box_rows inputs, shape (len(rows), len(cols))."""
+    return corner_iou(box_rows(rows)[:, None, :4], box_rows(cols)[None, :, :4])
 
 
 def corner_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

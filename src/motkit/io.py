@@ -179,7 +179,6 @@ RUN_CONFIG_KEYS = {
     "iou_min": float,
     "max_age": int,
     "min_hits": int,
-    "mot_gate": float,
 }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_lap
-from .geometry import BoundingBox, corner_array, corner_iou, iou_matrix
+from .geometry import BoundingBox, Boxes, box_rows, corner_iou, iou_matrix
 
 # MOTChallenge convention; override per call if needed.
 DEFAULT_MOT_GATE = 0.5
@@ -71,8 +71,8 @@ class MotAccumulator:
             for gt_id, gt_box in gt
             if self._last_track.get(gt_id) in hyp_by_id
         ]
-        gt_corners = corner_array([b for _, b, _ in carried])
-        overlaps = corner_iou(gt_corners, corner_array([hyp_by_id[t] for _, _, t in carried]))
+        gt_corners = box_rows([b for _, b, _ in carried])[:, :4]
+        overlaps = corner_iou(gt_corners, box_rows([hyp_by_id[t] for _, _, t in carried])[:, :4])
         for (gt_id, _, track_id), overlap in zip(carried, overlaps.tolist()):
             if track_id not in used_tracks and overlap >= self.iou_gate:
                 matched_gt[gt_id] = track_id
@@ -131,86 +131,85 @@ def evaluate_sequence(
 
 
 def average_precision(
-    dets: dict[object, list[BoundingBox]],
-    gts: dict[object, list[BoundingBox]],
-    iou_thresh: float,
-    class_id: int,
+    dets: dict[object, Boxes], gts: dict[object, Boxes], iou_thresh: float, class_id: int
 ) -> float:
     """101-point interpolated AP for one class at one IoU threshold.
 
-    Detections are taken in descending score order; each greedily claims
-    the still-unmatched ground-truth box it overlaps best (at or above the
+    Detections are taken in descending score order, ties by image key repr
+    and then list position; each greedily claims the still-unmatched
+    ground-truth box of its image it overlaps best (at or above the
     threshold), one ground truth per detection.
     """
-    return _class_aps(dets, gts, class_id, (iou_thresh,))[0]
+    return _ap_table(dets, gts, (iou_thresh,), class_id)[class_id][0]
 
 
-def ap_table(
-    dets: dict[object, list[BoundingBox]],
-    gts: dict[object, list[BoundingBox]],
-) -> dict[int, list[float]]:
+def ap_table(dets: dict[object, Boxes], gts: dict[object, Boxes]) -> dict[int, list[float]]:
     """AP of each ground-truth class (ascending) at each COCO_IOU_THRESHOLDS
     entry, as scored by average_precision."""
-    classes = sorted({b.class_id for boxes in gts.values() for b in boxes})
-    if not classes:
-        raise ValueError("mAP undefined: empty ground truth")
-    return {cls: _class_aps(dets, gts, cls, COCO_IOU_THRESHOLDS) for cls in classes}
+    return _ap_table(dets, gts, COCO_IOU_THRESHOLDS)
 
 
-def coco_map(
-    dets: dict[object, list[BoundingBox]],
-    gts: dict[object, list[BoundingBox]],
-) -> float:
+def coco_map(dets: dict[object, Boxes], gts: dict[object, Boxes]) -> float:
     """Mean AP over ground-truth classes and IoU thresholds 0.50:0.05:0.95."""
     return float(np.mean(list(ap_table(dets, gts).values())))
 
 
-def _class_aps(dets, gts, class_id: int, thresholds) -> list[float]:
-    """average_precision of one class at each of `thresholds`, with each
-    image's detection x ground-truth IoU matrix computed once for all."""
-    n_gt = sum(1 for boxes in gts.values() for b in boxes if b.class_id == class_id)
-    if n_gt == 0:
-        raise ValueError(f"no ground truth for class {class_id}; AP undefined")
+def _ap_table(dets, gts, thresholds, only_class=None) -> dict[int, list[float]]:
+    """average_precision at each of `thresholds` for each ground-truth class
+    (or `only_class`), each image's IoU matrix of a class computed once."""
+    truth, n_gt = {}, {}  # (image key, class id) -> ground-truth corners; class id -> count
+    for image_key, boxes in gts.items():
+        rows = box_rows(boxes)
+        for cls in set(rows[:, 5].astype(int).tolist()):
+            truth[image_key, cls] = corners = rows[rows[:, 5] == cls, :4]
+            n_gt[cls] = n_gt.get(cls, 0) + len(corners)
+    if only_class is not None and only_class not in n_gt:
+        raise ValueError(f"no ground truth for class {only_class}; AP undefined")
+    if not n_gt:
+        raise ValueError("mAP undefined: empty ground truth")
 
-    flat = []
-    for image_key in sorted(dets, key=repr):
-        for idx, box in enumerate(dets[image_key]):
-            if box.class_id == class_id:
-                flat.append((image_key, idx, box))
-    flat.sort(key=lambda t: (-t[2].score, repr(t[0]), t[1]))
-    if not flat:
-        return [0.0] * len(thresholds)
+    # All detections in one array, images in key repr order. One stable sort
+    # by (class, -score) leaves each class a run of rows in rank order.
+    keys = sorted(dets, key=repr)
+    per_image = [box_rows(dets[k]) for k in keys]
+    image = np.repeat(np.arange(len(keys)), [len(r) for r in per_image])
+    rows = np.concatenate([np.empty((0, 6)), *per_image])
+    order = np.lexsort((-rows[:, 4], rows[:, 5]))
+    rows, image = rows[order], image[order].tolist()
+    table = {}
+    for cls in sorted(n_gt) if only_class is None else [only_class]:
+        lo, hi = np.searchsorted(rows[:, 5], [cls, cls + 1]).tolist()
+        corners = rows[lo:hi, :4]
+        ranks_by_image: dict[int, list[int]] = {}
+        for rank, i in enumerate(image[lo:hi]):
+            ranks_by_image.setdefault(i, []).append(rank)
+        tp = np.zeros((len(thresholds), hi - lo))
+        for i, ranks in ranks_by_image.items():
+            gt_corners = truth.get((keys[i], cls))
+            if gt_corners is None:
+                continue
+            overlaps = corner_iou(corners[ranks, None], gt_corners[None]).tolist()
+            best = [max(row) for row in overlaps]
+            for t, thresh in enumerate(thresholds):
+                claimed = [False] * len(gt_corners)
+                for rank, row, top in zip(ranks, overlaps, best):
+                    if top < thresh:
+                        continue  # claims only lower a row, so it cannot match
+                    best_j, best_iou = -1, 0.0
+                    for j, overlap in enumerate(row):
+                        if not claimed[j] and overlap > best_iou:
+                            best_j, best_iou = j, overlap
+                    if best_j >= 0 and best_iou >= thresh:
+                        claimed[best_j] = True
+                        tp[t, rank] = 1.0
 
-    ranks_by_image: dict[object, list[int]] = {}
-    for rank, (image_key, _, _) in enumerate(flat):
-        ranks_by_image.setdefault(image_key, []).append(rank)
-    tp = np.zeros((len(thresholds), len(flat)))
-    for image_key, ranks in ranks_by_image.items():
-        truth = [g for g in gts.get(image_key, []) if g.class_id == class_id]
-        if not truth:
-            continue
-        overlaps = iou_matrix([flat[r][2] for r in ranks], truth).tolist()
-        best = [max(row) for row in overlaps]
-        for t, thresh in enumerate(thresholds):
-            claimed = [False] * len(truth)
-            for rank, row, top in zip(ranks, overlaps, best):
-                if top < thresh:
-                    continue  # claims only lower a row, so it cannot match
-                best_j, best_iou = -1, 0.0
-                for j, overlap in enumerate(row):
-                    if not claimed[j] and overlap > best_iou:
-                        best_j, best_iou = j, overlap
-                if best_j >= 0 and best_iou >= thresh:
-                    claimed[best_j] = True
-                    tp[t, rank] = 1.0
-
-    # 101-point interpolated AP per threshold. Recall never decreases, so
-    # precision[recall >= r] is a suffix: a reversed running maximum gives its
-    # maximum (0.0 past the end); levels are summed in order, bit-exactly.
-    cum_tp = np.cumsum(tp, axis=1)
-    levels = np.linspace(0.0, 1.0, 101)
-    aps = []
-    for precision, recall in zip(cum_tp / np.arange(1, len(flat) + 1), cum_tp / n_gt):
-        envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-        aps.append(sum(envelope[np.searchsorted(recall, levels)].tolist()) / 101.0)
-    return aps
+        # 101-point interpolated AP per threshold. Recall never decreases, so
+        # precision[recall >= r] is a suffix: a reversed running maximum gives
+        # its maximum (0.0 past the end); levels are summed in order, bit-exactly.
+        cum_tp = np.cumsum(tp, axis=1)
+        table[cls] = []
+        for precision, recall in zip(cum_tp / np.arange(1, hi - lo + 1), cum_tp / n_gt[cls]):
+            envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+            levels = np.searchsorted(recall, np.linspace(0.0, 1.0, 101))
+            table[cls].append(sum(envelope[levels].tolist()) / 101.0)
+    return table

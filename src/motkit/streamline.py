@@ -164,7 +164,10 @@ class OpGraph(Graph):
         dst: str | None = None, dst_in: int = 0,
     ) -> None:
         """Move the source end of `edge` to (src, src_out) and/or its
-        destination end to (dst, dst_in)."""
+        destination end to (dst, dst_in); an unknown end is a GraphError."""
+        for end in (src, dst):
+            if end is not None and end not in self.nodes:
+                raise GraphError(f"reroute of edge {edge.id!r} to unknown node {end!r}")
         self._touch(edge.src, edge.dst)
         if src is not None:
             self._outs[edge.src].remove(edge.id)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kalman
 from .assignment import associate
-from .geometry import BoundingBox
+from .geometry import BoundingBox, Boxes, box_rows
 from .io import check_int
 from .kalman import KalmanConfig
 
@@ -63,9 +63,7 @@ class SortTracker:
         self._next_id = 1
         self._last_frame = 0
 
-    def step(
-        self, detections: list[BoundingBox], frame_index: int
-    ) -> list[tuple[int, BoundingBox, int]]:
+    def step(self, detections: Boxes, frame_index: int) -> list[tuple[int, BoundingBox, int]]:
         """Advance one frame; returns reported (id, box, class_id) triples.
 
         Reported boxes are the post-update filter estimates, not the raw
@@ -78,16 +76,14 @@ class SortTracker:
             )
         self._last_frame = frame_index
         cfg = self.config
-        corners = np.array([d.corners() for d in detections], dtype=float).reshape(-1, 4)
-        z = kalman.box_to_measurement(corners)
-        det_scores = np.array([d.score for d in detections], dtype=float)
-        det_classes = np.array([d.class_id for d in detections], dtype=np.int64)
+        rows = box_rows(detections)
+        z = kalman.box_to_measurement(rows[:, :4])
 
         self.x, self.P = kalman.predict(self.x, self.P, cfg.kalman)
         self.hits[self.time_since_update > 0] = 0
         self.time_since_update += 1
 
-        result = associate(kalman.state_to_corners(self.x), corners, cfg.iou_min)
+        result = associate(kalman.state_to_corners(self.x), rows[:, :4], cfg.iou_min)
 
         t_idx, d_idx = result.matches.T
         x, P, ok = kalman.update(self.x[t_idx], self.P[t_idx], z[d_idx], cfg.kalman)
@@ -96,7 +92,7 @@ class SortTracker:
         t_idx, d_idx = t_idx[ok], d_idx[ok]
         self.time_since_update[t_idx] = 0
         self.hits[t_idx] += 1
-        self.scores[t_idx] = det_scores[d_idx]
+        self.scores[t_idx] = rows[d_idx, 4]
 
         new = result.unmatched_detections
         x, P = kalman.init_state(z[new], cfg.kalman)
@@ -104,8 +100,8 @@ class SortTracker:
         self.x = np.concatenate([self.x[keep], x])
         self.P = np.concatenate([self.P[keep], P])
         self.ids = np.concatenate([self.ids[keep], self._next_id + np.arange(len(new))])
-        self.class_ids = np.concatenate([self.class_ids[keep], det_classes[new]])
-        self.scores = np.concatenate([self.scores[keep], det_scores[new]])
+        self.class_ids = np.concatenate([self.class_ids[keep], rows[new, 5].astype(np.int64)])
+        self.scores = np.concatenate([self.scores[keep], rows[new, 4]])
         self.hits = np.concatenate([self.hits[keep], np.ones(len(new), dtype=np.int64)])
         self.time_since_update = np.concatenate(
             [self.time_since_update[keep], np.zeros(len(new), dtype=np.int64)]

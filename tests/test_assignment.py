@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from box_oracle import iou
 from conftest import translated
 from motkit.assignment import associate, solve_lap
-from motkit.geometry import BoundingBox, corner_array
+from motkit.geometry import BoundingBox, box_rows
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -73,7 +73,7 @@ class TestSolveLap:
 
 class TestAssociate:
     def test_identical_lists_match_perfectly(self):
-        tracks = corner_array(BoundingBox(i * 30, 0, i * 30 + 20, 20) for i in range(4))
+        tracks = box_rows(BoundingBox(i * 30, 0, i * 30 + 20, 20) for i in range(4))[:, :4]
         result = associate(tracks, tracks.copy(), iou_min=0.3)
         assert result.matches.tolist() == [[i, i] for i in range(4)]
         assert result.unmatched_tracks.tolist() == []
@@ -81,7 +81,7 @@ class TestAssociate:
 
     def test_disjoint_pair_gated_out(self):
         tracks, dets = [BoundingBox(0, 0, 10, 10)], [BoundingBox(50, 50, 60, 60)]
-        result = associate(corner_array(tracks), corner_array(dets), iou_min=0.3)
+        result = associate(box_rows(tracks)[:, :4], box_rows(dets)[:, :4], iou_min=0.3)
         assert result.matches.shape == (0, 2)
         assert result.unmatched_tracks.tolist() == [0]
         assert result.unmatched_detections.tolist() == [0]
@@ -97,7 +97,7 @@ class TestAssociate:
             key=lambda p: sum(iou(tracks[i], dets[p[i]]) for i in range(3)),
         )
         assert best == (0, 1, 2)
-        result = associate(corner_array(tracks), corner_array(dets), iou_min=0.3)
+        result = associate(box_rows(tracks)[:, :4], box_rows(dets)[:, :4], iou_min=0.3)
         assert result.matches.tolist() == [[0, 0], [1, 1], [2, 2]]
 
     @settings(max_examples=60, deadline=None)
@@ -122,7 +122,7 @@ class TestAssociate:
         ]
         dets = [translated(t, *rng.uniform(-8, 8, 2)) for t in tracks]
         counts = [
-            len(associate(corner_array(tracks), corner_array(dets), iou_min=g).matches)
+            len(associate(box_rows(tracks)[:, :4], box_rows(dets)[:, :4], iou_min=g).matches)
             for g in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
         ]
         assert counts == sorted(counts, reverse=True)

@@ -3,9 +3,10 @@
 ``corner_iou`` (aligned and pairwise), ``decode_heads``, ``nms``,
 ``average_precision``, ``coco_map``/``ap_table`` and ``MotAccumulator.step``
 must give exactly what the scalar-IoU code they replaced gives: compared
-with ``==``, no tolerance. Coordinates and scores are drawn from coarse
-grids, so touching edges, degenerate boxes, score ties and IoUs that land
-on a threshold are common.
+with ``==`` or bit for bit, no tolerance. ``nms`` is fed both a BoundingBox
+list and its box rows, and so are the scorers. Coordinates and scores are
+drawn from coarse grids, so touching edges, degenerate boxes, score ties
+and IoUs that land on a threshold are common.
 """
 
 from unittest import mock
@@ -17,7 +18,7 @@ from hypothesis import Phase, given, settings, strategies as st
 import box_oracle
 from motkit import decode
 from motkit.decode import HeadMap, decode_heads, nms
-from motkit.geometry import BoundingBox, corner_array, corner_iou
+from motkit.geometry import BoundingBox, box_rows, corner_iou
 from motkit.metrics import (
     COCO_IOU_THRESHOLDS,
     MotAccumulator,
@@ -45,14 +46,14 @@ def grid_boxes():
 class TestCornerIou:
     @given(st.lists(grid_boxes(), max_size=12), st.lists(grid_boxes(), max_size=12))
     def test_pairwise_bit_equal_to_scalar(self, rows, cols):
-        m = corner_iou(corner_array(rows)[:, None], corner_array(cols)[None])
+        m = corner_iou(box_rows(rows)[:, :4][:, None], box_rows(cols)[:, :4][None])
         assert m.shape == (len(rows), len(cols))
         assert m.tolist() == [[box_oracle.iou(r, c) for c in cols] for r in rows]
 
     @given(st.lists(st.tuples(grid_boxes(), grid_boxes()), max_size=12))
     def test_aligned_bit_equal_to_scalar(self, pairs):
-        a = corner_array([p for p, _ in pairs])
-        b = corner_array([q for _, q in pairs])
+        a = box_rows([p for p, _ in pairs])[:, :4]
+        b = box_rows([q for _, q in pairs])[:, :4]
         assert corner_iou(a, b).tolist() == [box_oracle.iou(p, q) for p, q in pairs]
 
     @given(grid_boxes(), grid_boxes())
@@ -74,7 +75,7 @@ class TestCornerIou:
         )
     )
     def test_arbitrary_floats_bit_equal_to_scalar(self, boxes):
-        m = corner_iou(corner_array(boxes)[:, None], corner_array(boxes)[None])
+        m = corner_iou(box_rows(boxes)[:, :4][:, None], box_rows(boxes)[:, :4][None])
         assert m.tolist() == [[box_oracle.iou(r, c) for c in boxes] for r in boxes]
 
     def test_touching_and_degenerate_boxes(self):
@@ -85,17 +86,24 @@ class TestCornerIou:
             BoundingBox(5, 5, 5, 15),  # a line through the first
             BoundingBox(5, 5, 5, 5),  # a point inside the first
         ]
-        m = corner_iou(corner_array(boxes)[:, None], corner_array(boxes)[None])
+        m = corner_iou(box_rows(boxes)[:, :4][:, None], box_rows(boxes)[:, :4][None])
         assert m.tolist() == [[box_oracle.iou(r, c) for c in boxes] for r in boxes]
         assert m[0, 1:].tolist() == [0.0, 0.0, 0.0, 0.0]
         assert np.diag(m).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
 
 
-def box_rows(boxes) -> np.ndarray:
-    """The (N, 6) float rows of a BoundingBox list, as decode_heads lays them out."""
+def oracle_rows(boxes) -> np.ndarray:
+    """The (N, 6) float rows of an oracle BoundingBox list, built without
+    motkit's box_rows, in the layout nms and decode_heads return."""
     return np.array(
         [(b.x_min, b.y_min, b.x_max, b.y_max, b.score, b.class_id) for b in boxes], dtype=float
     ).reshape(-1, 6)
+
+
+def assert_same_rows(got: np.ndarray, want: np.ndarray) -> None:
+    """Same dtype, shape and bits: -0.0 is told from 0.0."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def signed_grid_boxes():
@@ -125,9 +133,9 @@ class TestNms:
         with mock.patch.object(decode, "NMS_BLOCK", block):
             from_list = nms(boxes, thresh, class_aware)
             from_rows = nms(box_rows(boxes), thresh, class_aware)
-        want = box_oracle.nms(boxes, thresh, class_aware)
-        assert from_list == want
-        assert from_rows == want
+        want = oracle_rows(box_oracle.nms(boxes, thresh, class_aware))
+        assert_same_rows(from_list, want)
+        assert_same_rows(from_rows, want)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -139,11 +147,11 @@ class TestNms:
     def test_signed_zeros_and_score_ties_rank_like_the_oracle(
         self, boxes, thresh, class_aware, block
     ):
-        # repr tells -0.0 from 0.0, so the same box of a tied group is kept
-        want = repr(box_oracle.nms(boxes, thresh, class_aware))
+        # the bytes tell -0.0 from 0.0, so the same box of a tied group is kept
+        want = oracle_rows(box_oracle.nms(boxes, thresh, class_aware))
         with mock.patch.object(decode, "NMS_BLOCK", block):
-            assert repr(nms(boxes, thresh, class_aware)) == want
-            assert repr(nms(box_rows(boxes), thresh, class_aware)) == want
+            assert_same_rows(nms(boxes, thresh, class_aware), want)
+            assert_same_rows(nms(box_rows(boxes), thresh, class_aware), want)
 
     @pytest.mark.parametrize("class_aware", [True, False])
     def test_matches_oracle_across_full_blocks(self, class_aware):
@@ -157,9 +165,9 @@ class TestNms:
                 xy.tolist(), wh.tolist(), rng.integers(1, 9, 700) / 8, rng.integers(0, 2, 700)
             )
         ]
-        want = box_oracle.nms(boxes, 0.45, class_aware)
-        assert nms(boxes, 0.45, class_aware) == want
-        assert nms(box_rows(boxes), 0.45, class_aware) == want
+        want = oracle_rows(box_oracle.nms(boxes, 0.45, class_aware))
+        assert_same_rows(nms(boxes, 0.45, class_aware), want)
+        assert_same_rows(nms(box_rows(boxes), 0.45, class_aware), want)
 
 
 class TestDecodeHeads:
@@ -175,9 +183,7 @@ class TestDecodeHeads:
             data = rng.normal(scale=3.0, size=(9, 64 // s, 96 // s))
             maps.append(HeadMap(s, (np.round(data) if seed >= 2 else data).astype(dtype)))
         got = decode_heads(maps, score_thresh)
-        want = box_rows(box_oracle.decode_heads(maps, score_thresh))
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 is told from 0.0
+        assert_same_rows(got, oracle_rows(box_oracle.decode_heads(maps, score_thresh)))
 
 
 # hypothesis's explain phase re-runs a shrunk failure with each part varied, to
@@ -213,6 +219,11 @@ def scored_images(draw):
     return dets, gts
 
 
+def as_rows(images: dict) -> dict:
+    """The same images with each BoundingBox list as box rows."""
+    return {key: box_rows(boxes) for key, boxes in images.items()}
+
+
 class TestAveragePrecision:
     @settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
     @given(scored_images(), st.sampled_from([0.0, 0.3, 0.5, 0.75, 0.95, 1.0]))
@@ -221,6 +232,7 @@ class TestAveragePrecision:
         for cls in sorted({b.class_id for boxes in gts.values() for b in boxes}):
             got = average_precision(dets, gts, thresh, cls)
             assert got == box_oracle.average_precision(dets, gts, thresh, cls)
+            assert average_precision(as_rows(dets), as_rows(gts), thresh, cls) == got
 
     @settings(max_examples=100, deadline=None, phases=NO_EXPLAIN)
     @given(scored_images())
@@ -229,14 +241,22 @@ class TestAveragePrecision:
         if not any(gts.values()):
             with pytest.raises(ValueError):
                 coco_map(dets, gts)
+            with pytest.raises(ValueError):
+                coco_map(as_rows(dets), as_rows(gts))
             return
-        assert coco_map(dets, gts) == box_oracle.coco_map(dets, gts)
+        value = coco_map(dets, gts)
+        assert value == box_oracle.coco_map(dets, gts)
         table = ap_table(dets, gts)
         assert list(table) == sorted({b.class_id for boxes in gts.values() for b in boxes})
         for cls, aps in table.items():
             assert aps == [
                 box_oracle.average_precision(dets, gts, t, cls) for t in COCO_IOU_THRESHOLDS
             ]
+        # row detections, row ground truth or both: the same values, bit for bit
+        for row_dets, row_gts in ((as_rows(dets), gts), (dets, as_rows(gts)),
+                                  (as_rows(dets), as_rows(gts))):
+            assert coco_map(row_dets, row_gts) == value
+            assert ap_table(row_dets, row_gts) == table
 
     def test_recall_plateaus_and_precision_ties_match_oracle(self):
         """Ranked TP, FP, TP, FP, FP, TP over 4 ground truths, with score
@@ -257,6 +277,7 @@ class TestAveragePrecision:
         assert ap_table(dets, gts)[0] == [
             box_oracle.average_precision(dets, gts, t, 0) for t in COCO_IOU_THRESHOLDS
         ]
+        assert ap_table(as_rows(dets), gts) == ap_table(dets, gts)
 
     def test_no_ground_truth_for_class_rejected_like_oracle(self):
         gts = {"img": [BoundingBox(0, 0, 1, 1, class_id=1)]}

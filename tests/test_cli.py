@@ -119,6 +119,17 @@ class TestTrack:
                    "-o", str(tmp_path / "res.txt")])
         assert rc == 2
 
+    def test_mot_gate_is_not_a_track_config_key(self, tmp_path, capsys):
+        # eval-mot takes its gate from --mot-gate; track never read one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mot_gate = 0.99\n")
+        dets = tmp_path / "dets.txt"
+        dets.write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n")
+        rc = main(["track", "--detections", str(dets), "--config", str(cfg),
+                   "-o", str(tmp_path / "res.txt")])
+        assert rc == 2
+        assert "unknown key 'mot_gate'" in capsys.readouterr().err
+
     def test_class_filter_drops_everything_else(self, tmp_path):
         dets = tmp_path / "dets.txt"
         dets.write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n")  # MOT rows are class 0
@@ -552,10 +563,13 @@ class TestSimFifoCli:
             ("nodes", "folding", {"simd": 0, "pe": 1, "in_ch": 8, "out_ch": 8}),
             ("nodes", "folding", {}),
             ("nodes", "folding", False),
+            ("nodes", "outputs_per_frame", "x"),
+            ("nodes", "outputs_per_frame", 0),
         ],
         ids=["float_latency", "string_consume", "missing_id", "unknown_folding_key",
              "bool_produce", "float_depth", "folding_disagrees_with_latency", "zero_simd",
-             "empty_folding", "false_folding"],
+             "empty_folding", "false_folding", "string_outputs_per_frame",
+             "zero_outputs_per_frame"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, section, key, value):
         doc = fork_join_stream_graph().to_json_dict()

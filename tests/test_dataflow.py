@@ -156,6 +156,8 @@ class TestFromJson:
             {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [{"src": "a", "dst": "b", "id": 3}]},
             {"nodes": [{"id": "a", "folding": {}}]},
             {"nodes": [{"id": "a", "folding": False}]},
+            {"nodes": [{"id": "a", "outputs_per_frame": "x"}]},
+            {"nodes": [{"id": "a", "outputs_per_frame": 0}]},
         ],
     )
     def test_malformed_document_is_graph_error(self, doc):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 import box_oracle
 from conftest import translated
-from motkit.geometry import BoundingBox, corner_iou, iou_matrix
+from motkit.geometry import BoundingBox, box_rows, corner_iou, iou_matrix
 
 
 def boxes(min_size=0.0):
@@ -115,6 +116,58 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 1, 1, score=1.5)
 
+    def test_rejects_fractional_class_id(self):
+        with pytest.raises(ValueError, match="class id"):
+            BoundingBox(0, 0, 1, 1, class_id=0.5)
+        assert BoundingBox(0, 0, 1, 1, class_id=np.int64(3)).class_id == 3
+
+
+GOOD_ROW = (0.0, 0.0, 1.0, 1.0, 0.5, 0.0)
+
+
+class TestBoxRows:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (2.0, 0.0, 1.0, 1.0, 0.5, 0.0),
+            (0.0, 3.0, 1.0, 1.0, 0.5, 0.0),
+            (0.0, 0.0, math.nan, 1.0, 0.5, 0.0),
+            (math.nan, 0.0, 1.0, 1.0, 0.5, 0.0),
+            (0.0, 0.0, 1.0, 1.0, 1.5, 0.0),
+            (0.0, 0.0, 1.0, 1.0, math.nan, 0.0),
+            (0.0, 0.0, 1.0, 1.0, 0.5, 0.5),
+            (0.0, 0.0, 1.0, 1.0, 0.5, math.inf),
+        ],
+        ids=["inverted_x", "inverted_y", "nan_x_max", "nan_x_min", "score_1.5", "nan_score",
+             "class_0.5", "infinite_class"],
+    )
+    def test_rejects_what_bounding_box_rejects_with_its_message(self, row):
+        with pytest.raises(ValueError) as from_box:
+            BoundingBox(*row)
+        with pytest.raises(ValueError) as from_rows:
+            box_rows(np.array([GOOD_ROW, row, GOOD_ROW]))
+        assert str(from_rows.value) == str(from_box.value)
+
+    def test_first_bad_row_is_reported(self):
+        rows = np.array([GOOD_ROW, (2.0, 0.0, 1.0, 1.0, 0.5, 0.0), (5.0, 0.0, 1.0, 1.0, 0.5, 0.0)])
+        with pytest.raises(ValueError, match=r"^inverted corners: \(2\.0, 0\.0, 1\.0, 1\.0\)$"):
+            box_rows(rows)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (2, 7), (0,), (1, 1, 6)])
+    def test_rejects_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            box_rows(np.zeros(shape))
+
+    def test_list_and_array_give_the_same_rows(self):
+        boxes = [BoundingBox(0, 1, 2, 3, 0.25, 2), BoundingBox(-1, -1, 4, 5)]
+        rows = box_rows(boxes)
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [[0, 1, 2, 3, 0.25, 2], [-1, -1, 4, 5, 1.0, 0]]
+        assert box_rows(rows) is rows  # float64 rows pass through uncopied
+        assert box_rows(rows.astype(np.float32)).tolist() == rows.tolist()
+        assert box_rows(iter(boxes)).tolist() == rows.tolist()
+        assert box_rows([]).shape == box_rows(np.empty((0, 6))).shape == (0, 6)
+
 
 def test_iou_matrix_matches_pairwise():
     rows = [BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 4, 4)]
@@ -125,3 +178,4 @@ def test_iou_matrix_matches_pairwise():
         for j, c in enumerate(cols):
             assert m[i, j] == box_oracle.iou(r, c)
     assert iou_matrix([], cols).shape == (0, 3)
+    assert iou_matrix(box_rows(rows), box_rows(cols)).tolist() == m.tolist()

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import lap_oracle
 from motkit import synthetic
 from motkit.assignment import associate, solve_lap
-from motkit.geometry import BoundingBox, corner_array, iou_matrix
+from motkit.geometry import BoundingBox, box_rows, iou_matrix
 
 ENTRY_POOLS = {
     "binary": [0.0, 1.0],
@@ -143,7 +143,7 @@ def test_associate_matches_oracle(n_tracks, n_dets, iou_min, seed):
         return out
 
     tracks, dets = boxes(n_tracks), boxes(n_dets)
-    got = associate(corner_array(tracks), corner_array(dets), iou_min)
+    got = associate(box_rows(tracks)[:, :4], box_rows(dets)[:, :4], iou_min)
     want = lap_oracle.associate(tracks, dets, iou_min)
     assert [tuple(m) for m in got.matches.tolist()] == list(want.matches)
     assert tuple(got.unmatched_tracks.tolist()) == want.unmatched_tracks
@@ -154,7 +154,7 @@ def test_zero_gate_matches_disjoint_pairs():
     """At iou_min == 0 every solver pair is a match, zero-IoU pairs included."""
     tracks = [BoundingBox(0, 0, 10, 10), BoundingBox(100, 0, 110, 10)]
     dets = [BoundingBox(200, 200, 210, 210), BoundingBox(1, 1, 11, 11), BoundingBox(50, 50, 60, 60)]
-    got = associate(corner_array(tracks), corner_array(dets), iou_min=0.0)
+    got = associate(box_rows(tracks)[:, :4], box_rows(dets)[:, :4], iou_min=0.0)
     want = lap_oracle.associate(tracks, dets, iou_min=0.0)
     assert [tuple(m) for m in got.matches.tolist()] == list(want.matches) == [(0, 1), (1, 0)]
     assert got.unmatched_tracks.tolist() == []

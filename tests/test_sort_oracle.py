@@ -9,8 +9,10 @@ singular while an older track's is not, so one batched update mixes
 singular and regular rows. After every frame the reported ids, their
 order, class ids, scores, boxes and dropped_updates must equal the
 oracle's, and so must every live track's id, hits, time_since_update and
-filter state. The oracle associates with the frozen solver of
-``lap_oracle``, so the LAP is checked along with the tracker.
+filter state. A tracker fed the same frames as box rows must report exactly
+what the list-fed one does, and hold the same tracks. The oracle
+associates with the frozen solver of ``lap_oracle``, so the LAP is checked
+along with the tracker.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import sort_oracle
 from motkit import kalman, synthetic
-from motkit.geometry import BoundingBox
+from motkit.geometry import BoundingBox, box_rows
 from motkit.kalman import KalmanConfig
 from motkit.tracker import SortConfig, SortTracker
 
@@ -66,10 +68,16 @@ def assert_same_tracks(tracker, oracle):
 
 
 def run_both(config, frames):
-    """Step both trackers through `frames`, comparing after every frame."""
+    """Step both trackers through `frames`, comparing after every frame. A
+    third tracker steps on the box rows of the same frames and must report
+    exactly what the BoundingBox list input does."""
     tracker, oracle = SortTracker(config), sort_oracle.SortTracker(config)
+    from_rows = SortTracker(config)
     for frame, dets in enumerate(frames, 1):
         got, want = tracker.step(dets, frame), oracle.step(dets, frame)
+        assert from_rows.step(box_rows(dets), frame) == got
+        assert from_rows.dropped_updates == tracker.dropped_updates
+        assert_same_tracks(from_rows, oracle)
         assert [(tid, cls) for tid, _, cls in got] == [(tid, cls) for tid, _, cls in want]
         for (_, box, _), (_, ref, _) in zip(got, want):
             assert (box.score, box.class_id) == (ref.score, ref.class_id)

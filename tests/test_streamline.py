@@ -313,6 +313,25 @@ class TestWorklist:
         assert visited == ["a", "c", "b"]
 
 
+class TestReroute:
+    @pytest.mark.parametrize(
+        "ends", [{"src": "zzz"}, {"dst": "zzz"}, {"src": "b", "dst": "zzz"}],
+        ids=["unknown_src", "unknown_dst", "known_src_unknown_dst"],
+    )
+    def test_unknown_end_refused_and_graph_unchanged(self, ends):
+        g = OpGraph()
+        for nid in ("a", "b"):
+            g.add_node(nid, "Mul", scale=1.0)
+        edge = g.connect("a", "b")
+        before = g.canonical_json()
+        with pytest.raises(GraphError, match="zzz"):
+            g.reroute(edge, **ends)
+        assert g.canonical_json() == before
+        assert (edge.src, edge.dst) == ("a", "b")
+        assert [g.out_edges(n) for n in ("a", "b")] == [[edge], []]
+        assert [g.in_edges(n) for n in ("a", "b")] == [[], [edge]]
+
+
 class TestForkJoinPasses:
     def test_fork_copies_affine_onto_each_branch(self):
         g = fork_join_graph()
