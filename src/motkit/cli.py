@@ -17,28 +17,22 @@ import numpy as np
 from . import io as mio
 from . import metrics, streamline
 from . import dataflow as df
-from .decode import HeadMap, decode_heads, nms, reduce_dfl
+from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH, HeadMap, decode_heads, nms, reduce_dfl
 from .geometry import box_rows
 from .synthetic import generate_sequence
 from .tracker import SortConfig, SortTracker
 
 _HEADMAP_RE = re.compile(r"frame(\d+)_stride(8|16|32)\.tnsr$")
 
-_DEFAULTS = {
-    "score_thresh": 0.25,
-    "nms_iou": 0.45,
-    "iou_min": 0.3,
-    "max_age": 1,
-    "min_hits": 3,
-}
-
 
 def _settings(args) -> dict:
     """defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
+    sort = SortConfig()
+    merged = {"score_thresh": DEFAULT_SCORE_THRESH, "nms_iou": DEFAULT_NMS_IOU,
+              "iou_min": sort.iou_min, "max_age": sort.max_age, "min_hits": sort.min_hits}
     if getattr(args, "config", None):
         merged.update(mio.read_run_config(args.config))
-    for key in _DEFAULTS:
+    for key in merged:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -57,6 +51,8 @@ def _headmap_paths(directory: str) -> dict[int, list[Path]]:
         raise ValueError(f"no frame*_stride*.tnsr files in {directory}")
     frames = {}
     for frame, paths in sorted(by_frame.items()):
+        if frame < 1:
+            raise ValueError(f"{directory}: frame must be >= 1, got {frame}")
         if sorted(paths) != [8, 16, 32]:
             raise ValueError(f"frame {frame}: need strides 8,16,32, got {sorted(paths)}")
         frames[frame] = [paths[8], paths[16], paths[32]]
@@ -181,13 +177,9 @@ def cmd_streamline(args) -> int:
     graph = streamline.load_graph(args.graph)
     graph.validate()
     diagnostics: list[str] = []
-    if args.passes:
-        passes = {p.__name__.removeprefix("pass_"): p for p in streamline.PASS_PIPELINE}
-        for name in args.passes.split(","):
-            name = name.strip()
-            if name not in passes:
-                raise ValueError(f"unknown pass {name!r}; choose from {sorted(passes)}")
-            passes[name](graph, diagnostics)
+    if args.passes is not None:
+        names = [name.strip() for name in args.passes.split(",")]
+        streamline.apply_passes(graph, names, diagnostics)
     else:
         graph = streamline.run_pipeline(graph, diagnostics=diagnostics)
     streamline.save_graph(graph, args.output)
@@ -293,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("streamline", help="normalize a quantized conv graph")
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--passes", help="comma-separated pass names (default: full pipeline)")
+    p.add_argument("--passes", help="comma-separated pass names, run in the given order, "
+                   f"from {', '.join(streamline.PASSES)} (default: full pipeline)")
     p.add_argument("--scale-groups", help="JSON list of {tag, edges} shared-scale groups")
     p.set_defaults(func=cmd_streamline)
 

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Boxes, box_rows, corner_iou
+from .io import check_int
 
 EXPECTED_STRIDES = (8, 16, 32)
 REGRESSION_CHANNELS = 4
 DEFAULT_NUM_BINS = 16
+DEFAULT_SCORE_THRESH = 0.25
+DEFAULT_NMS_IOU = 0.45
 # Rows per nms block. Small enough that a block spanning several classes
 # wastes little IoU work on pairs of different classes, and that nms's
 # temporaries stay a few 64 x N arrays rather than one N x N.
@@ -64,8 +67,9 @@ def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray
 
     The first 4*B channels hold four bin distributions (side-major layout:
     channel side*B + bin); each is replaced by its expectation. Class
-    channels pass through untouched.
+    channels pass through untouched. num_bins is an integer >= 1.
     """
+    check_int("num_bins", num_bins, 1, ValueError)
     c, h, w = data.shape
     if c <= 4 * num_bins:
         raise ValueError(f"{c} channels cannot hold 4*{num_bins} bins plus classes")
@@ -78,7 +82,7 @@ def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray
     return np.concatenate([expected, data[4 * num_bins :]], axis=0)
 
 
-def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> np.ndarray:
+def decode_heads(maps: list[HeadMap], score_thresh: float = DEFAULT_SCORE_THRESH) -> np.ndarray:
     """Turn head maps into scored, clipped candidate rows, stride by stride
     in row-major cell order.
 
@@ -121,7 +125,7 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> np.ndarray:
     return box_rows(np.concatenate(rows))
 
 
-def nms(boxes: Boxes, iou_thresh: float = 0.45, class_aware: bool = True) -> np.ndarray:
+def nms(boxes: Boxes, iou_thresh: float = DEFAULT_NMS_IOU, class_aware: bool = True) -> np.ndarray:
     """Greedy descending-score suppression.
 
     A box is dropped when its IoU with an already-kept box (of the same

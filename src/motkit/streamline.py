@@ -10,11 +10,12 @@ absorbed into MultiThreshold nodes or parked as the final output scale:
   * fold an affine directly preceding a MultiThreshold into its thresholds.
 
 Every pass preserves the reference interpreter's output exactly; the
-interpreter doubles as the equivalence oracle in tests. A pass rewrites its
-graph in place; ``run_pipeline`` copies its input once, as FINN's
-``ModelWrapper.transform`` does, and streamlines the copy with one worklist
-that tries all four rewrites at each site. Graphs serialize to a plain JSON
-document so fixtures and golden files stay language agnostic.
+interpreter doubles as the equivalence oracle in tests. ``PASSES`` lists the
+passes in pipeline order, each as a site check and the node kinds it is tried
+at. ``apply_passes`` runs named passes in place; ``run_pipeline`` copies its
+input once, as FINN's ``ModelWrapper.transform`` does, and streamlines the
+copy with one worklist that tries every pass at each site. Graphs serialize to
+a plain JSON document so fixtures and golden files stay language agnostic.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ _SINGLE_INPUT_KINDS = frozenset(
 
 _ARRAY_ATTRS = {"weights", "thresholds"}
 
-_AFFINE_KINDS = frozenset({"Mul", "Add"})  # the sites of absorb and push-through-fork
-_SCALE_KINDS = frozenset({"Mul"})  # the sites of move-past-conv
-_JOIN_KINDS = frozenset({"Concat", "EltwiseAdd"})  # the sites of merge-at-join
+_AFFINE_KINDS = frozenset({"Mul", "Add"})
+_JOIN_KINDS = frozenset({"Concat", "EltwiseAdd"})
 
 # attrs that interpret and the passes read from each kind of node
 _REQUIRED_ATTRS = {
@@ -451,21 +451,26 @@ def _insert_after(g: OpGraph, node_id: str, kind: str, attrs: dict) -> Node:
     return new
 
 
-def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite, kinds=NODE_KINDS) -> bool:
-    """Apply `rewrite(g, node, notes)` (True when it rewrote) until no site is
-    left, driven by a heap worklist keyed by node insertion rank. `rewrite` is
-    one pass's site check, or for run_pipeline all four in turn.
+def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, checks) -> bool:
+    """Rewrite g in place until no site is left; True if it changed g.
+    `checks` holds (check, kinds) pairs: ``check(g, node, notes)`` is True
+    when it rewrote at `node`, and is only tried at nodes of `kinds`. At each
+    node the checks of its kind are tried in order until one rewrites.
 
-    The heap holds only nodes of `kinds`, the kinds `rewrite` can rewrite or
-    note. It starts with every such node and always yields the lowest-ranked
-    one, so rewrites happen at the same sites, in the same order and with the
-    same fresh ids as rescanning the whole graph after every rewrite would. A
-    site's verdict depends only on its own edges, its neighbours' kinds and
-    attrs, and, for a join, its producers' out-degree. So after a rewrite only
-    the nodes it added or attached an edge end to (``OpGraph._touched``), and
-    their consumers, go back on the heap. `notes` is an ordered set: each
-    skipped site is reported once, in the order a rescan would first meet it."""
-    rank = {nid: i for i, (nid, node) in enumerate(g.nodes.items()) if node.kind in kinds}
+    A heap worklist keyed by node insertion rank starts with every node of a
+    checked kind and always yields the lowest-ranked one, so rewrites happen
+    at the same sites, in the same order and with the same fresh ids as
+    rescanning the whole graph after every rewrite would. A site's verdict
+    depends only on its own edges, its neighbours' kinds and attrs, and, for a
+    join, its producers' out-degree. So after a rewrite only the nodes it
+    added or attached an edge end to (``OpGraph._touched``), and their
+    consumers, go back on the heap. `notes` is an ordered set: each skipped
+    site is reported once, in the order a rescan would first meet it."""
+    by_kind: dict[str, list] = {}
+    for check, kinds in checks:
+        for kind in kinds:
+            by_kind.setdefault(kind, []).append(check)
+    rank = {nid: i for i, (nid, node) in enumerate(g.nodes.items()) if node.kind in by_kind}
     heap = [(i, nid) for nid, i in rank.items()]  # sorted, so already a heap
     queued = set(rank.values())
     next_rank = len(g.nodes)
@@ -476,19 +481,19 @@ def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite, kinds=NO
         while heap:
             r, nid = heapq.heappop(heap)
             queued.discard(r)
-            node = g.nodes.get(nid)
             # a stale rank belongs to a removed node whose id came back
-            if node is None or rank[nid] != r or not rewrite(g, node, notes):
+            node = g.nodes.get(nid) if rank[nid] == r else None
+            if node is None or not any(c(g, node, notes) for c in by_kind[node.kind]):
                 continue
             changed = True
             dirty = [t for t in touched if t in g.nodes]
             for t in dirty:
-                if touched[t] and g.nodes[t].kind in kinds:  # new: after every older node
+                if touched[t]:  # new: after every older node
                     rank[t] = next_rank
                     next_rank += 1
             dirty += [g.edges[eid].dst for t in dirty for eid in g._outs[t]]
             for t in dirty:
-                if g.nodes[t].kind in kinds and rank[t] not in queued:
+                if g.nodes[t].kind in by_kind and rank[t] not in queued:
                     queued.add(rank[t])
                     heapq.heappush(heap, (rank[t], t))
             touched.clear()
@@ -500,18 +505,13 @@ def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, rewrite, kinds=NO
 
 
 # -- passes -------------------------------------------------------------------
-# Each pass rewrites g in place to its own fixed point; True if it changed it.
-
-
-def pass_absorb_affine(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
-    """Fold Mul/Add nodes directly preceding a MultiThreshold into its
-    thresholds (t <- (t - b) / a) and drop them from the graph."""
-    return _to_fixed_point(g, diagnostics, _absorb_affine_at, _AFFINE_KINDS)
+# A pass is a site check and the node kinds it is tried at, one row of PASSES.
+# A check rewrites g in place at one node, returning True, or leaves it alone.
 
 
 def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    if node.kind not in _AFFINE_KINDS:
-        return False
+    """Fold a Mul/Add directly preceding a MultiThreshold into its thresholds
+    (t <- (t - b) / a) and drop it from the graph."""
     outs = g.out_edges(node.id)
     if len(outs) != 1:
         return False
@@ -528,16 +528,10 @@ def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
     return True
 
 
-def pass_move_scale_past_conv(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
+def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
     """Relocate a scalar Mul from before a Conv to after it (exact by
     linearity). Per-channel scales that actually differ would mix under the
     convolution, so those sites are skipped with a diagnostic."""
-    return _to_fixed_point(g, diagnostics, _move_scale_past_conv_at, _SCALE_KINDS)
-
-
-def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    if node.kind not in _SCALE_KINDS:
-        return False
     outs = g.out_edges(node.id)
     if len(outs) != 1 or g.nodes[outs[0].dst].kind != "Conv":
         return False
@@ -555,15 +549,9 @@ def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> 
     return True
 
 
-def pass_push_affine_through_fork(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
+def _push_affine_through_fork_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
     """Copy an affine node feeding a fork (output fanout >= 2) onto the head
     of each branch so it can keep moving down independently."""
-    return _to_fixed_point(g, diagnostics, _push_affine_through_fork_at, _AFFINE_KINDS)
-
-
-def _push_affine_through_fork_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    if node.kind not in _AFFINE_KINDS:
-        return False
     outs = g.out_edges(node.id)
     if len(outs) < 2:
         return False
@@ -577,17 +565,11 @@ def _push_affine_through_fork_at(g: OpGraph, node: Node, notes: dict[str, None])
     return True
 
 
-def pass_merge_affine_at_join(g: OpGraph, diagnostics: list[str] | None = None) -> bool:
+def _merge_affine_at_join_at(g: OpGraph, join: Node, notes: dict[str, None]) -> bool:
     """Move one shared affine past a join (Concat/EltwiseAdd) when every
     input carries a bit-identical copy; mismatching branches are reported
     and left alone (the training-time shared-scale constraint is what would
     make them identical)."""
-    return _to_fixed_point(g, diagnostics, _merge_affine_at_join_at, _JOIN_KINDS)
-
-
-def _merge_affine_at_join_at(g: OpGraph, join: Node, notes: dict[str, None]) -> bool:
-    if join.kind not in _JOIN_KINDS:
-        return False
     ins = g.in_edges(join.id)
     srcs = [g.nodes[e.src] for e in ins]
     if not all(s.kind in _AFFINE_KINDS for s in srcs):
@@ -622,34 +604,33 @@ def _merge_affine_at_join_at(g: OpGraph, join: Node, notes: dict[str, None]) -> 
     return True
 
 
-PASS_PIPELINE = (
-    pass_move_scale_past_conv,
-    pass_push_affine_through_fork,
-    pass_merge_affine_at_join,
-    pass_absorb_affine,
-)
+PASSES = {  # pipeline order; at most one applies at a node
+    "move_scale_past_conv": (_move_scale_past_conv_at, frozenset({"Mul"})),
+    "push_affine_through_fork": (_push_affine_through_fork_at, _AFFINE_KINDS),
+    "merge_affine_at_join": (_merge_affine_at_join_at, _JOIN_KINDS),
+    "absorb_affine": (_absorb_affine_at, _AFFINE_KINDS),
+}
 
 
-def _streamline_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
-    """PASS_PIPELINE's site checks in its order; at most one applies at a node
-    (a Mul into a Conv, a fork, a join, an affine into a MultiThreshold)."""
-    return (
-        _move_scale_past_conv_at(g, node, notes)
-        or _push_affine_through_fork_at(g, node, notes)
-        or _merge_affine_at_join_at(g, node, notes)
-        or _absorb_affine_at(g, node, notes)
-    )
+def apply_passes(g: OpGraph, names: list[str], diagnostics: list[str] | None = None) -> bool:
+    """Run the named passes in place, in the given order, each to its own
+    fixed point; True if any changed g. Every name is checked before g is."""
+    for name in names:
+        if name not in PASSES:
+            raise ValueError(f"unknown pass {name!r}; choose from {sorted(PASSES)}")
+    changed = [_to_fixed_point(g, diagnostics, [PASSES[name]]) for name in names]
+    return any(changed)
 
 
 def run_pipeline(g: OpGraph, diagnostics: list[str] | None = None) -> OpGraph:
     """Streamline a copy of `g`, leaving `g` untouched, with one worklist for
-    all four site checks: rewrites, fresh ids, diagnostics and errors are those
-    of rescanning from the first node after every rewrite. It ends, as each
+    all of PASSES: rewrites, fresh ids, diagnostics and errors are those of
+    rescanning from the first node after every rewrite. It ends, as each
     rewrite removes an affine (absorb), moves one strictly past a Conv or a
     join (move, merge), or splits a fork's affine into copies of out-degree 1,
     which cannot fork again until a move gives them new consumers."""
     g = g.copy()
-    _to_fixed_point(g, diagnostics, _streamline_at, _AFFINE_KINDS | _JOIN_KINDS)
+    _to_fixed_point(g, diagnostics, PASSES.values())
     return g
 
 

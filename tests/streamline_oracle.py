@@ -476,18 +476,19 @@ def rescan_pipeline(g, diagnostics: list[str] | None = None):
     """Reference for ``motkit.streamline.run_pipeline`` on its own ``OpGraph``:
     after every rewrite, scan the graph again from its first node, trying the
     live site checks of the four passes at each node in ``PASS_PIPELINE``
-    order, until a scan rewrites nothing. Each noted site is reported once, in
+    order, each only at nodes of its kinds in ``motkit.streamline.PASSES``,
+    until a scan rewrites nothing. Each noted site is reported once, in
     first-seen order, also when a rewrite raises."""
-    sites = (
-        streamline._move_scale_past_conv_at,
-        streamline._push_affine_through_fork_at,
-        streamline._merge_affine_at_join_at,
-        streamline._absorb_affine_at,
-    )
+    sites = [streamline.PASSES[p.__name__.removeprefix("pass_")] for p in PASS_PIPELINE]
     g = g.copy()
     notes: dict[str, None] = {}
     try:
-        while any(site(g, node, notes) for node in list(g.nodes.values()) for site in sites):
+        while any(
+            check(g, node, notes)
+            for node in list(g.nodes.values())
+            for check, kinds in sites
+            if node.kind in kinds
+        ):
             pass
     finally:
         if diagnostics is not None:

@@ -16,13 +16,7 @@ from motkit.cli import main
 from motkit.dataflow import save_stream_graph
 from motkit.io import read_mot, write_tensor
 from motkit.metrics import COCO_IOU_THRESHOLDS
-from motkit.streamline import (
-    PASS_PIPELINE,
-    load_graph,
-    pass_move_scale_past_conv,
-    run_pipeline,
-    save_graph,
-)
+from motkit.streamline import PASSES, apply_passes, load_graph, run_pipeline, save_graph
 
 GOLDEN_DETS = """\
 1,-1,100,100,40,40,0.9,-1,-1,-1
@@ -109,6 +103,13 @@ class TestTrack:
                    "-o", str(res)])
         assert rc == 0
         assert len(read_mot(res)[1]) == 1  # min_hits=1 reports immediately
+
+    def test_run_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["track", "--synthetic", "1", "2", "0", "0",
+                                              "-o", "res.txt"])
+        assert cli._settings(args) == {
+            "score_thresh": 0.25, "nms_iou": 0.45, "iou_min": 0.3, "max_age": 1, "min_hits": 3,
+        }
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -272,6 +273,31 @@ class TestDecode:
         assert captured.out == ""
         assert captured.err.startswith("error: inverted corners: (nan,")
 
+    def test_decode_negative_dfl_bins_exits_two(self, tmp_path, capsys):
+        """-1 bins would read an 8-channel map as four empty distributions
+        plus four classes, and decode every box with zero extent."""
+        paths = []
+        for stride in (8, 16, 32):
+            data = np.zeros((8, 32 // stride, 32 // stride), dtype=np.float32)
+            path = tmp_path / f"s{stride}.tnsr"
+            write_tensor(data, path)
+            paths.append(str(path))
+        assert main(["decode", "--maps", *paths, "--dfl-bins", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: num_bins must be an integer >= 1, got -1\n"
+
+    def test_track_head_map_frame_zero_exits_two(self, tmp_path, capsys):
+        """Frames count from 1, as in MOT files: a frame-0 dump is refused,
+        not decoded and then skipped by the step loop."""
+        for stride in (8, 16, 32):
+            data = np.full((84, 32 // stride, 32 // stride), -1e4, dtype=np.float32)
+            write_tensor(data, tmp_path / f"frame0000_stride{stride}.tnsr")
+        res = tmp_path / "res.txt"
+        assert main(["track", "--head-maps", str(tmp_path), "-o", str(res)]) == 2
+        assert "frame must be >= 1, got 0" in capsys.readouterr().err
+        assert not res.exists()
+
     def test_track_from_head_map_directory(self, tmp_path):
         for frame in (1, 2, 3):
             for stride in (8, 16, 32):
@@ -383,7 +409,7 @@ class TestStreamlineCli:
         assert len(err) == 1 and err[0].startswith("node m0: per-channel scale")
         expected = load_graph(src)
         if passes:
-            pass_move_scale_past_conv(expected)
+            apply_passes(expected, [passes])
         else:
             expected = run_pipeline(expected)
         assert load_graph(out).canonical_json() == expected.canonical_json()
@@ -412,12 +438,21 @@ class TestStreamlineCli:
                    "--passes", "frobnicate"])
         assert rc == 2
 
+    @pytest.mark.parametrize("passes", ["", "absorb_affine,"])
+    def test_empty_pass_name_rejected(self, tmp_path, capsys, passes):
+        """An empty --passes names no pass; it does not fall back to the
+        full pipeline."""
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        save_graph(conv_block_graph(), src)
+        assert main(["streamline", str(src), "-o", str(out), "--passes", passes]) == 2
+        assert "unknown pass ''" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_passes_named_after_pass_pipeline(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         out = str(tmp_path / "out.json")
         save_graph(conv_block_graph(), src)
-        names = [p.__name__.removeprefix("pass_") for p in PASS_PIPELINE]
+        names = list(PASSES)
         for name in names:
             assert main(["streamline", str(src), "-o", out, "--passes", name]) == 0
         capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,15 @@ def test_reduce_dfl_collapses_bins_to_expectations():
                 expected = dfl_expect(raw[side * bins : (side + 1) * bins, y, x])
                 assert reduced[side, y, x] == pytest.approx(expected)
     assert np.array_equal(reduced[4:], raw[4 * bins :])
+
+
+@pytest.mark.parametrize("bins", [-1, 0, 2.0])
+def test_reduce_dfl_rejects_bin_counts_that_are_not_integers_from_one(bins):
+    """With -1 bins an 8-channel map would pass the channel check and come
+    back with every distance 0."""
+    message = f"num_bins must be an integer >= 1, got {bins!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reduce_dfl(np.zeros((8, 2, 2)), bins)
 
 
 class TestDecodeHeads:

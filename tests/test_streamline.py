@@ -10,11 +10,9 @@ from motkit.streamline import (
     OpGraph,
     ScaleGroup,
     interpret,
+    PASSES,
+    apply_passes,
     load_graph,
-    pass_absorb_affine,
-    pass_merge_affine_at_join,
-    pass_move_scale_past_conv,
-    pass_push_affine_through_fork,
     run_pipeline,
     save_graph,
     validate_scale_groups,
@@ -145,7 +143,7 @@ class TestAbsorbAffine:
         for src, dst in (("in", "m"), ("m", "a"), ("a", "mt"), ("mt", "out")):
             g.connect(src, dst)
         g2 = g.copy()
-        pass_absorb_affine(g2)
+        apply_passes(g2, ["absorb_affine"])
         kinds = sorted(n.kind for n in g2.nodes.values())
         assert kinds == ["Input", "MultiThreshold", "Output"]
         mt = next(n for n in g2.nodes.values() if n.kind == "MultiThreshold")
@@ -161,7 +159,7 @@ class TestAbsorbAffine:
         for src, dst in (("in", "m"), ("m", "mt"), ("mt", "out")):
             g.connect(src, dst)
         g2 = g.copy()
-        pass_absorb_affine(g2)
+        apply_passes(g2, ["absorb_affine"])
         mt = next(n for n in g2.nodes.values() if n.kind == "MultiThreshold")
         assert np.array_equal(mt.attrs["thresholds"], [[0.0, 2.0, 4.0]])
 
@@ -174,7 +172,7 @@ class TestAbsorbAffine:
         for src, dst in (("in", "bad_mul"), ("bad_mul", "mt"), ("mt", "out")):
             g.connect(src, dst)
         with pytest.raises(GraphError, match="bad_mul"):
-            pass_absorb_affine(g)
+            apply_passes(g, ["absorb_affine"])
 
     def test_descending_thresholds_refused_even_if_absorbing_overflows(self):
         """Absorbing Mul(1e-10) would map these to inf, inf, inf, which no longer
@@ -209,7 +207,7 @@ class TestAbsorbAffine:
             g.connect(prev, "mt")
             g.connect("mt", "out")
             g2 = g.copy()
-            pass_absorb_affine(g2)
+            apply_passes(g2, ["absorb_affine"])
             assert sorted(n.kind for n in g2.nodes.values()) == ["Input", "MultiThreshold", "Output"]
             assert_graphs_equivalent(g, g2, shape=(1, 4, 4), trials=16, seed=trial)
 
@@ -228,7 +226,7 @@ class TestMoveScalePastConv:
     def test_scalar_scale_moves_and_stays_equivalent(self):
         g = self._mul_conv_graph(0.5)
         g2 = g.copy()
-        pass_move_scale_past_conv(g2)
+        apply_passes(g2, ["move_scale_past_conv"])
         order = [g2.nodes[nid].kind for nid in g2.topo_order()]
         assert order == ["Input", "Conv", "Mul", "Output"]
         assert_graphs_equivalent(g, g2, shape=(1, 4, 4))
@@ -236,7 +234,7 @@ class TestMoveScalePastConv:
     def test_uniform_per_channel_treated_as_scalar(self):
         g = self._mul_conv_graph([0.5])
         g2 = g.copy()
-        pass_move_scale_past_conv(g2)
+        apply_passes(g2, ["move_scale_past_conv"])
         assert [g2.nodes[nid].kind for nid in g2.topo_order()] == [
             "Input", "Conv", "Mul", "Output",
         ]
@@ -251,7 +249,7 @@ class TestMoveScalePastConv:
             g.connect(src, dst)
         diags = []
         g2 = g.copy()
-        pass_move_scale_past_conv(g2, diags)
+        apply_passes(g2, ["move_scale_past_conv"], diags)
         assert g2.canonical_json() == g.canonical_json()
         assert len(diags) == 1 and "per-channel" in diags[0]
 
@@ -259,7 +257,7 @@ class TestMoveScalePastConv:
     def test_skipped_site_reported_once_across_rescans(self):
         g = mul_conv_chain_graph()
         diags = []
-        assert pass_move_scale_past_conv(g, diags)
+        assert apply_passes(g, ["move_scale_past_conv"], diags)
         assert diags == [
             "node m0: per-channel scale before Conv conv0 is not uniform; "
             "cannot move past a channel-mixing op"
@@ -280,14 +278,15 @@ class TestWorklist:
                                ("q", "join", 1), ("join", "out", 0), ("p", "tap", 0)):
             g.connect(src, dst, dst_in=slot)
 
-        def move_tap_then_merge(g, node, notes):
+        def move_tap(g, node, notes):
             tap_edge = g.in_edges("tap")[0]
             if node.id == "tap" and tap_edge.src == "p":
                 g.reroute(tap_edge, src="in")  # ranks after join, frees p
                 return True
-            return streamline._merge_affine_at_join_at(g, node, notes)
+            return False
 
-        assert streamline._to_fixed_point(g, None, move_tap_then_merge)
+        checks = [(move_tap, {"Output"}), (streamline._merge_affine_at_join_at, {"Concat"})]
+        assert streamline._to_fixed_point(g, None, checks)
         assert "p" not in g.nodes and "q" not in g.nodes
         (merged,) = [e.dst for e in g.out_edges("join")]
         assert g.nodes[merged].kind == "Mul" and g._touched is None
@@ -309,7 +308,7 @@ class TestWorklist:
                 g.add_node("b", "Mul", scale=1.0, new=True)
             return True
 
-        assert streamline._to_fixed_point(g, None, rewrite)
+        assert streamline._to_fixed_point(g, None, [(rewrite, {"Mul"})])
         assert visited == ["a", "c", "b"]
 
 
@@ -336,10 +335,23 @@ class TestForkJoinPasses:
     def test_fork_copies_affine_onto_each_branch(self):
         g = fork_join_graph()
         g2 = g.copy()
-        pass_push_affine_through_fork(g2)
+        apply_passes(g2, ["push_affine_through_fork"])
         muls = [n for n in g2.nodes.values() if n.kind == "Mul"]
         assert len(muls) == 2
         assert_graphs_equivalent(g, g2, shape=(2, 3, 3))
+
+    def test_fork_copies_add_onto_each_branch(self):
+        g = OpGraph()
+        for nid, kind in (("in", "Input"), ("a", "Add"), ("o1", "Output"), ("o2", "Output")):
+            g.add_node(nid, kind, **({"bias": 1.0} if kind == "Add" else {}))
+        for src, dst in (("in", "a"), ("a", "o1"), ("a", "o2")):
+            g.connect(src, dst)
+        g2 = g.copy()
+        assert apply_passes(g2, ["push_affine_through_fork"])
+        adds = [n for n in g2.nodes.values() if n.kind == "Add"]
+        assert len(adds) == 2 and all(len(g2.out_edges(n.id)) == 1 for n in adds)
+        x = np.arange(4.0).reshape(1, 2, 2)
+        assert all(np.array_equal(v, x + 1.0) for v in interpret(g2, x).values())
 
     def test_join_with_identical_muls_merges_to_one(self):
         g = OpGraph()
@@ -354,7 +366,7 @@ class TestForkJoinPasses:
         g.connect("m2", "join", dst_in=1)
         g.connect("join", "out")
         g2 = g.copy()
-        pass_merge_affine_at_join(g2)
+        apply_passes(g2, ["merge_affine_at_join"])
         muls = [n for n in g2.nodes.values() if n.kind == "Mul"]
         assert len(muls) == 1
         order = [g2.nodes[nid].kind for nid in g2.topo_order()]
@@ -375,7 +387,7 @@ class TestForkJoinPasses:
         g.connect("join", "out")
         diags = []
         g2 = g.copy()
-        pass_merge_affine_at_join(g2, diags)
+        apply_passes(g2, ["merge_affine_at_join"], diags)
         assert g2.canonical_json() == g.canonical_json()
         assert len(diags) == 1
 
@@ -394,11 +406,30 @@ class TestForkJoinPasses:
         g.connect("m2", "join", dst_in=1)
         g.connect("join", "out")
         g2 = g.copy()
-        pass_merge_affine_at_join(g2)
+        apply_passes(g2, ["merge_affine_at_join"])
         muls = [n for n in g2.nodes.values() if n.kind == "Mul"]
         assert len(muls) == 1
         assert list(np.asarray(muls[0].attrs["scale"])) == [0.5, 0.5]
         assert_graphs_equivalent(g, g2, shape=(2, 3, 3))
+
+
+class TestApplyPasses:
+    def test_unknown_name_raises_before_any_rewrite(self):
+        g = conv_block_graph()
+        assert apply_passes(g.copy(), ["absorb_affine"])
+        before = g.canonical_json()
+        with pytest.raises(ValueError, match="unknown pass 'frobnicate'; choose from"):
+            apply_passes(g, ["absorb_affine", "frobnicate"])
+        assert g.canonical_json() == before
+
+    def test_passes_run_in_the_given_order(self):
+        """Moving the input scale past the Conv first lets absorb fold it into
+        the thresholds; absorbing first leaves it in front of them."""
+        g = conv_block_graph()
+        moved_first, absorbed_first = g.copy(), g.copy()
+        apply_passes(moved_first, ["move_scale_past_conv", "absorb_affine"])
+        apply_passes(absorbed_first, ["absorb_affine", "move_scale_past_conv"])
+        assert moved_first.canonical_json() != absorbed_first.canonical_json()
 
 
 class TestPipeline:
@@ -419,16 +450,11 @@ class TestPipeline:
 
     def test_passes_idempotent(self):
         g = conv_block_graph()
-        for p in (
-            pass_move_scale_past_conv,
-            pass_push_affine_through_fork,
-            pass_merge_affine_at_join,
-            pass_absorb_affine,
-        ):
+        for name in PASSES:
             once = g.copy()
-            p(once)
+            apply_passes(once, [name])
             twice = once.copy()
-            p(twice)
+            apply_passes(twice, [name])
             assert once.canonical_json() == twice.canonical_json()
 
     def test_pipeline_preserves_acyclicity_and_validity(self):
@@ -516,7 +542,7 @@ class TestCopiesIndependent:
         pre = g.nodes["pre"].attrs
         pre.update(scale=np.array([0.5, 0.5]), meta={"tags": [1, [2]]})
         before = attrs_json(pre)
-        pass_push_affine_through_fork(g)
+        apply_passes(g, ["push_affine_through_fork"])
         branches = [n.attrs for n in g.nodes.values() if n.kind == "Mul"]
         assert len(branches) == 3
         for i, attrs in enumerate(branches):

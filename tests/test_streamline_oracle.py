@@ -264,24 +264,25 @@ def check_pipeline(g_new, g_old, x):
 
 def check_passes(g_new, g_old, x, rounds: int = 2):
     """Each pass alone on the unstreamlined graph, then the pipeline's passes
-    in order, checking after every call."""
-    pairs = list(zip(streamline.PASS_PIPELINE, oracle.PASS_PIPELINE))
-    for new_pass, old_pass in pairs:
-        check_pass(g_new.copy(), g_old, x, new_pass, old_pass)
+    in order, checking after every call. ``PASSES`` names the oracle's
+    passes, in the oracle's order."""
+    pairs = [(p.__name__.removeprefix("pass_"), p) for p in oracle.PASS_PIPELINE]
+    assert list(streamline.PASSES) == [name for name, _ in pairs]
+    for name, old_pass in pairs:
+        check_pass(g_new.copy(), g_old, x, name, old_pass)
     for _ in range(rounds):
-        for new_pass, old_pass in pairs:
-            g_old = check_pass(g_new, g_old, x, new_pass, old_pass)
+        for name, old_pass in pairs:
+            g_old = check_pass(g_new, g_old, x, name, old_pass)
             if g_old is None:
                 return
 
 
-def check_pass(g_new, g_old, x, new_pass, old_pass):
-    """Run new_pass in place on g_new and old_pass on g_old; return the
-    oracle's graph, or None after the same GraphError."""
-    assert new_pass.__name__ == old_pass.__name__
+def check_pass(g_new, g_old, x, name, old_pass):
+    """Run the pass called `name` in place on g_new and old_pass on g_old;
+    return the oracle's graph, or None after the same GraphError."""
     before = g_new.canonical_json()
     d_new, d_old = [], []
-    changed, err_new = outcome(new_pass, g_new, d_new)
+    changed, err_new = outcome(streamline.apply_passes, g_new, [name], d_new)
     out_old, err_old = outcome(old_pass, g_old, d_old)
     assert err_new == err_old
     if err_old is not None:
@@ -349,22 +350,30 @@ CHECKS_PER_REWRITE = 12
 
 @contextlib.contextmanager
 def counted_sites():
-    """Count run_pipeline's site checks (calls of its joint site function)
-    and the rewrites among them."""
+    """Count run_pipeline's site checks (node visits: calls of the first
+    check of a node's kind) and the rewrites among them."""
     counts = Counter()
-    site = streamline._streamline_at
+    passes = streamline.PASSES
+    first = {}
+    for name, (_, kinds) in passes.items():
+        for kind in kinds:
+            first.setdefault(kind, name)
 
-    def counted(g, node, notes):
-        counts["checks"] += 1
-        rewrote = site(g, node, notes)
-        counts["rewrites"] += rewrote
-        return rewrote
+    def counted(name, check):
+        def wrapped(g, node, notes):
+            counts["checks"] += first[node.kind] == name
+            rewrote = check(g, node, notes)
+            counts["rewrites"] += rewrote
+            return rewrote
 
-    streamline._streamline_at = counted
+        return wrapped
+
+    streamline.PASSES = {name: (counted(name, check), kinds)
+                         for name, (check, kinds) in passes.items()}
     try:
         yield counts
     finally:
-        streamline._streamline_at = site
+        streamline.PASSES = passes
 
 
 # fixed examples, no shrinking: a budget breach shows on any chain this long
