@@ -50,83 +50,83 @@ def solve_lap(cost: np.ndarray) -> list[tuple[int, int]]:
         cost = cost.T
         m, n = n, m
 
-    # Potentials u, v and column ownership p (1-based; p[j] == 0 means free).
-    u = np.zeros(m + 1)
+    # Potentials u, v and column ownership p (p[j] == -1 means free). Column
+    # n, inf for every row, is where each search starts: p[n] is its row.
+    cost = np.hstack([cost, np.full((m, 1), np.inf)])
+    u = np.zeros(m)
     v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)
+    p = np.full(n + 1, -1)
     way = np.zeros(n + 1, dtype=int)
+    columns = np.arange(n + 1)
 
-    i = 1
-    while i <= m:
+    i = 0
+    while i < m:
         # While v is unchanged, a row whose first-occurrence reduced minimum
         # lies in a free column settles there in its first scan; assign the
         # run of such rows (with distinct columns) at once.
-        reduced = cost[i - 1 :] - v[1:]
-        cols = np.argmin(reduced, axis=1) + 1
-        clash = p[cols] != 0
-        order = np.argsort(cols, kind="stable")  # a repeated column clashes after its first row
+        reduced = cost[i:] - v
+        cols = reduced.argmin(axis=1)
+        clash = p[cols] >= 0
+        order = cols.argsort(kind="stable")  # a repeated column clashes after its first row
         clash[order[1:]] |= cols[order[1:]] == cols[order[:-1]]
-        run = int(np.argmax(clash)) if clash.any() else len(cols)
-        u[i : i + run] = reduced[np.arange(run), cols[:run] - 1]
+        run = int(clash.argmax()) if clash.any() else len(cols)
+        u[i : i + run] = reduced[np.arange(run), cols[:run]]
         p[cols[:run]] = np.arange(i, i + run)
         i += run
-        if i > m:
+        if i == m:
             break
 
         # Dijkstra from row i. Each step scans a block of columns: after a
         # pop, the unused columns at level 0 would be popped in index order
         # up to the first free one, so their rows are scanned together and
         # the block is cut at the first row after which that order changes.
-        p[0] = i
-        minv = np.full(n, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        block = np.zeros(1, dtype=int)
+        # minv is inf on used columns, so the pop and the tight test need no
+        # mask; used_rows marks the rows whose u moves with each delta.
+        p[n] = i
+        minv = np.full(n + 1, np.inf)
+        used, used_rows = np.zeros(n + 1, dtype=bool), np.zeros(m, dtype=bool)
+        block = np.array([n])
         while True:
             rows = p[block]
-            cur = cost[rows - 1] - u[rows, None] - v[1:]
-            k = len(block)
-            if k > 1:
-                # Row r sees the block columns after its own as still unused.
+            cur = cost[rows] - u[rows][:, None]
+            cur -= v
+            if len(block) > 1:
                 # Popping stays in block order after row r unless r leaves a
-                # value below 0 (a rounding step) or rows up to r made a
-                # column tight that comes before the next block column.
-                seen = np.where(used[1:], np.inf, cur)
-                seen[:, block - 1] = np.where(np.tri(k, dtype=bool), np.inf, seen[:, block - 1])
-                fresh = (seen == 0.0) & (minv > 0.0)
-                first_fresh = np.where(fresh.any(axis=1), fresh.argmax(axis=1) + 1, n + 1)
-                cut = (seen < 0.0).any(axis=1)
-                cut[:-1] |= np.minimum.accumulate(first_fresh)[:-1] < block[1:]
-                k = int(np.argmax(cut)) + 1 if cut.any() else k
-                block, cur = block[:k], cur[:k]
+                # value below 0 (a rounding step) in a column it sees unused,
+                # which cuts at r, or a 0 in column cc where minv was above 0,
+                # which cuts once the next block column lies past cc. lim is
+                # -inf on used columns, -5e-324 (x <= lim: x < 0) at minv 0.
+                lim = np.where(minv > 0.0, 0.0, -5e-324)
+                lim[used] = -np.inf
+                rr, cc = np.divmod((cur <= lim).ravel().nonzero()[0], n + 1)
+                at = block.searchsorted(cc)  # row r sees block[at] unused if at > r
+                stop = np.where(cur[rr, cc] < 0.0, rr, np.maximum(rr, at - 1))
+                k = int(stop[(minv[cc] > 0.0) | (at > rr)].min(initial=len(block) - 1)) + 1
+                block, rows, cur = block[:k], rows[:k], cur[:k]
             used[block] = True
-            free = ~used[1:]
-            low = cur.min(axis=0)
-            better = free & (low < minv)
-            minv[better] = low[better]
-            way[1:][better] = block[cur.argmin(axis=0)[better]]
-            # argmin over free columns; first occurrence = lowest index
-            masked = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(masked))
-            delta = masked[j1]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            if p[j1 + 1] == 0:
+            used_rows[rows] = True
+            minv[block] = np.inf
+            arg = cur.argmin(axis=0)
+            low = cur[arg, columns]
+            better = (low < minv) & ~used
+            np.copyto(minv, low, where=better)
+            np.copyto(way, block[arg], where=better)
+            # first occurrence = lowest index among the cheapest unused columns
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            np.add(u, delta, out=u, where=used_rows)
+            np.subtract(v, delta, out=v, where=used)
+            minv -= delta
+            if p[j1] < 0:
                 break
-            tight = np.flatnonzero(free & (minv == 0.0)) + 1
-            unowned = p[tight] == 0
-            block = tight[: int(np.argmax(unowned)) if unowned.any() else len(tight)]
-        j0 = j1 + 1
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+            tight = (minv == 0.0).nonzero()[0]  # tight[0] is j1, which is owned
+            block = tight[: (p[tight] < 0).argmax() or len(tight)]
+        while j1 != n:  # augment back along the path to the start column
+            p[j1], j1 = p[way[j1]], way[j1]
         i += 1
 
-    pairs = [(int(p[j]) - 1, j - 1) for j in range(1, n + 1) if p[j] != 0]
-    if transposed:
-        pairs = [(c, r) for r, c in pairs]
-    return sorted(pairs)
+    pairs = zip(p[:n][p[:n] >= 0].tolist(), np.flatnonzero(p[:n] >= 0).tolist())
+    return sorted((c, r) for r, c in pairs) if transposed else sorted(pairs)
 
 
 def associate(

@@ -29,3 +29,22 @@ def test_bench_selfcheck_passes_and_traces_graph_methods():
     assert targets
     for owner, attr in targets:
         assert attr in vars(classes[owner]), f"{owner}.{attr}"
+
+
+# The tracking layers' tracer targets; the other layers' targets wait on
+# the bench's own maintenance (decode.iou, metrics.iou and PASS_PIPELINE no
+# longer exist).
+TRACKING_OWNERS = ("motkit.tracker", "motkit.assignment", "motkit.kalman")
+
+
+def test_tracking_tracer_targets_resolve():
+    """A rename in the tracking layers must not leave the tracer counting
+    nothing: each target resolves, as the tracer looks it up, to a callable."""
+    targets = [
+        (owner, attr) for owner, attr, *_ in tracing.OP_TARGETS
+        if owner.partition(":")[0] in TRACKING_OWNERS or (owner, attr) == ("motkit.metrics", "solve_lap")
+    ]
+    assert len(targets) == 7
+    for owner, attr in targets:
+        obj = tracing._resolve(owner)
+        assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"

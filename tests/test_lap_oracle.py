@@ -5,19 +5,27 @@ Pairs must be identical, ties included, since the tie rule is the oracle's
 pop order. Inputs are small hypothesis matrices built to tie a lot (0/1
 costs, sparse -IoU with -0.0 entries, tenths and near-equal float sums
 whose reduced costs round below zero, all-zero rows and columns, duplicate
-columns), each solved as drawn and transposed; crowded -IoU matrices of
-about 100 x 105 from synthetic scenes with clutter, where the tie walks are
-long; and one shrunk matrix per rule that cuts a block tie walk.
+columns), each solved as drawn and transposed; dense uniform and digit
+matrices with few ties; crowded -IoU matrices of about 100 x 105 from
+synthetic scenes with clutter, where the tie walks are long; every matrix the
+sort-crowd benchmark solves on two of its sequences; and one shrunk matrix per
+rule that cuts a block tie walk.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lap_oracle
-from motkit import synthetic
+from motkit import assignment, metrics, synthetic
 from motkit.assignment import associate, solve_lap
 from motkit.geometry import BoundingBox, box_rows, iou_matrix
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import wl_sort  # noqa: E402
 
 ENTRY_POOLS = {
     "binary": [0.0, 1.0],
@@ -52,6 +60,22 @@ def test_tie_heavy_pairs_match_oracle(cost):
     assert solve_lap(cost.T) == lap_oracle.solve_lap(cost.T)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.sampled_from(["uniform", "digits"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dense_pairs_match_oracle(m, n, kind, seed):
+    """Dense costs, away from the sparse -IoU pattern SORT solves: the block
+    cut rules meet fresh ties at random places."""
+    rng = np.random.default_rng(seed)
+    cost = rng.random((m, n)) if kind == "uniform" else rng.integers(0, 10, (m, n)).astype(float)
+    assert solve_lap(cost) == lap_oracle.solve_lap(cost)
+    assert solve_lap(cost.T) == lap_oracle.solve_lap(cost.T)
+
+
 # Found by searching random matrices for inputs on which a solver that
 # dropped one of the block cut rules disagreed with the oracle, then
 # shrunk. Sums of tenths leave reduced costs a rounding step below zero.
@@ -75,6 +99,18 @@ WALK_CUTS = {
         [0.1, 0.9, 0.4, 0.3, 0.2, 0.0, 0.0],
         [0.9, 0.0, 0.3, 0.5, 0.1, 0.3, 0.0],
         [0.1, 0.3, 0.0, 0.6, 0.5, 0.9, 0.5],
+    ],
+    # ... in an unused column past the next walk column: the walk must turn
+    # at once, not when it reaches that column
+    "below_zero_past_next_walk_column": [
+        [0.2, 0.5, 0.0, 0.7, 0.2, 0.0, 0.0, 0.6],
+        [0.7, 0.6, 0.1, 0.4, 0.8, 0.1, 0.2, 0.6],
+        [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6],
+        [0.3, 0.4, 0.2, 0.3, 0.2, 0.8, 0.9, 0.6],
+        [0.2, 0.9, 0.9, 0.8, 0.4, 0.0, 0.8, 0.7],
+        [0.4, 0.6, 0.2, 0.8, 0.4, 0.9, 0.5, 0.9],
+        [0.2, 0.6, 0.0, 0.7, 0.0, 0.0, 0.0, 0.6],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2],
     ],
     # an early row makes a column tight past the next walk column but
     # before a later one: the walk must turn to it there
@@ -124,6 +160,33 @@ def test_crowded_iou_pairs_match_oracle(seed):
     assert cost.shape == (100, 105)
     assert solve_lap(cost) == lap_oracle.solve_lap(cost)
     assert solve_lap(cost.T) == lap_oracle.solve_lap(cost.T)
+
+
+# sort-crowd pool sequences: 72 has the hardest first frame to score in the
+# pool, 126 a middling one (the step counts in bench/digests.json)
+BENCH_SEQUENCES = (72, 126)
+
+
+def test_benchmark_laps_match_oracle(monkeypatch):
+    """Every matrix that tracking and scoring two benchmark sequences pass to
+    solve_lap, each as solved and transposed."""
+    seen = {assignment: [], metrics: []}
+    for module, costs in seen.items():
+
+        def recording(cost, costs=costs):
+            costs.append(np.array(cost, dtype=float))
+            return solve_lap(cost)
+
+        monkeypatch.setattr(module, "solve_lap", recording)
+    for index in BENCH_SEQUENCES:
+        gt_frames, dets = wl_sort.make_sequence(index)
+        hyp, _ = wl_sort.track_sequence(gt_frames, dets)
+        metrics.evaluate_sequence(gt_frames, hyp)
+    assert len(seen[assignment]) == len(BENCH_SEQUENCES) * wl_sort.FRAMES
+    assert seen[metrics]
+    for cost in seen[assignment] + seen[metrics]:
+        assert solve_lap(cost) == lap_oracle.solve_lap(cost)
+        assert solve_lap(cost.T) == lap_oracle.solve_lap(cost.T)
 
 
 @settings(max_examples=80, deadline=None)

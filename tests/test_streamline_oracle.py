@@ -5,13 +5,13 @@ Graphs are chains of the four block kinds of a quantized YOLOv8 backbone
 (conv block, fork/add, fork/concat, split/concat) plus twin-affine joins,
 with the awkward sites mixed in: per-channel Mul scales that are not uniform
 before a Conv, joins whose branch affines differ, Adds into an EltwiseAdd,
-and identity and zero scales. Every graph is built twice by the same calls,
-once as ``motkit.streamline.OpGraph`` and once as the oracle's, so fresh ids
-start from the same counter. Each single pass must give the same
-``canonical_json`` (ids, attributes and edge order), bit-exact ``interpret``
-output on integer inputs and the same ``GraphError``, and diagnostics must be
-the oracle's with repeats removed. ``run_pipeline`` is held to the two rules
-of ``check_pipeline``.
+Adds that feed a fork, and identity and zero scales. Every graph is built
+twice by the same calls, once as ``motkit.streamline.OpGraph`` and once as
+the oracle's, so fresh ids start from the same counter. Each single pass
+must give the same ``canonical_json`` (ids, attributes and edge order),
+bit-exact ``interpret`` output on integer inputs and the same
+``GraphError``, and diagnostics must be the oracle's with repeats removed.
+``run_pipeline`` is held to the two rules of ``check_pipeline``.
 """
 
 from __future__ import annotations
@@ -84,6 +84,14 @@ class _Chain:
             return self.channel_scales(self.c)
         return self.scale(zero=True)
 
+    def fork_head(self) -> tuple[str, int]:
+        """The affine that feeds a fork: a Mul, or at times a bias Add, which
+        the fork pass copies onto the branches just the same."""
+        if self.draw(st.integers(0, 3)) == 0:
+            bias = self.draw(st.lists(st.integers(-4, 4), min_size=self.c, max_size=self.c))
+            return (self.node("Add", bias=bias), 0)
+        return (self.node("Mul", scale=self.pre_scale()), 0)
+
     def conv(self, c_in: int, c_out: int, src=None) -> str:
         k = self.draw(st.sampled_from((1, 3)))
         w = self.draw(st.lists(st.integers(-3, 3), min_size=c_out * c_in * k * k,
@@ -108,7 +116,7 @@ class _Chain:
         self.requant()
 
     def fork_add(self) -> None:
-        pre = (self.node("Mul", scale=self.pre_scale()), 0)
+        pre = self.fork_head()
         branch = (self.conv(self.c, self.c, src=pre), 0)
         if self.draw(st.booleans()):  # a branch scale the skip may not share
             branch = (self.node("Mul", src=branch, scale=self.scale()), 0)
@@ -116,7 +124,7 @@ class _Chain:
         self.requant()
 
     def fork_concat(self) -> None:
-        pre = (self.node("Mul", scale=self.pre_scale()), 0)
+        pre = self.fork_head()
         branch = (self.conv(self.c, self.c, src=pre), 0)
         self.join("Concat", [branch, pre])
         self.conv(2 * self.c, self.c)
