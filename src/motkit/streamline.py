@@ -10,12 +10,15 @@ absorbed into MultiThreshold nodes or parked as the final output scale:
   * fold an affine directly preceding a MultiThreshold into its thresholds.
 
 Every pass preserves the reference interpreter's output exactly; the
-interpreter doubles as the equivalence oracle in tests. ``PASSES`` lists the
-passes in pipeline order, each as a site check and the node kinds it is tried
-at. ``apply_passes`` runs named passes in place; ``run_pipeline`` copies its
-input once, as FINN's ``ModelWrapper.transform`` does, and streamlines the
-copy with one worklist that tries every pass at each site. Graphs serialize to
-a plain JSON document so fixtures and golden files stay language agnostic.
+interpreter doubles as the equivalence oracle in tests. ``KINDS`` is the one
+description of each node kind: its input arity, the attrs it requires and the
+function that evaluates it, read by ``add_node``, ``validate`` and
+``interpret``. ``PASSES`` lists the passes in pipeline order, each as a site
+check and the node kinds it is tried at. ``apply_passes`` runs named passes
+in place; ``run_pipeline`` copies its input once, as FINN's
+``ModelWrapper.transform`` does, and streamlines the copy with one worklist
+that tries every pass at each site. Graphs serialize to a plain JSON document
+so fixtures and golden files stay language agnostic.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,41 +36,9 @@ from .graph import Graph, GraphError, graph_specs, read_doc, write_doc
 from .io import check_int
 from .quantcore import MultiThresholdOp
 
-NODE_KINDS = frozenset(
-    {
-        "Input",
-        "Output",
-        "Conv",
-        "Mul",
-        "Add",
-        "MultiThreshold",
-        "Split",
-        "Concat",
-        "EltwiseAdd",
-        "MaxPool",
-        "Resize",
-    }
-)
-
-_SINGLE_INPUT_KINDS = frozenset(
-    {"Output", "Conv", "Mul", "Add", "MultiThreshold", "Split", "MaxPool", "Resize"}
-)
-
 _ARRAY_ATTRS = {"weights", "thresholds"}
 
 _AFFINE_KINDS = frozenset({"Mul", "Add"})
-_JOIN_KINDS = frozenset({"Concat", "EltwiseAdd"})
-
-# attrs that interpret and the passes read from each kind of node
-_REQUIRED_ATTRS = {
-    "Mul": ("scale",),
-    "Add": ("bias",),
-    "Conv": ("weights",),
-    "MultiThreshold": ("thresholds", "out_bits"),
-    "Split": ("sizes",),
-    "MaxPool": ("kernel",),
-    "Resize": ("factor",),
-}
 
 
 @dataclass
@@ -87,7 +59,7 @@ def _copied(v):
 
 @dataclass
 class Edge:
-    """Directed tensor edge with optional shape/quantization annotations."""
+    """Directed tensor edge with optional quantization annotations."""
 
     id: str
     src: str
@@ -97,7 +69,6 @@ class Edge:
     scale: float | None = None
     bits: int | None = None
     signed: bool | None = None
-    shape: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +104,7 @@ class OpGraph(Graph):
     # -- construction ------------------------------------------------------
 
     def add_node(self, node_id: str, kind: str, **attrs) -> Node:
-        if kind not in NODE_KINDS:
+        if kind not in KINDS:
             raise GraphError(f"unknown node kind {kind!r}")
         node = self._add_node(Node(node_id, kind, attrs))
         if self._touched is not None:  # the id may be one this rewrite removed
@@ -151,11 +122,10 @@ class OpGraph(Graph):
         scale: float | None = None,
         bits: int | None = None,
         signed: bool | None = None,
-        shape: tuple[int, ...] | None = None,
     ) -> Edge:
         if edge_id is None:
             edge_id = self.fresh_id("e")
-        edge = self._add_edge(Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed, shape))
+        edge = self._add_edge(Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed))
         self._touch(src, dst)
         return edge
 
@@ -206,7 +176,7 @@ class OpGraph(Graph):
         """Independent copy with the same ids, order and id counter."""
         g = self._with_records(
             {nid: Node(nid, n.kind, _copied(n.attrs)) for nid, n in self.nodes.items()},
-            {eid: Edge(eid, e.src, e.dst, e.src_out, e.dst_in, e.scale, e.bits, e.signed, e.shape)
+            {eid: Edge(eid, e.src, e.dst, e.src_out, e.dst_in, e.scale, e.bits, e.signed)
              for eid, e in self.edges.items()},
         )
         g._counter = self._counter
@@ -235,16 +205,17 @@ class OpGraph(Graph):
             if edge.src not in self.nodes or edge.dst not in self.nodes:
                 raise GraphError(f"edge {edge.id} references missing node")
         for node in self.nodes.values():
+            arity, required, _ = KINDS[node.kind]
             n_in = len(self._ins[node.id])
-            if node.kind == "Input" and n_in != 0:
-                raise GraphError(f"Input node {node.id} has inputs")
-            if node.kind in _SINGLE_INPUT_KINDS and n_in != 1:
+            if arity == 0 and n_in != 0:
+                raise GraphError(f"{node.kind} node {node.id} has inputs")
+            if arity == 1 and n_in != 1:
                 raise GraphError(f"{node.kind} node {node.id} needs exactly 1 input, has {n_in}")
-            if node.kind in _JOIN_KINDS and n_in < 2:
+            if arity is None and n_in < 2:
                 raise GraphError(f"{node.kind} node {node.id} needs >= 2 inputs")
             if node.kind == "Output" and self._outs[node.id]:
                 raise GraphError(f"Output node {node.id} has outputs")
-            for attr in _REQUIRED_ATTRS.get(node.kind, ()):
+            for attr in required:
                 if attr not in node.attrs:
                     raise GraphError(f"{node.kind} node {node.id} lacks attr {attr!r}")
         return self.topo_order()  # raises on cycles
@@ -268,7 +239,6 @@ class OpGraph(Graph):
                 "scale": e.scale,
                 "bits": e.bits,
                 "signed": e.signed,
-                "shape": list(e.shape) if e.shape is not None else None,
             }
             for e in self.edges.values()
         ]
@@ -290,12 +260,6 @@ class OpGraph(Graph):
             eid, scale, bits, signed = (spec.get(k) for k in ("id", "scale", "bits", "signed"))
             for port in ("src_out", "dst_in"):
                 check_int(f"edge {eid}: {port}", spec.get(port, 0), 0, GraphError)
-            shape = spec.get("shape")
-            if shape is not None:
-                if not isinstance(shape, list):
-                    raise GraphError(f"edge {eid}: shape must be null or a list")
-                for dim in shape:
-                    check_int(f"edge {eid}: shape entry", dim, 0, GraphError)
             if scale is not None and (isinstance(scale, bool) or not isinstance(scale, (int, float))):
                 raise GraphError(f"edge {eid}: scale must be null or a number, got {scale!r}")
             if bits is not None:
@@ -311,7 +275,6 @@ class OpGraph(Graph):
                 scale=scale,
                 bits=bits,
                 signed=signed,
-                shape=tuple(shape) if shape is not None else None,
             )
         g._counter = doc.get("fresh_id", 0)
         check_int("fresh_id", g._counter, 0, GraphError)
@@ -332,6 +295,8 @@ def load_graph(path) -> OpGraph:
 
 
 # -- interpreter -------------------------------------------------------------
+# An evaluator takes a node and the values on its input slots, in slot order,
+# and returns the values on its output slots.
 
 
 def _per_channel(value, channels: int) -> np.ndarray:
@@ -352,16 +317,77 @@ def _mt_from_attrs(attrs: dict) -> MultiThresholdOp:
     )
 
 
-def _maxpool(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
+def _mul(node: Node, ins: list) -> list:
+    return [ins[0] * _per_channel(node.attrs["scale"], ins[0].shape[0])]
+
+
+def _add(node: Node, ins: list) -> list:
+    return [ins[0] + _per_channel(node.attrs["bias"], ins[0].shape[0])]
+
+
+def _conv(node: Node, ins: list) -> list:
+    weights = np.asarray(node.attrs["weights"], dtype=float)
+    stride, pad = int(node.attrs.get("stride", 1)), int(node.attrs.get("pad", 0))
+    return [quantcore.conv2d(ins[0], weights, stride, pad)]
+
+
+def _multithreshold(node: Node, ins: list) -> list:
+    return [quantcore.mt_apply(_mt_from_attrs(node.attrs), ins[0]).astype(float)]
+
+
+def _split(node: Node, ins: list) -> list:
+    sizes = list(node.attrs["sizes"])
+    if sum(sizes) != ins[0].shape[0]:
+        raise GraphError(f"Split {node.id}: sizes {sizes} vs {ins[0].shape[0]} channels")
+    bounds = [0, *accumulate(sizes)]
+    return [ins[0][start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _concat(node: Node, ins: list) -> list:
+    return [np.concatenate(ins, axis=0)]
+
+
+def _eltwise_add(node: Node, ins: list) -> list:
+    return [sum(ins[1:], ins[0])]  # ((a + b) + c) ..., in slot order
+
+
+def _maxpool(node: Node, ins: list) -> list:
+    kernel = int(node.attrs["kernel"])
+    stride = int(node.attrs.get("stride", kernel))
+    x = ins[0]
+    out_h = (x.shape[1] - kernel) // stride + 1
+    out_w = (x.shape[2] - kernel) // stride + 1
     slabs = [
         x[:, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
         for ky in range(kernel)
         for kx in range(kernel)
     ]
-    return np.maximum.reduce(slabs)
+    return [np.maximum.reduce(slabs)]
+
+
+def _resize(node: Node, ins: list) -> list:
+    f = int(node.attrs["factor"])
+    return [np.repeat(np.repeat(ins[0], f, axis=1), f, axis=2)]
+
+
+# The one description of each node kind: (arity, required attrs, evaluate).
+# Arity is the exact input count, or None for a join of two or more; the
+# required attrs are those interpret and the passes read. Input and Output
+# have no evaluator: interpret reads `inputs` and writes its result for them.
+KINDS = {
+    "Input": (0, (), None),
+    "Output": (1, (), None),
+    "Conv": (1, ("weights",), _conv),
+    "Mul": (1, ("scale",), _mul),
+    "Add": (1, ("bias",), _add),
+    "MultiThreshold": (1, ("thresholds", "out_bits"), _multithreshold),
+    "Split": (1, ("sizes",), _split),
+    "Concat": (None, (), _concat),
+    "EltwiseAdd": (None, (), _eltwise_add),
+    "MaxPool": (1, ("kernel",), _maxpool),
+    "Resize": (1, ("factor",), _resize),
+}
+_JOIN_KINDS = frozenset(kind for kind, (arity, _, _) in KINDS.items() if arity is None)
 
 
 def interpret(g: OpGraph, inputs) -> dict[str, np.ndarray]:
@@ -390,43 +416,9 @@ def interpret(g: OpGraph, inputs) -> dict[str, np.ndarray]:
             values[(nid, 0)] = np.asarray(inputs[nid], dtype=float)
         elif node.kind == "Output":
             outputs[nid] = ins[0]
-        elif node.kind == "Mul":
-            values[(nid, 0)] = ins[0] * _per_channel(node.attrs["scale"], ins[0].shape[0])
-        elif node.kind == "Add":
-            values[(nid, 0)] = ins[0] + _per_channel(node.attrs["bias"], ins[0].shape[0])
-        elif node.kind == "Conv":
-            values[(nid, 0)] = quantcore.conv2d(
-                ins[0],
-                np.asarray(node.attrs["weights"], dtype=float),
-                int(node.attrs.get("stride", 1)),
-                int(node.attrs.get("pad", 0)),
-            )
-        elif node.kind == "MultiThreshold":
-            values[(nid, 0)] = quantcore.mt_apply(_mt_from_attrs(node.attrs), ins[0]).astype(float)
-        elif node.kind == "Split":
-            sizes = list(node.attrs["sizes"])
-            if sum(sizes) != ins[0].shape[0]:
-                raise GraphError(f"Split {nid}: sizes {sizes} vs {ins[0].shape[0]} channels")
-            start = 0
-            for slot, size in enumerate(sizes):
-                values[(nid, slot)] = ins[0][start : start + size]
-                start += size
-        elif node.kind == "Concat":
-            values[(nid, 0)] = np.concatenate(ins, axis=0)
-        elif node.kind == "EltwiseAdd":
-            acc = ins[0]
-            for other in ins[1:]:
-                acc = acc + other
-            values[(nid, 0)] = acc
-        elif node.kind == "MaxPool":
-            values[(nid, 0)] = _maxpool(
-                ins[0], int(node.attrs["kernel"]), int(node.attrs.get("stride", node.attrs["kernel"]))
-            )
-        elif node.kind == "Resize":
-            f = int(node.attrs["factor"])
-            values[(nid, 0)] = np.repeat(np.repeat(ins[0], f, axis=1), f, axis=2)
-        else:  # pragma: no cover - guarded by validate()
-            raise GraphError(f"unhandled kind {node.kind}")
+        else:
+            for slot, value in enumerate(KINDS[node.kind][2](node, ins)):
+                values[(nid, slot)] = value
     return outputs
 
 

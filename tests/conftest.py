@@ -110,6 +110,65 @@ def fork_add_chain(blocks: int) -> OpGraph:
     return g
 
 
+def yolov8_graph() -> OpGraph:
+    """The datapath ops of a YOLOv8 backbone and neck on a 2-channel input
+    (Ultralytics YOLOv8), every conv followed by a requant (Mul, Add,
+    MultiThreshold, Mul):
+
+    * stem: 3x3 Conv to 4 channels;
+    * C2f: Split into halves; a bottleneck (two 3x3 Convs) on the second
+      half, added back to it by an EltwiseAdd residual; Concat of both halves
+      and the bottleneck, then a 1x1 Conv;
+    * down: 3x3 stride-2 Conv, 8x8 to 4x4;
+    * SPPF: three chained stride-1 3x3 MaxPools, Concat of the four maps,
+      then a 1x1 Conv. The IR's MaxPool has no padding, so a pad-1 identity
+      Conv stands in for Ultralytics' pad-1 pooling: its input counts
+      thresholds, so it is >= 0 and a zero border changes no maximum;
+    * neck: nearest Resize x2 of the SPPF output, Concat with the C2f
+      output, then a 1x1 Conv.
+
+    Scales are powers of two and weights, biases and thresholds integers, so
+    streamlining must keep the output bit-exact. Takes a (2, 8, 8) input."""
+    g = OpGraph()
+    rng = np.random.default_rng(8)
+    n = 0
+
+    def add(kind, *srcs, **attrs):
+        nonlocal n
+        n += 1
+        nid = f"{kind.lower()}{n}"
+        g.add_node(nid, kind, **attrs)
+        for slot, src in enumerate(srcs):  # a node id, or (node id, output slot)
+            src, src_out = src if isinstance(src, tuple) else (src, 0)
+            g.connect(src, nid, src_out=src_out, dst_in=slot)
+        return nid
+
+    def conv(src, c_in, c_out, k=1, stride=1, pad=0):
+        src = add("Mul", src, scale=2.0)
+        w = rng.integers(-2, 3, (c_out, c_in, k, k)).astype(float)
+        src = add("Conv", src, weights=w, stride=stride, pad=pad)
+        src = add("Mul", src, scale=rng.choice((-1.0, 1.0, 2.0), c_out).tolist())
+        src = add("Add", src, bias=rng.integers(-3, 4, c_out).astype(float).tolist())
+        rows = np.sort(rng.choice(np.arange(-12.0, 13.0), (c_out, 3), replace=False), axis=1)
+        src = add("MultiThreshold", src, thresholds=rows, out_bits=2)
+        return add("Mul", src, scale=0.5)
+
+    x = conv(add("Input"), 2, 4, k=3, pad=1)
+    split = add("Split", x, sizes=[2, 2])
+    half = (split, 1)
+    bottleneck = conv(conv(half, 2, 2, k=3, pad=1), 2, 2, k=3, pad=1)
+    residual = add("EltwiseAdd", bottleneck, half)
+    c2f = conv(add("Concat", (split, 0), half, residual), 6, 4)
+    pooled = [conv(c2f, 4, 4, k=3, stride=2, pad=1)]
+    for _ in range(3):
+        padded = add("Conv", pooled[-1], weights=np.eye(4).reshape(4, 4, 1, 1), pad=1)
+        pooled.append(add("MaxPool", padded, kernel=3, stride=1))
+    sppf = conv(add("Concat", *pooled), 16, 4)
+    neck = conv(add("Concat", add("Resize", sppf, factor=2), c2f), 8, 4)
+    add("Output", neck)
+    return g
+
+
 def chain_stream_graph(depths: dict[str, int] | None = None) -> StreamGraph:
     """Rate-matched 3-stage linear pipeline, one token per firing."""
     d = depths or {}

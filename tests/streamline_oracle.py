@@ -15,7 +15,16 @@ end is the reference it must match exactly.
 ``MultiThresholdOp``, ``absorb_affine`` and ``_mt_from_attrs`` are frozen
 too (``motkit.quantcore`` and ``motkit.streamline`` before their checks were
 made cheaper), so the absorb pass here does not follow the live threshold
-code.
+code. Edges carry no ``shape``: the live ``Edge`` dropped that unread
+annotation, and this ``OpGraph`` dropped it with it.
+
+``interpret``, with its ``_per_channel`` and ``_maxpool``, is
+``motkit.streamline``'s reference executor as it was before ``KINDS``
+described each node kind in one table: one branch per kind. The live
+``interpret`` must return the same output keys in the same order, with the
+same dtypes and bytes, and raise the same ``GraphError`` messages. It calls
+``quantcore.conv2d`` and ``quantcore.mt_apply`` live and builds thresholds
+with the frozen ``_mt_from_attrs``.
 """
 
 from __future__ import annotations
@@ -26,14 +35,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from motkit import streamline
-from motkit.streamline import (
-    _ARRAY_ATTRS,
-    _SINGLE_INPUT_KINDS,
-    NODE_KINDS,
-    Edge,
-    GraphError,
-    Node,
+from motkit import quantcore, streamline
+from motkit.streamline import _ARRAY_ATTRS, Edge, GraphError, Node
+
+NODE_KINDS = frozenset(
+    {
+        "Input",
+        "Output",
+        "Conv",
+        "Mul",
+        "Add",
+        "MultiThreshold",
+        "Split",
+        "Concat",
+        "EltwiseAdd",
+        "MaxPool",
+        "Resize",
+    }
+)
+
+_SINGLE_INPUT_KINDS = frozenset(
+    {"Output", "Conv", "Mul", "Add", "MultiThreshold", "Split", "MaxPool", "Resize"}
 )
 
 
@@ -113,6 +135,99 @@ def _mt_from_attrs(attrs: dict) -> MultiThresholdOp:
     )
 
 
+# -- interpreter -------------------------------------------------------------
+
+
+def _per_channel(value, channels: int) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return arr.reshape(1, 1, 1)
+    if arr.shape == (channels,):
+        return arr.reshape(channels, 1, 1)
+    raise GraphError(f"affine parameter shape {arr.shape} does not fit {channels} channels")
+
+
+def _maxpool(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    c, h, w = x.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    slabs = [
+        x[:, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
+        for ky in range(kernel)
+        for kx in range(kernel)
+    ]
+    return np.maximum.reduce(slabs)
+
+
+def interpret(g, inputs) -> dict[str, np.ndarray]:
+    """Reference executor: deterministic topological evaluation.
+
+    `inputs` maps Input node id -> [C][H][W] array (a bare array is
+    accepted when the graph has exactly one Input). Returns a map of
+    Output node id -> value. This is the oracle every pass is checked
+    against.
+    """
+    order = g.validate()
+    input_ids = [nid for nid, n in g.nodes.items() if n.kind == "Input"]
+    if not isinstance(inputs, dict):
+        if len(input_ids) != 1:
+            raise GraphError(f"graph has {len(input_ids)} inputs; pass a dict")
+        inputs = {input_ids[0]: inputs}
+
+    values: dict[tuple[str, int], np.ndarray] = {}
+    outputs: dict[str, np.ndarray] = {}
+    for nid in order:
+        node = g.nodes[nid]
+        ins = [values[(e.src, e.src_out)] for e in g.in_edges(nid)]
+        if node.kind == "Input":
+            if nid not in inputs:
+                raise GraphError(f"no value supplied for input {nid!r}")
+            values[(nid, 0)] = np.asarray(inputs[nid], dtype=float)
+        elif node.kind == "Output":
+            outputs[nid] = ins[0]
+        elif node.kind == "Mul":
+            values[(nid, 0)] = ins[0] * _per_channel(node.attrs["scale"], ins[0].shape[0])
+        elif node.kind == "Add":
+            values[(nid, 0)] = ins[0] + _per_channel(node.attrs["bias"], ins[0].shape[0])
+        elif node.kind == "Conv":
+            values[(nid, 0)] = quantcore.conv2d(
+                ins[0],
+                np.asarray(node.attrs["weights"], dtype=float),
+                int(node.attrs.get("stride", 1)),
+                int(node.attrs.get("pad", 0)),
+            )
+        elif node.kind == "MultiThreshold":
+            values[(nid, 0)] = quantcore.mt_apply(_mt_from_attrs(node.attrs), ins[0]).astype(float)
+        elif node.kind == "Split":
+            sizes = list(node.attrs["sizes"])
+            if sum(sizes) != ins[0].shape[0]:
+                raise GraphError(f"Split {nid}: sizes {sizes} vs {ins[0].shape[0]} channels")
+            start = 0
+            for slot, size in enumerate(sizes):
+                values[(nid, slot)] = ins[0][start : start + size]
+                start += size
+        elif node.kind == "Concat":
+            values[(nid, 0)] = np.concatenate(ins, axis=0)
+        elif node.kind == "EltwiseAdd":
+            acc = ins[0]
+            for other in ins[1:]:
+                acc = acc + other
+            values[(nid, 0)] = acc
+        elif node.kind == "MaxPool":
+            values[(nid, 0)] = _maxpool(
+                ins[0], int(node.attrs["kernel"]), int(node.attrs.get("stride", node.attrs["kernel"]))
+            )
+        elif node.kind == "Resize":
+            f = int(node.attrs["factor"])
+            values[(nid, 0)] = np.repeat(np.repeat(ins[0], f, axis=1), f, axis=2)
+        else:  # pragma: no cover - guarded by validate()
+            raise GraphError(f"unhandled kind {node.kind}")
+    return outputs
+
+
+# -- graph ---------------------------------------------------------------------
+
+
 class OpGraph:
     """Mutable DAG of operator nodes joined by tensor edges."""
 
@@ -142,7 +257,6 @@ class OpGraph:
         scale: float | None = None,
         bits: int | None = None,
         signed: bool | None = None,
-        shape: tuple[int, ...] | None = None,
     ) -> Edge:
         if src not in self.nodes or dst not in self.nodes:
             raise GraphError(f"edge references unknown node: {src} -> {dst}")
@@ -150,7 +264,7 @@ class OpGraph:
             edge_id = self.fresh_id("e")
         if edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
-        edge = Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed, shape)
+        edge = Edge(edge_id, src, dst, src_out, dst_in, scale, bits, signed)
         self.edges[edge_id] = edge
         return edge
 
@@ -242,7 +356,6 @@ class OpGraph:
                 "scale": e.scale,
                 "bits": e.bits,
                 "signed": e.signed,
-                "shape": list(e.shape) if e.shape is not None else None,
             }
             for e in self.edges.values()
         ]
@@ -257,7 +370,6 @@ class OpGraph:
                 attrs[key] = np.asarray(attrs[key], dtype=float)
             g.add_node(spec["id"], spec["kind"], **attrs)
         for spec in doc.get("edges", []):
-            shape = spec.get("shape")
             g.connect(
                 spec["src"],
                 spec["dst"],
@@ -267,7 +379,6 @@ class OpGraph:
                 scale=spec.get("scale"),
                 bits=spec.get("bits"),
                 signed=spec.get("signed"),
-                shape=tuple(shape) if shape is not None else None,
             )
         return g
 

@@ -8,8 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from conftest import conv_block_graph
+from motkit import quantcore
 from motkit.dataflow import StreamGraph
-from motkit.streamline import OpGraph
+from motkit.streamline import OpGraph, interpret
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "bench"))
@@ -48,3 +52,47 @@ def test_tracking_tracer_targets_resolve():
     for owner, attr in targets:
         obj = tracing._resolve(owner)
         assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"
+
+
+STREAMLINE_TARGETS = [
+    ("motkit.streamline", "run_pipeline"),
+    ("motkit.streamline", "interpret"),
+    ("motkit.streamline:OpGraph", "copy"),
+    ("motkit.streamline:OpGraph", "in_edges"),
+    ("motkit.streamline:OpGraph", "out_edges"),
+    ("motkit.quantcore", "conv2d"),
+    ("motkit.quantcore", "mt_apply"),
+]
+
+
+def test_streamline_tracer_targets_resolve():
+    """Likewise for the op-graph layers (PASS_PIPELINE aside)."""
+    targets = [
+        (owner, attr) for owner, attr, *_ in tracing.OP_TARGETS
+        if owner.partition(":")[0] in ("motkit.streamline", "motkit.quantcore")
+        and attr != "PASS_PIPELINE"
+    ]
+    assert sorted(targets) == sorted(STREAMLINE_TARGETS)
+    for owner, attr in targets:
+        obj = tracing._resolve(owner)
+        assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"
+
+
+def test_interpret_calls_the_traced_quantcore_names(monkeypatch):
+    """interpret looks conv2d and mt_apply up on quantcore at call time, so
+    the tracer's wrappers see every call."""
+    calls = {"conv2d": 0, "mt_apply": 0}
+
+    def counting(name):
+        fn = getattr(quantcore, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(quantcore, name, counting(name))
+    interpret(conv_block_graph(), np.ones((2, 4, 4)))
+    assert calls == {"conv2d": 1, "mt_apply": 1}

@@ -469,8 +469,6 @@ class TestStreamlineCli:
             "edge_without_dst",
             "string_src_out",
             {"nodes": [{"id": "in", "kind": "Input", "attrs": [1]}]},
-            "int_shape",
-            "negative_shape_entry",
             ("scale", "abc"),
             ("scale", True),
             ("bits", 0),
@@ -494,9 +492,9 @@ class TestStreamlineCli:
             },
         ],
         ids=["node_without_id", "list_document", "edge_without_dst", "string_src_out",
-             "attrs_not_object", "int_shape", "negative_shape_entry", "string_scale",
-             "bool_scale", "zero_bits", "float_bits", "string_signed", "negative_fresh_id",
-             "float_fresh_id", "string_fresh_id", "mul_without_scale"],
+             "attrs_not_object", "string_scale", "bool_scale", "zero_bits", "float_bits",
+             "string_signed", "negative_fresh_id", "float_fresh_id", "string_fresh_id",
+             "mul_without_scale"],
     )
     def test_malformed_graph_exits_two(self, tmp_path, capsys, doc):
         if isinstance(doc, (str, tuple)):  # a fault in one edge of a valid graph
@@ -506,10 +504,6 @@ class TestStreamlineCli:
                 edge[fault[0]] = fault[1]
             elif fault == "edge_without_dst":
                 del edge["dst"]
-            elif fault == "int_shape":
-                edge["shape"] = 5
-            elif fault == "negative_shape_entry":
-                edge["shape"] = [2, -1]
             else:
                 edge["src_out"] = "x"
         src = tmp_path / "in.json"

@@ -19,6 +19,21 @@ from motkit.streamline import (
 )
 
 
+# A valid attr set for each kind that needs attrs, and the arity classes,
+# written out here so a change to streamline.KINDS shows in these tests.
+VALID_ATTRS = {
+    "Mul": {"scale": 1.0},
+    "Add": {"bias": 0.0},
+    "Conv": {"weights": np.ones((1, 1, 1, 1))},
+    "MultiThreshold": {"thresholds": np.zeros((1, 1)), "out_bits": 1},
+    "Split": {"sizes": [1]},
+    "MaxPool": {"kernel": 2},
+    "Resize": {"factor": 2},
+}
+SINGLE_INPUT_KINDS = ("Output", "Conv", "Mul", "Add", "MultiThreshold", "Split", "MaxPool", "Resize")
+JOIN_KINDS = ("Concat", "EltwiseAdd")
+
+
 def single_output(outputs):
     (value,) = outputs.values()
     return value
@@ -62,18 +77,7 @@ class TestInterpret:
         with pytest.raises(GraphError):
             g.topo_order()
 
-    @pytest.mark.parametrize(
-        "kind, attrs",
-        [
-            ("Mul", {"scale": 1.0}),
-            ("Add", {"bias": 0.0}),
-            ("Conv", {"weights": np.ones((1, 1, 1, 1))}),
-            ("MultiThreshold", {"thresholds": np.zeros((1, 1)), "out_bits": 1}),
-            ("Split", {"sizes": [1]}),
-            ("MaxPool", {"kernel": 2}),
-            ("Resize", {"factor": 2}),
-        ],
-    )
+    @pytest.mark.parametrize("kind, attrs", list(VALID_ATTRS.items()))
     def test_missing_required_attr_rejected(self, kind, attrs):
         def chain(**node_attrs):
             g = OpGraph()
@@ -87,8 +91,60 @@ class TestInterpret:
         chain(**attrs).validate()
         for name in attrs:
             rest = {k: v for k, v in attrs.items() if k != name}
-            with pytest.raises(GraphError, match=name):
+            with pytest.raises(GraphError) as exc:
                 chain(**rest).validate()
+            assert str(exc.value) == f"{kind} node op lacks attr {name!r}"
+
+    @pytest.mark.parametrize("kind", SINGLE_INPUT_KINDS + JOIN_KINDS)
+    def test_wrong_input_count_rejected(self, kind):
+        def fed_by(n_in):
+            g = OpGraph()
+            for i in range(3):
+                g.add_node(f"in{i}", "Input")
+            g.add_node("op", kind, **VALID_ATTRS.get(kind, {}))
+            if kind != "Output":
+                g.add_node("out", "Output")
+                g.connect("op", "out")
+            for i in range(n_in):
+                g.connect(f"in{i}", "op", dst_in=i)
+            return g
+
+        good, bad = ((1,), (0, 2)) if kind in SINGLE_INPUT_KINDS else ((2, 3), (0, 1))
+        for n_in in good:
+            fed_by(n_in).validate()
+        for n_in in bad:
+            with pytest.raises(GraphError) as exc:
+                fed_by(n_in).validate()
+            want = (f"{kind} node op needs exactly 1 input, has {n_in}"
+                    if kind in SINGLE_INPUT_KINDS else f"{kind} node op needs >= 2 inputs")
+            assert str(exc.value) == want
+
+    def test_input_with_inputs_rejected(self):
+        g = OpGraph()
+        g.add_node("a", "Input")
+        g.add_node("b", "Input")
+        g.connect("a", "b")
+        with pytest.raises(GraphError) as exc:
+            g.validate()
+        assert str(exc.value) == "Input node b has inputs"
+
+    def test_output_with_outputs_rejected(self):
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("a", "Output")
+        g.add_node("b", "Output")
+        g.connect("in", "a")
+        g.connect("a", "b")
+        with pytest.raises(GraphError) as exc:
+            g.validate()
+        assert str(exc.value) == "Output node a has outputs"
+
+    def test_unknown_kind_rejected(self):
+        g = OpGraph()
+        with pytest.raises(GraphError) as exc:
+            g.add_node("x", "Relu")
+        assert str(exc.value) == "unknown node kind 'Relu'"
+        assert not g.nodes
 
     def test_split_concat_round_trip(self):
         g = OpGraph()
@@ -617,3 +673,14 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert set(doc) == {"nodes", "edges", "fresh_id"}
         assert doc["fresh_id"] == 7  # the fixture's seven edges drew fresh ids
+
+    def test_edge_shape_key_is_ignored(self):
+        """Documents that carry an edge ``shape`` (null, as written before
+        edges dropped it, or a list) load as if it were absent."""
+        doc = conv_block_graph().to_json_dict()
+        assert all("shape" not in e for e in doc["edges"])
+        for shape in (None, [2, 4, 4], 5):
+            old = json.loads(json.dumps(doc))
+            for e in old["edges"]:
+                e["shape"] = shape
+            assert OpGraph.from_json_dict(old).canonical_json() == json.dumps(doc, sort_keys=True)

@@ -1,5 +1,5 @@
-"""Differential test: the indexed, in-place passes and the threshold code
-against the frozen oracle.
+"""Differential test: the indexed, in-place passes, the threshold code and
+the interpreter against the frozen oracle.
 
 Graphs are chains of the four block kinds of a quantized YOLOv8 backbone
 (conv block, fork/add, fork/concat, split/concat) plus twin-affine joins,
@@ -11,7 +11,10 @@ the oracle's, so fresh ids start from the same counter. Each single pass
 must give the same ``canonical_json`` (ids, attributes and edge order),
 bit-exact ``interpret`` output on integer inputs and the same
 ``GraphError``, and diagnostics must be the oracle's with repeats removed.
-``run_pipeline`` is held to the two rules of ``check_pipeline``.
+``run_pipeline`` is held to the two rules of ``check_pipeline``. Live
+``interpret`` must match the oracle's byte for byte on these graphs, the
+fixtures and every streamline-graphs pool graph, before and after
+``run_pipeline``.
 """
 
 from __future__ import annotations
@@ -21,16 +24,21 @@ import copy
 import hashlib
 import json
 import re
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import streamline_oracle as oracle
-from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph
+from conftest import conv_block_graph, fork_join_graph, mul_conv_chain_graph, yolov8_graph
 from motkit import quantcore, streamline
 from motkit.streamline import GraphError, OpGraph, interpret
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import wl_streamline  # noqa: E402
 
 SPATIAL = 4
 # Powers of two keep every rewrite exact in float64; 1.0 is the identity.
@@ -217,7 +225,7 @@ def id_free(g, held) -> tuple[list, list]:
     attrs = {n["id"]: json.dumps([n["kind"], n["attrs"]], sort_keys=True) for n in doc["nodes"]}
     edges = [
         (e["src"], e["src_out"], e["dst"], e["dst_in"],
-         json.dumps([e["scale"], e["bits"], e["signed"], e["shape"]]))
+         json.dumps([e["scale"], e["bits"], e["signed"]]))
         for e in doc["edges"]
     ]
     names = {nid: nid if nid in held else a for nid, a in attrs.items()}
@@ -401,6 +409,125 @@ def test_site_checks_within_budget(blocks, data):
             pass
     assert counts["rewrites"] > 0
     assert counts["checks"] <= nodes + CHECKS_PER_REWRITE * counts["rewrites"]
+
+
+# -- interpreter ----------------------------------------------------------------
+# interpret against the frozen one-branch-per-kind interpreter: the same output
+# keys in the same order, each with the same dtype, shape and bytes, or the same
+# GraphError message.
+
+
+def assert_same_interpret(g, x):
+    """Run both interpreters on (g, x); return the live outputs, or None after
+    the same GraphError."""
+    got, err = outcome(interpret, g, x)
+    want, err_want = outcome(oracle.interpret, g, x)
+    assert err == err_want
+    if err is None:
+        assert list(got) == list(want)
+        for k, a in got.items():
+            b = want[k]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), k
+    return got
+
+
+def assert_interpret_holds_through_pipeline(g, x):
+    """interpret like the frozen one on g and, if it streamlines, on the
+    streamlined graph, whose output must be bit-exact to g's."""
+    before = assert_same_interpret(g, x)
+    out, err = outcome(streamline.run_pipeline, g)
+    if err is None:
+        after = assert_same_interpret(out, x)
+        assert before.keys() == after.keys()
+        assert all(before[k].tobytes() == after[k].tobytes() for k in before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_cases())
+def test_interpret_matches_frozen_interpreter(case):
+    calls, x = case
+    assert_interpret_holds_through_pipeline(build(OpGraph, calls), x)
+
+
+def three_way_graph() -> OpGraph:
+    """A 3-slot Split into a 3-input EltwiseAdd, then a MaxPool at its
+    default stride, and into a 3-input Concat in another slot order, then a
+    MultiThreshold: two Outputs, one fed by the MultiThreshold itself."""
+    g = OpGraph()
+    g.add_node("in", "Input")
+    g.add_node("split", "Split", sizes=[1, 1, 1])
+    g.add_node("sum", "EltwiseAdd")
+    g.add_node("pool", "MaxPool", kernel=2)
+    g.add_node("cat", "Concat")
+    g.add_node("mt", "MultiThreshold", thresholds=np.array([[-1.0, 0.0, 1.0]] * 3), out_bits=2)
+    g.add_node("out_pool", "Output")
+    g.add_node("out_mt", "Output")
+    g.connect("in", "split")
+    for slot in range(3):
+        g.connect("split", "sum", src_out=slot, dst_in=slot)
+        g.connect("split", "cat", src_out=(slot + 2) % 3, dst_in=slot)
+    for src, dst in (("sum", "pool"), ("pool", "out_pool"), ("cat", "mt"), ("mt", "out_mt")):
+        g.connect(src, dst)
+    return g
+
+
+def test_fixture_graphs_interpret_like_frozen():
+    rng = np.random.default_rng(0)
+    for make, shape in ((conv_block_graph, (2, 4, 4)), (fork_join_graph, (2, 4, 4)),
+                        (yolov8_graph, (2, 8, 8)), (three_way_graph, (3, 4, 4))):
+        for x in (np.ones(shape), rng.integers(-8, 8, shape).astype(float)):
+            assert_interpret_holds_through_pipeline(make(), x)
+    # sums of non-integers show the order of a join's additions
+    assert_same_interpret(three_way_graph(), rng.standard_normal((3, 4, 4)))
+
+
+def test_pool_graphs_interpret_like_frozen():
+    """Every streamline-graphs pool graph, before and after run_pipeline."""
+    for index in range(wl_streamline.POOL):
+        g, x, _ = wl_streamline.make_graph(index)
+        assert_interpret_holds_through_pipeline(g, x)
+
+
+def _split_graph(sizes):
+    g = OpGraph()
+    g.add_node("in", "Input")
+    g.add_node("split", "Split", sizes=sizes)
+    g.add_node("cat", "Concat")
+    g.add_node("out", "Output")
+    g.connect("in", "split")
+    for slot in range(len(sizes)):
+        g.connect("split", "cat", src_out=slot, dst_in=slot)
+    g.connect("cat", "out")
+    return g
+
+
+def _mul_graph(scale, inputs=("in",)):
+    g = OpGraph()
+    for nid in inputs:
+        g.add_node(nid, "Input")
+    g.add_node("mul", "Mul", scale=scale)
+    g.add_node("out", "Output")
+    g.connect(inputs[0], "mul")
+    g.connect("mul", "out")
+    return g
+
+
+@pytest.mark.parametrize(
+    "g, inputs, message",
+    [
+        (_split_graph([1, 1]), np.ones((3, 2, 2)), "Split split: sizes [1, 1] vs 3 channels"),
+        (_mul_graph(1.0), {}, "no value supplied for input 'in'"),
+        (_mul_graph(1.0, ("in", "in2")), np.ones((2, 2, 2)), "graph has 2 inputs; pass a dict"),
+        (_mul_graph([1.0, 2.0, 3.0]), np.ones((2, 2, 2)),
+         "affine parameter shape (3,) does not fit 2 channels"),
+    ],
+    ids=["split_sizes", "missing_input", "bare_array_two_inputs", "affine_shape"],
+)
+def test_interpret_errors_match_frozen(g, inputs, message):
+    with pytest.raises(GraphError) as exc:
+        interpret(g, inputs)
+    assert str(exc.value) == message
+    assert assert_same_interpret(g, inputs) is None
 
 
 # -- threshold code -------------------------------------------------------------
