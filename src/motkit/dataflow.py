@@ -13,19 +13,22 @@ tokens. Everything is deterministic: one event loop, fixed node order.
 Cycles in which only latency countdowns run are skipped in one step (see
 `simulate`); every reported count is the one a cycle-by-cycle run gives.
 
-FIFO sizing follows the probe procedure: run once with effectively
-unbounded depths and read off each FIFO's largest saturation. That run is
-its own verification (replay lemma): a run at depths `D` with peaks
-`M <= D` repeats cycle for cycle at depths `M`, since from equal states
-phases 1 and 4 act alike and phase 2 drains `min(staged, depth - occ)`
-alike, as the first run kept `occ + amount <= M` or filled up (`M = D`).
+FIFO sizing follows the probe procedure: each FIFO's depth is its largest
+saturation in a run at depths no occupancy can exceed, where no node stalls,
+so `probe_fifos` computes that run in closed form. It is its own verification
+(replay lemma): a run at depths `D` with peaks `M <= D` repeats cycle for
+cycle at depths `M`, since from equal states phases 1 and 4 act alike and
+phase 2 drains `min(staged, depth - occ)` alike, as the first run kept
+`occ + amount <= M` or filled up (`M = D`).
 """
 
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import asdict, dataclass
+from functools import reduce
+
+import numpy as np
 
 from .graph import Graph, GraphError, graph_specs, read_doc, write_doc
 from .io import check_int
@@ -209,6 +212,18 @@ def _firing_latency(node: StreamNode) -> int:
     return cycles
 
 
+def _run_latencies(g: StreamGraph, workload: int, cycle_cap: int) -> list[int]:
+    """Check a run's inputs; return each node's firing latency, in node order."""
+    g.validate()
+    check_int("workload", workload, 1, GraphError)
+    check_int("cycle_cap", cycle_cap, 1, GraphError)
+    for src in g.sources():
+        burst = g.nodes[src].produce
+        if workload % burst != 0:
+            raise GraphError(f"workload {workload} not a multiple of source {src} burst {burst}")
+    return [_firing_latency(node) for node in g.nodes.values()]
+
+
 def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
     """Run the pipeline on `workload` source tokens.
 
@@ -225,15 +240,7 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     source counters staying frozen until a busy node completes, which
     whole-cycle latencies make exact. With no node busy nothing is skipped.
     """
-    g.validate()
-    check_int("workload", workload, 1, GraphError)
-    check_int("cycle_cap", cycle_cap, 1, GraphError)
-    for src in g.sources():
-        if workload % g.nodes[src].produce != 0:
-            raise GraphError(
-                f"workload {workload} not a multiple of source {src} burst "
-                f"{g.nodes[src].produce}"
-            )
+    latency = _run_latencies(g, workload, cycle_cap)
 
     # Each phase touches only a node's own state and edges, so the visiting
     # order is free; insertion order is the key order of the report's dicts.
@@ -244,7 +251,6 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     outs = [[eidx[e.id] for e in g.out_edges(nid)] for nid in g.nodes]
     consume = [node.consume for node in g.nodes.values()]
     produce = [node.produce for node in g.nodes.values()]
-    latency = [_firing_latency(node) for node in g.nodes.values()]
     depth = [e.depth for e in g.edges.values()]
     edge_src = [pos[e.src] for e in g.edges.values()]
     n, m = len(pos), len(eids)
@@ -360,43 +366,53 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     )
 
 
-def _token_bound(g: StreamGraph, workload: int) -> dict[str, int]:
-    """Upper bound on tokens ever entering each edge (probe depths)."""
-    out_tokens: dict[str, int] = {}
-    for nid in g.topo_order():
-        node = g.nodes[nid]
-        ins = g.in_edges(nid)
-        if not ins:
-            out_tokens[nid] = workload
-            continue
-        arriving = max(out_tokens[e.src] for e in ins)
-        firings = math.ceil(arriving / node.consume)
-        out_tokens[nid] = firings * node.produce
-    return {e.id: max(1, out_tokens[e.src]) for e in g.edges.values()}
-
-
-def _with_depths(g: StreamGraph, depths: dict[str, int]) -> StreamGraph:
-    """A copy of `g` whose edges have the given depths."""
-    return g._with_records(
-        {nid: copy(n) for nid, n in g.nodes.items()},
-        {eid: FifoEdge(eid, e.src, e.dst, depths[eid]) for eid, e in g.edges.items()},
-    )
-
-
 def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
-    """`g` run at depths no occupancy can exceed; a GraphError unless it completes."""
-    report = simulate(_with_depths(g, _token_bound(g, workload)), workload, cycle_cap)
-    if not report.completed:
-        raise GraphError(f"probe run did not complete: {report.outcome}")
-    return report
+    """`simulate`'s report for `g` at depths no occupancy can exceed, in
+    closed form; a GraphError unless that run completes.
+
+    A source's j-th firing (from 0) is at cycle `1 + j*L`; any other node's is
+    at the later of its previous firing plus `L` and the landing of the last
+    of the `(j+1)*consume` tokens it needs on each input. An edge peaks as a
+    burst lands, before that cycle's firings consume. The run completes as the
+    last firing ends if every token was consumed, else deadlocks a cycle later.
+    A run past 2**60 cycles exceeds any cap."""
+    latency = dict(zip(g.nodes, _run_latencies(g, workload, cycle_cap)))
+    cap = min(cycle_cap, 2**60)  # cycles saturate past it, so int64 holds them
+    done: dict[str, np.ndarray] = {}  # cycles each node's firings end and land
+    max_occupancy, delivered, left_over = dict.fromkeys(g.edges, 0), 0, False
+    for nid in g.topo_order():
+        c, lat, ins = g.nodes[nid].consume, latency[nid], g.in_edges(nid)
+        n = (min(len(done[e.src]) * g.nodes[e.src].produce for e in ins) // c if ins
+             else workload // g.nodes[nid].produce)
+        if n * lat > cap:  # its last firing ends past the cap
+            raise GraphError("probe run did not complete: cap_exceeded")
+        if not ins:
+            done[nid] = 1 + lat * np.arange(1, n + 1)
+            continue
+        need = np.arange(c - 1, n * c, c)  # index of each firing's last token
+        ready = reduce(np.maximum, [done[e.src][need // g.nodes[e.src].produce] for e in ins])
+        steps = np.arange(0, n * lat, lat)
+        fire = steps + np.maximum.accumulate(ready - steps)
+        for e in ins:
+            p, landed = g.nodes[e.src].produce, done[e.src]
+            held = np.arange(p, (len(landed) + 1) * p, p) - c * fire.searchsorted(landed)
+            max_occupancy[e.id] = int(held.max(initial=0))
+            left_over |= len(landed) * p != n * c
+        if not g.out_edges(nid):
+            delivered += n * c * len(ins)
+        done[nid] = np.minimum(fire + lat, cap + 1)
+    last = max(int(d[-1]) for d in done.values() if len(d))
+    if left_over or last > cap:
+        outcome = "cap_exceeded" if last + left_over > cap else "deadlock"
+        raise GraphError(f"probe run did not complete: {outcome}")
+    return SimReport("completed", last, max_occupancy, delivered, dict.fromkeys(g.nodes, 0))
 
 
 def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict[str, int]:
     """Recommend per-edge FIFO depths: each edge's peak in `probe_fifos`.
 
-    By the replay lemma (module docstring: no drain took a FIFO past its
-    peak unless it filled it) a run at these depths repeats the probe,
-    report and all, so it completes and is not simulated again."""
+    By the replay lemma (module docstring) a run at these depths repeats the
+    probe, report and all, so it completes; sizing simulates nothing."""
     return dict(probe_fifos(g, workload, cycle_cap).max_occupancy)
 
 

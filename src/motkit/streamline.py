@@ -344,10 +344,14 @@ def _split(node: Node, ins: list) -> list:
 
 
 def _concat(node: Node, ins: list) -> list:
+    if len({x.shape[1:] for x in ins}) > 1:
+        raise GraphError(f"Concat {node.id}: inputs {[x.shape for x in ins]} differ in H x W")
     return [np.concatenate(ins, axis=0)]
 
 
 def _eltwise_add(node: Node, ins: list) -> list:
+    if len({x.shape for x in ins}) > 1:
+        raise GraphError(f"EltwiseAdd {node.id}: inputs {[x.shape for x in ins]} differ in shape")
     return [sum(ins[1:], ins[0])]  # ((a + b) + c) ..., in slot order
 
 

@@ -78,6 +78,26 @@ def test_streamline_tracer_targets_resolve():
         assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"
 
 
+DATAFLOW_TARGETS = [
+    ("motkit.dataflow", "simulate"),
+    ("motkit.dataflow", "size_fifos"),
+    ("motkit.dataflow:StreamGraph", "in_edges"),
+    ("motkit.dataflow:StreamGraph", "out_edges"),
+]
+
+
+def test_dataflow_tracer_targets_resolve():
+    """Likewise for the FIFO simulator and sizing."""
+    targets = [
+        (owner, attr) for owner, attr, *_ in tracing.OP_TARGETS
+        if owner.partition(":")[0] == "motkit.dataflow"
+    ]
+    assert sorted(targets) == sorted(DATAFLOW_TARGETS)
+    for owner, attr in targets:
+        obj = tracing._resolve(owner)
+        assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"
+
+
 def test_interpret_calls_the_traced_quantcore_names(monkeypatch):
     """interpret looks conv2d and mt_apply up on quantcore at call time, so
     the tracer's wrappers see every call."""

@@ -553,7 +553,7 @@ class TestSimFifoCli:
         assert doc["verification"]["outcome"] == "completed"
         assert doc["recommended_depths"]["e3"] == 8
 
-    def test_probe_simulates_once_and_reports_the_run_at_its_depths(
+    def test_probe_simulates_nothing_and_reports_the_run_at_its_depths(
         self, tmp_path, capsys, monkeypatch
     ):
         path = tmp_path / "graph.json"
@@ -566,12 +566,20 @@ class TestSimFifoCli:
 
         monkeypatch.setattr(dataflow, "simulate", counting)
         assert main(["sim-fifo", str(path), "--probe"]) == 0
-        assert len(calls) == 1
+        assert calls == []
         doc = json.loads(capsys.readouterr().out)
         sized = fork_join_stream_graph()
         for eid, depth in doc["recommended_depths"].items():
             sized.edges[eid].depth = depth
         assert doc["verification"] == simulate(sized, FORK_JOIN_WORKLOAD).to_json_dict()
+
+    def test_probe_below_completion_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        save_stream_graph(fork_join_stream_graph(), path, workload=FORK_JOIN_WORKLOAD)
+        assert main(["sim-fifo", str(path), "--probe"]) == 0
+        end = json.loads(capsys.readouterr().out)["verification"]["cycles"]
+        assert main(["sim-fifo", str(path), "--probe", "--cycle-cap", str(end - 1)]) == 2
+        assert "probe run did not complete: cap_exceeded" in capsys.readouterr().err
 
     def test_workload_required(self, tmp_path):
         path = tmp_path / "graph.json"

@@ -7,9 +7,11 @@ from conftest import (
     fork_join_stream_graph,
 )
 from motkit.dataflow import (
+    DEFAULT_CYCLE_CAP,
     Folding,
     GraphError,
     StreamGraph,
+    probe_fifos,
     simulate,
     size_fifos,
     throughput,
@@ -122,9 +124,11 @@ class TestFolding:
 
     @pytest.mark.parametrize("latency", [{}, {"latency": 8}], ids=["default", "agreeing"])
     def test_folded_node_fires_in_cycles_per_output(self, latency):
-        folded = simulate(self._burst_graph(folding=self.FOLD8, **latency), 32)
+        folded_graph = self._burst_graph(folding=self.FOLD8, **latency)
+        folded = simulate(folded_graph, 32)
         assert folded == simulate(self._burst_graph(latency=8), 32)
         assert folded != simulate(self._burst_graph(), 32)
+        assert probe_fifos(folded_graph, 32) == probe_fifos(self._burst_graph(latency=8), 32)
 
     @pytest.mark.parametrize(
         "run",
@@ -195,6 +199,31 @@ class TestSizeFifos:
             reduced[eid] = rec[eid] - 1
             report = simulate(fork_join_stream_graph(reduced), FORK_JOIN_WORKLOAD)
             assert report.outcome == "deadlock" or report.cycles > base.cycles, eid
+
+    @pytest.mark.parametrize(
+        "latency, cycle_cap, outcome",
+        [
+            (2**50, 2**55, "completed"),  # cycles far past 32 bits, exact
+            (2**50, 2**50, "cap_exceeded"),
+            (10**20, DEFAULT_CYCLE_CAP, "cap_exceeded"),  # a latency past int64
+            (10**20, 10**30, "cap_exceeded"),  # simulate completes: past 2**60 cycles
+        ],
+    )
+    def test_probe_of_long_latencies(self, latency, cycle_cap, outcome):
+        g = StreamGraph()
+        for nid, lat in (("src", 1), ("slow", latency), ("sink", 1)):
+            g.add_node(nid, latency=lat)
+        g.connect("src", "slow", edge_id="e0")
+        g.connect("slow", "sink", edge_id="e1")
+        if outcome != "completed":
+            with pytest.raises(GraphError, match=f"^probe run did not complete: {outcome}$"):
+                probe_fifos(g, 4, cycle_cap)
+            return
+        probe = probe_fifos(g, 4, cycle_cap)
+        assert probe.cycles == 4 * latency + 3
+        assert probe.max_occupancy == {"e0": 3, "e1": 1}
+        g.edges["e0"].depth = 3
+        assert simulate(g, 4, cycle_cap) == probe
 
 
 class TestThroughput:

@@ -12,6 +12,10 @@ The graph-check test holds ``StreamGraph``'s adjacency order, topological
 order and validation on the shared graph core to the frozen ones, on the same
 graphs and on cyclic, stranded and isolated variants of them.
 
+The probe tests hold the closed-form `probe_fifos` to the oracle run at
+`_token_bound` depths, on the same cases at the same cycle caps and on every
+4th fifo-sweep pool design at the default cap.
+
 The replay tests check the lemma that lets `size_fifos` skip its
 verification run, on the same cases and on every 16th fifo-sweep pool
 design: a completed run repeats, report and dict key order included, at
@@ -139,9 +143,55 @@ def test_simulate_matches_oracle(case, data):
     )
 
 
+def _at_depths(g: StreamGraph, depths) -> StreamGraph:
+    """A copy of `g` whose edges have the given depths."""
+    copied = StreamGraph.from_json_dict(g.to_json_dict())
+    for eid, depth in depths.items():
+        copied.edges[eid].depth = depth
+    return copied
+
+
+def _assert_probe_matches_oracle(doc, workload, caps_around_end=True):
+    """`probe_fifos` equals the oracle run at token-bound depths, field by
+    field and in key order, or fails naming that run's outcome; at the default
+    cycle cap and, if asked, at 1, T-1, T and T+1 around the run's last cycle T."""
+    g = StreamGraph.from_json_dict(doc)
+    deep = _at_depths(g, oracle._token_bound(g, workload))
+    runs = {dataflow.DEFAULT_CYCLE_CAP: oracle.simulate(deep, workload)}
+    if caps_around_end:
+        end = runs[dataflow.DEFAULT_CYCLE_CAP].cycles
+        for cycle_cap in {1, max(1, end - 1), end, end + 1}:
+            runs[cycle_cap] = oracle.simulate(deep, workload, cycle_cap)
+    for cycle_cap, want in runs.items():
+        try:
+            got = dataflow.probe_fifos(g, workload, cycle_cap)
+        except GraphError as exc:
+            assert not want.completed, cycle_cap
+            assert str(exc) == f"probe run did not complete: {want.outcome}", cycle_cap
+            continue
+        assert got == want, cycle_cap
+        assert list(got.max_occupancy) == list(want.max_occupancy)
+        assert list(got.stall_cycles) == list(want.stall_cycles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases())
+@example(case=_fixture(chain_stream_graph(), 20))
+@example(case=_fixture(burst_stream_graph(burst_depth=2), 16))
+@example(case=_fixture(fork_join_stream_graph(), FORK_JOIN_WORKLOAD))
+def test_probe_matches_oracle_at_token_bound_depths(case):
+    _assert_probe_matches_oracle(*case)
+
+
+def test_fifo_sweep_pool_probes_match_oracle():
+    for index in range(0, wl_fifo.POOL, 4):
+        g, tokens, _ = wl_fifo.make_design(index)
+        _assert_probe_matches_oracle(g.to_json_dict(), tokens, caps_around_end=False)
+
+
 def _assert_replays(g, workload, depths, report):
     """`g` run at `depths` gives `report`, field by field and in key order."""
-    again = dataflow.simulate(dataflow._with_depths(g, depths), workload)
+    again = dataflow.simulate(_at_depths(g, depths), workload)
     assert again == report
     assert list(again.max_occupancy) == list(report.max_occupancy)
     assert list(again.stall_cycles) == list(report.stall_cycles)

@@ -173,6 +173,35 @@ class TestInterpret:
         assert out.shape == (1, 2, 2)
         assert np.all(out == 4.0)
 
+    @pytest.mark.parametrize("join", JOIN_KINDS)
+    def test_join_of_mismatched_maps_rejected_with_node_named(self, join):
+        # SPPF without padding: a 3x3 stride-1 pool shrinks 4x4 to 2x2
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("pool", "MaxPool", kernel=3, stride=1)
+        g.add_node("cat", join)
+        g.add_node("out", "Output")
+        g.connect("in", "pool")
+        g.connect("in", "cat", dst_in=0)
+        g.connect("pool", "cat", dst_in=1)
+        g.connect("cat", "out")
+        with pytest.raises(GraphError) as exc:
+            interpret(g, np.ones((2, 4, 4)))
+        assert str(exc.value).startswith(f"{join} cat: inputs [(2, 4, 4), (2, 2, 2)] differ in ")
+
+    def test_eltwise_add_of_different_channel_counts_rejected(self):
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("split", "Split", sizes=[1, 2])
+        g.add_node("sum", "EltwiseAdd")
+        g.add_node("out", "Output")
+        g.connect("in", "split")
+        g.connect("split", "sum", src_out=0, dst_in=0)
+        g.connect("split", "sum", src_out=1, dst_in=1)
+        g.connect("sum", "out")
+        with pytest.raises(GraphError, match=r"^EltwiseAdd sum: inputs .* differ in shape$"):
+            interpret(g, np.ones((3, 2, 2)))
+
     def test_conv_block_runs(self):
         out = single_output(interpret(conv_block_graph(), np.ones((2, 4, 4))))
         assert out.shape == (2, 5, 5)
