@@ -145,7 +145,7 @@ class StreamGraph(Graph):
     def sinks(self) -> list[str]:
         return [nid for nid, outs in self._outs.items() if not outs]
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
         if not self.nodes:
             raise GraphError("empty stream graph")
         sources, sinks = self.sources(), self.sinks()
@@ -158,7 +158,7 @@ class StreamGraph(Graph):
             raise GraphError(f"isolated nodes: {sorted(isolated)}")
         # Acyclic, so every node lies on a source->sink path: its in-edges
         # lead back to a source and its out-edges on to a sink.
-        self.topo_order()
+        return self.topo_order()
 
     # -- serialization -----------------------------------------------------
 
@@ -212,16 +212,16 @@ def _firing_latency(node: StreamNode) -> int:
     return cycles
 
 
-def _run_latencies(g: StreamGraph, workload: int, cycle_cap: int) -> list[int]:
-    """Check a run's inputs; return each node's firing latency, in node order."""
-    g.validate()
+def _run_latencies(g: StreamGraph, workload: int, cycle_cap: int) -> tuple[list[str], list[int]]:
+    """Check a run's inputs; return the topological order and node-order latencies."""
+    order = g.validate()
     check_int("workload", workload, 1, GraphError)
     check_int("cycle_cap", cycle_cap, 1, GraphError)
     for src in g.sources():
         burst = g.nodes[src].produce
         if workload % burst != 0:
             raise GraphError(f"workload {workload} not a multiple of source {src} burst {burst}")
-    return [_firing_latency(node) for node in g.nodes.values()]
+    return order, [_firing_latency(node) for node in g.nodes.values()]
 
 
 def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
@@ -240,7 +240,7 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     source counters staying frozen until a busy node completes, which
     whole-cycle latencies make exact. With no node busy nothing is skipped.
     """
-    latency = _run_latencies(g, workload, cycle_cap)
+    order, latency = _run_latencies(g, workload, cycle_cap)
 
     # Each phase touches only a node's own state and edges, so the visiting
     # order is free; insertion order is the key order of the report's dicts.
@@ -345,7 +345,7 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
 
     blocked, full, empty = [], [], []
     if outcome == "deadlock":
-        for nid in g.topo_order():
+        for nid in order:
             i = pos[nid]
             occs = [occupancy[k] for k in ins[i]]
             starved = bool(occs) and max(occs) > 0 and min(occs) < consume[i]
@@ -376,11 +376,12 @@ def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CA
     burst lands, before that cycle's firings consume. The run completes as the
     last firing ends if every token was consumed, else deadlocks a cycle later.
     A run past 2**60 cycles exceeds any cap."""
-    latency = dict(zip(g.nodes, _run_latencies(g, workload, cycle_cap)))
+    order, latency = _run_latencies(g, workload, cycle_cap)
+    latency = dict(zip(g.nodes, latency))
     cap = min(cycle_cap, 2**60)  # cycles saturate past it, so int64 holds them
     done: dict[str, np.ndarray] = {}  # cycles each node's firings end and land
     max_occupancy, delivered, left_over = dict.fromkeys(g.edges, 0), 0, False
-    for nid in g.topo_order():
+    for nid in order:
         c, lat, ins = g.nodes[nid].consume, latency[nid], g.in_edges(nid)
         n = (min(len(done[e.src]) * g.nodes[e.src].produce for e in ins) // c if ins
              else workload // g.nodes[nid].produce)

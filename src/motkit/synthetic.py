@@ -2,7 +2,8 @@
 
 Lets the full pipeline (track -> evaluate) run with zero external data:
 objects move linearly inside the image for the whole sequence, and the
-detection stream is the ground truth plus optional jitter.
+detection stream is the ground truth plus optional jitter. Coordinates are
+built as (frame, object) arrays and become boxes one frame at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ def generate_sequence(
     """Build (gt_frames, det_frames), both keyed by 1-based frame index.
 
     Ground-truth entries carry object ids 1..n_objects; detection entries
-    carry id -1 and a center/size jitter of the given standard deviation.
-    Trajectories are clamped so every box stays inside the image.
+    carry id -1 and a center/size jitter of standard deviation `noise`
+    (finite and >= 0), sides floored at MIN_BOX_SIDE; at noise 0 they are the
+    ground-truth box objects. Trajectories are clamped into the image. The
+    jitter is one (n_frames, n_objects, 4) draw, whose C order (cx, cy, w, h
+    per box, box by box, frame by frame) is a per-box loop's scalar draws.
     """
     if n_objects < 1 or n_frames < 1:
         raise ValueError("need at least one object and one frame")
+    if not 0.0 <= noise < np.inf:  # NaN fails too
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     img_w, img_h = image_size
     if img_w <= 64 or img_h <= 64:
@@ -42,30 +48,23 @@ def generate_sequence(
     y0 = rng.uniform(0.0, img_h - heights)
     x_end = np.clip(x0 + rng.uniform(-2.5, 2.5, n_objects) * span, 0.0, img_w - widths)
     y_end = np.clip(y0 + rng.uniform(-2.5, 2.5, n_objects) * span, 0.0, img_h - heights)
-    vx = (x_end - x0) / span
-    vy = (y_end - y0) / span
 
-    gt_frames: dict[int, list[tuple[int, BoundingBox]]] = {}
-    det_frames: dict[int, list[tuple[int, BoundingBox]]] = {}
+    t = np.arange(n_frames)[:, None]  # positions are (frame, object) arrays
+    left = x0 + (x_end - x0) / span * t
+    top = y0 + (y_end - y0) / span * t
+    gt = np.stack([left, top, left + widths, top + heights], axis=2)
+    det = None
+    if noise > 0.0:
+        jx, jy, jw, jh = rng.normal(0.0, noise, (n_frames, n_objects, 4)).transpose(2, 0, 1)
+        cx, cy = left + widths / 2.0 + jx, top + heights / 2.0 + jy
+        half_w, half_h = np.maximum(MIN_BOX_SIDE, [widths + jw, heights + jh]) / 2.0
+        det = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=2)
+
+    gt_frames, det_frames = {}, {}
     for frame in range(1, n_frames + 1):
-        t = frame - 1
-        gt_list = []
-        det_list = []
-        for i in range(n_objects):
-            left = x0[i] + vx[i] * t
-            top = y0[i] + vy[i] * t
-            box = BoundingBox(left, top, left + widths[i], top + heights[i], 1.0, 0)
-            gt_list.append((i + 1, box))
-
-            if noise > 0.0:
-                cx = left + widths[i] / 2.0 + rng.normal(0.0, noise)
-                cy = top + heights[i] / 2.0 + rng.normal(0.0, noise)
-                w = max(MIN_BOX_SIDE, widths[i] + rng.normal(0.0, noise))
-                h = max(MIN_BOX_SIDE, heights[i] + rng.normal(0.0, noise))
-                det_box = BoundingBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0, 1.0, 0)
-            else:
-                det_box = box
-            det_list.append((-1, det_box))
-        gt_frames[frame] = gt_list
-        det_frames[frame] = det_list
+        boxes = [BoundingBox(*corners) for corners in gt[frame - 1].tolist()]
+        gt_frames[frame] = list(enumerate(boxes, 1))
+        if det is not None:
+            boxes = [BoundingBox(*corners) for corners in det[frame - 1].tolist()]
+        det_frames[frame] = [(-1, box) for box in boxes]
     return gt_frames, det_frames

@@ -98,6 +98,15 @@ def test_dataflow_tracer_targets_resolve():
         assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"
 
 
+def test_setup_tracer_targets_resolve():
+    """Likewise for the set-up span around the synthetic sequence generator."""
+    targets = [(owner, attr) for owner, attr, *_ in tracing.SETUP_TARGETS]
+    assert targets == [("motkit.synthetic", "generate_sequence")]
+    for owner, attr in targets:
+        obj = tracing._resolve(owner)
+        assert obj is not None and callable(vars(obj).get(attr)), f"{owner}.{attr}"
+
+
 def test_interpret_calls_the_traced_quantcore_names(monkeypatch):
     """interpret looks conv2d and mt_apply up on quantcore at call time, so
     the tracer's wrappers see every call."""

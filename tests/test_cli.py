@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import synthetic_oracle
 from conftest import (
     FORK_JOIN_WORKLOAD,
     conv_block_graph,
@@ -62,6 +63,24 @@ class TestTrack:
         out = capsys.readouterr().out
         assert "MOTA   1.000000" in out
         assert "IDSW   0" in out
+
+    @pytest.mark.parametrize("synthetic", [["10", "200", "0.0", "7"], ["30", "40", "2.0", "3"]])
+    def test_synthetic_files_match_the_frozen_generator(self, tmp_path, monkeypatch, synthetic):
+        def run(name):
+            gt, res = tmp_path / f"{name}_gt.txt", tmp_path / f"{name}_res.txt"
+            assert main(["track", "--synthetic", *synthetic, "--gt-out", str(gt), "-o", str(res)]) == 0
+            return gt.read_bytes(), res.read_bytes()
+
+        live = run("live")
+        monkeypatch.setattr(cli, "generate_sequence", synthetic_oracle.generate_sequence)
+        assert run("oracle") == live
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_invalid_synthetic_noise_rejected(self, tmp_path, capsys, noise):
+        res = tmp_path / "res.txt"
+        assert main(["track", "--synthetic", "5", "3", noise, "0", "-o", str(res)]) == 2
+        assert "noise must be finite and >= 0" in capsys.readouterr().err
+        assert not res.exists()
 
     def test_empty_detection_file_gives_empty_result(self, tmp_path):
         dets = tmp_path / "dets.txt"

@@ -16,6 +16,7 @@ from motkit.dataflow import (
     size_fifos,
     throughput,
 )
+from motkit.graph import Graph
 
 
 class TestSimulate:
@@ -105,6 +106,22 @@ class TestSimulate:
     def test_bad_workload_rejected(self):
         with pytest.raises(GraphError):
             simulate(chain_stream_graph(), 0)
+
+    def test_one_topological_order_per_run(self, monkeypatch):
+        # validate's order serves the deadlock report and the probe's visit
+        orders = []
+        topo_order = Graph.topo_order
+
+        def counted(g):
+            orders.append(topo_order(g))
+            return orders[-1]
+
+        monkeypatch.setattr(Graph, "topo_order", counted)
+        g = fork_join_stream_graph()
+        assert g.validate() == orders[0]
+        assert simulate(g, FORK_JOIN_WORKLOAD).outcome == "deadlock"
+        probe_fifos(g, FORK_JOIN_WORKLOAD)
+        assert len(orders) == 3
 
 
 class TestFolding:

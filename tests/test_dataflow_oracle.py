@@ -10,7 +10,8 @@ or fail with the same error.
 
 The graph-check test holds ``StreamGraph``'s adjacency order, topological
 order and validation on the shared graph core to the frozen ones, on the same
-graphs and on cyclic, stranded and isolated variants of them.
+graphs and on cyclic, stranded and isolated variants of them; a graph that
+validates returns the frozen topological order from ``validate``.
 
 The probe tests hold the closed-form `probe_fifos` to the oracle run at
 `_token_bound` depths, on the same cases at the same cycle caps and on every
@@ -241,7 +242,9 @@ def _outcome(fn, *args):
 
 def _assert_same_checks(doc):
     g = StreamGraph.from_json_dict(doc)
-    assert _outcome(g.validate) == _outcome(oracle.validate, g)
+    order, error = _outcome(g.validate)
+    assert error == _outcome(oracle.validate, g)[1]
+    assert order == (None if error else oracle.topo_order(g))
     assert _outcome(g.topo_order) == _outcome(oracle.topo_order, g)
     for nid in g.nodes:
         assert g.in_edges(nid) == oracle.in_edges(g, nid)
