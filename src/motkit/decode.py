@@ -66,8 +66,9 @@ def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray
     """Collapse a raw (4*B + classes)-channel map to 4 + classes channels.
 
     The first 4*B channels hold four bin distributions (side-major layout:
-    channel side*B + bin); each is replaced by its expectation. Class
-    channels pass through untouched. num_bins is an integer >= 1.
+    channel side*B + bin); each is replaced by its expectation, summed in bin
+    order whatever the memory layout. Class channels pass through untouched.
+    num_bins is an integer >= 1.
     """
     check_int("num_bins", num_bins, 1, ValueError)
     c, h, w = data.shape
@@ -75,11 +76,12 @@ def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray
         raise ValueError(f"{c} channels cannot hold 4*{num_bins} bins plus classes")
     dist = data[: 4 * num_bins].reshape(4, num_bins, h, w)
     z = dist - dist.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    bins = np.arange(num_bins, dtype=float).reshape(1, num_bins, 1, 1)
-    expected = (p * bins).sum(axis=1)
-    return np.concatenate([expected, data[4 * num_bins :]], axis=0)
+    p = np.exp(z, out=z) if z.dtype.kind == "f" else np.exp(z)  # integers promote
+    p /= sum(p[:, b] for b in range(num_bins))[:, None]
+    out = np.empty((c - 4 * num_bins + 4, h, w), np.result_type(np.float64, data.dtype))
+    out[:4] = sum(p[:, b] * np.float64(b) for b in range(num_bins))
+    out[4:] = data[4 * num_bins :]
+    return out
 
 
 def decode_heads(maps: list[HeadMap], score_thresh: float = DEFAULT_SCORE_THRESH) -> np.ndarray:

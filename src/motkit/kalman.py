@@ -93,12 +93,16 @@ def update(
 
 
 def box_to_measurement(corners: np.ndarray) -> np.ndarray:
-    """Corner boxes (N, 4) -> [u, v, s, r] rows. Non-positive area is an error."""
+    """Corner boxes (N, 4) -> [u, v, s, r] rows. Non-positive area or overflow is an error."""
     x0, y0, x1, y1 = np.asarray(corners, dtype=float).reshape(-1, 4).T
-    w, h = x1 - x0, y1 - y0
+    with np.errstate(all="ignore"):
+        w, h = x1 - x0, y1 - y0
+        z = np.stack([x0 + w / 2.0, y0 + h / 2.0, w * h, w / h], axis=1)
     if np.any(w <= 0.0) or np.any(h <= 0.0):
         raise ValueError(f"box has non-positive area: min w={w.min()}, min h={h.min()}")
-    return np.stack([x0 + w / 2.0, y0 + h / 2.0, w * h, w / h], axis=1)
+    if not np.isfinite(z).all():
+        raise ValueError(f"box width, height or area not finite: max w={w.max()}, max h={h.max()}")
+    return z
 
 
 def state_to_corners(x: np.ndarray) -> np.ndarray:

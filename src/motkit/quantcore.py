@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiThresholdOp:
     """Per-channel ascending thresholds t_0 < ... < t_{n-1}, n = 2^out_bits - 1.
 

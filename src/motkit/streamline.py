@@ -41,7 +41,7 @@ _ARRAY_ATTRS = {"weights", "thresholds"}
 _AFFINE_KINDS = frozenset({"Mul", "Add"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: str
     kind: str
@@ -57,7 +57,7 @@ def _copied(v):
     return v.copy() if isinstance(v, np.ndarray) else v
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """Directed tensor edge with optional quantization annotations."""
 

@@ -56,9 +56,12 @@ def generate_sequence(
     det = None
     if noise > 0.0:
         jx, jy, jw, jh = rng.normal(0.0, noise, (n_frames, n_objects, 4)).transpose(2, 0, 1)
-        cx, cy = left + widths / 2.0 + jx, top + heights / 2.0 + jy
-        half_w, half_h = np.maximum(MIN_BOX_SIDE, [widths + jw, heights + jh]) / 2.0
-        det = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=2)
+        with np.errstate(all="ignore"):
+            cx, cy = left + widths / 2.0 + jx, top + heights / 2.0 + jy
+            half_w, half_h = np.maximum(MIN_BOX_SIDE, [widths + jw, heights + jh]) / 2.0
+            det = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=2)
+        if not np.isfinite(det).all():
+            raise ValueError(f"noise {noise} jitters box corners past float64 range")
 
     gt_frames, det_frames = {}, {}
     for frame in range(1, n_frames + 1):

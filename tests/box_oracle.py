@@ -6,6 +6,10 @@ tests. The only edits are imports: layout constants and ``HeadMap`` come
 from motkit, and the MOT step's Hungarian matching uses the frozen solver
 and list IoU matrix of ``lap_oracle``, so the oracle shares no IoU or LAP
 code with what it checks.
+
+``reduce_dfl`` is the DFL reduction as it was before it reduced bin by bin
+into one output buffer: numpy's own max and sum over the bin axis, the
+full float64 product with the bin indices, and a ``concatenate``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from lap_oracle import iou_matrix, solve_lap
 from motkit.decode import EXPECTED_STRIDES, REGRESSION_CHANNELS, HeadMap, sigmoid
 from motkit.geometry import BoundingBox
+from motkit.io import check_int
 from motkit.metrics import COCO_IOU_THRESHOLDS
 
 
@@ -40,6 +45,26 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def reduce_dfl(data: np.ndarray, num_bins: int = 16) -> np.ndarray:
+    """Collapse a raw (4*B + classes)-channel map to 4 + classes channels.
+
+    The first 4*B channels hold four bin distributions (side-major layout:
+    channel side*B + bin); each is replaced by its expectation. Class
+    channels pass through untouched. num_bins is an integer >= 1.
+    """
+    check_int("num_bins", num_bins, 1, ValueError)
+    c, h, w = data.shape
+    if c <= 4 * num_bins:
+        raise ValueError(f"{c} channels cannot hold 4*{num_bins} bins plus classes")
+    dist = data[: 4 * num_bins].reshape(4, num_bins, h, w)
+    z = dist - dist.max(axis=1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=1, keepdims=True)
+    bins = np.arange(num_bins, dtype=float).reshape(1, num_bins, 1, 1)
+    expected = (p * bins).sum(axis=1)
+    return np.concatenate([expected, data[4 * num_bins :]], axis=0)
 
 
 def decode_heads(maps: list[HeadMap], score_thresh: float = 0.25) -> list[BoundingBox]:

@@ -6,9 +6,12 @@ must give exactly what the scalar-IoU code they replaced gives: compared
 with ``==`` or bit for bit, no tolerance. ``nms`` is fed both a BoundingBox
 list and its box rows, and so are the scorers. Coordinates and scores are
 drawn from coarse grids, so touching edges, degenerate boxes, score ties
-and IoUs that land on a threshold are common.
+and IoUs that land on a threshold are common. ``reduce_dfl`` must give the
+frozen one's bytes wherever numpy's sums over bins added in bin order; the
+one exception and its tolerance are stated in ``TestReduceDfl``.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -184,6 +187,94 @@ class TestDecodeHeads:
             maps.append(HeadMap(s, (np.round(data) if seed >= 2 else data).astype(dtype)))
         got = decode_heads(maps, score_thresh)
         assert_same_rows(got, oracle_rows(box_oracle.decode_heads(maps, score_thresh)))
+
+
+def dfl_map(dtype, bins: int, h: int, w: int, seed: int = 0) -> np.ndarray:
+    """A (4*bins + 3, h, w) raw head map of `dtype`. Float maps carry NaN,
+    +inf and -inf logits, and one cell whose first side's bins are all
+    -inf."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(0.0, 4.0, (4 * bins + 3, h, w))
+    if np.dtype(dtype).kind == "i":
+        return np.round(data * 10.0).astype(dtype)
+    data.reshape(-1)[rng.choice(data.size, 6, replace=False)] = [np.nan, np.inf, -np.inf] * 2
+    data[:bins, 0, 0] = -np.inf
+    return data.astype(dtype)
+
+
+def laid_out(data: np.ndarray, layout: str) -> np.ndarray:
+    """`data`'s values in another memory layout, as a view."""
+    if layout == "strided":  # every other column of a wider map
+        wide = np.zeros(data.shape[:2] + (2 * data.shape[2],), data.dtype)
+        wide[:, :, ::2] = data
+        return wide[:, :, ::2]
+    if layout == "channels_last":  # a (h, w, channels) array, transposed
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(data, 0, 2)), 2, 0)
+    return np.asfortranarray(data) if layout == "fortran" else data
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestReduceDfl:
+    """``reduce_dfl`` adds over bins in bin order, whatever the map's layout.
+    The oracle's numpy sums add in bin order too when the bin axis is not
+    innermost in memory and the map has more than one cell; there the bytes
+    must be equal. Otherwise numpy adds 8 or more bins pairwise, so on
+    channels-last and Fortran-ordered maps the live result is the oracle's
+    on a C-ordered copy, and on single-cell maps it is within the tolerance
+    below."""
+
+    DTYPES = [np.float16, np.float32, np.float64, np.int32]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bins", [1, 2, 16])
+    @pytest.mark.parametrize("layout", ["C", "strided", "channels_last", "fortran"])
+    def test_matches_oracle(self, dtype, bins, layout):
+        data = laid_out(dfl_map(dtype, bins, 5, 7), layout)
+        got = decode.reduce_dfl(data, bins)
+        assert_same_bytes(got, box_oracle.reduce_dfl(np.ascontiguousarray(data), bins))
+        if layout in ("C", "strided") or bins < 8:
+            assert_same_bytes(got, box_oracle.reduce_dfl(data, bins))
+        assert np.isnan(got[:4]).any() == (np.dtype(dtype).kind == "f")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bins", [1, 2, 16])
+    def test_single_cell_maps(self, dtype, bins):
+        for seed in range(20):
+            data = dfl_map(dtype, bins, 1, 1, seed)
+            got, want = decode.reduce_dfl(data, bins), box_oracle.reduce_dfl(data, bins)
+            if bins < 8:
+                assert_same_bytes(got, want)
+                continue
+            # Pairwise and in-order sums of `bins` softmax terms differ by a
+            # few roundings in the softmax dtype, and each is weighted by a
+            # bin index below `bins`.
+            eps = np.finfo(np.float64 if dtype == np.int32 else dtype).eps
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            np.testing.assert_allclose(got[:4], want[:4], rtol=0, atol=bins * bins * eps)
+            assert_same_bytes(got[4:], want[4:])
+
+    def test_detect_sized_float32_maps(self):
+        """The 640x640 maps `decode`, `track --head-maps` and the bench feed
+        in, with 16 bins and 80 classes: larger than numpy's iterator buffer."""
+        for h in (80, 40, 20):
+            data = np.random.default_rng(h).normal(0.0, 1.0, (4 * 16 + 80, h, h))
+            data = data.astype(np.float32)
+            assert_same_bytes(decode.reduce_dfl(data, 16), box_oracle.reduce_dfl(data, 16))
+
+    def test_keeps_no_float64_product_of_all_bins(self):
+        data = dfl_map(np.float32, 16, 64, 64)
+        tracemalloc.start()
+        try:
+            decode.reduce_dfl(data, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * 64 * 64 * 8  # the oracle's p * bins alone
 
 
 # hypothesis's explain phase re-runs a shrunk failure with each part varied, to

@@ -82,6 +82,24 @@ class TestTrack:
         assert "noise must be finite and >= 0" in capsys.readouterr().err
         assert not res.exists()
 
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            ("1e200", "error: box width, height or area not finite"),  # the tracker's area
+            ("1e308", "error: noise 1e+308 jitters box corners past float64 range"),
+        ],
+    )
+    def test_overflowing_synthetic_noise_exits_2_with_one_error_line(
+        self, tmp_path, capsys, noise, message
+    ):
+        res = tmp_path / "res.txt"
+        assert main(["track", "--synthetic", "5", "3", noise, "0", "-o", str(res)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(message)
+        assert "Warning" not in err and err.endswith(errors[0] + "\n")
+        assert not res.exists()
+
     def test_empty_detection_file_gives_empty_result(self, tmp_path):
         dets = tmp_path / "dets.txt"
         dets.write_text("")

@@ -221,6 +221,21 @@ class TestBoxConversions:
         with pytest.raises(ValueError):
             kalman.box_to_measurement([(0, 0, 1, 1), (0, 0, 0, 1)])
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            (0.0, 0.0, 1e200, 1e200),  # area overflows
+            (-1e308, 0.0, 1e308, 1.0),  # width overflows
+            (0.0, -1e308, 1.0, 1e308),  # height overflows
+            (0.0, 0.0, np.inf, 1.0),
+            (0.0, 0.0, 1e300, 1e-10),  # aspect overflows
+        ],
+    )
+    def test_overflowing_box_rejected_without_warning(self, corners):
+        # tier-1 runs with warnings as errors, so a leaked RuntimeWarning fails here
+        with pytest.raises(ValueError, match="width, height or area not finite"):
+            kalman.box_to_measurement([(0.0, 0.0, 1.0, 1.0), corners])
+
     def test_empty_stacks(self):
         assert kalman.box_to_measurement([]).shape == (0, 4)
         assert kalman.state_to_box(np.zeros((0, 7)), [], []) == []

@@ -80,3 +80,8 @@ def test_hypothesis_cases_match_oracle(n_objects, n_frames, noise, seed, image):
 def test_invalid_noise_rejected(noise):
     with pytest.raises(ValueError, match="noise"):
         generate_sequence(5, 3, noise, 0)
+
+
+def test_noise_that_overflows_the_corners_rejected_without_warning():
+    with pytest.raises(ValueError, match="noise 1e\\+308 jitters box corners past float64 range"):
+        generate_sequence(5, 3, 1e308, 0)

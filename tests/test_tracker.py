@@ -60,6 +60,13 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             tracker.step([], 1)
 
+    def test_overflowing_detection_rejected_without_warning(self):
+        tracker = SortTracker(SortConfig(min_hits=1))
+        tracker.step([box_at(10.0, 10.0)], 1)
+        with pytest.raises(ValueError, match="width, height or area not finite"):
+            tracker.step([BoundingBox(0, 0, 1e200, 1e200)], 2)
+        assert tracker.ids.tolist() == [1] and tracker.x[0, 2] < 1e4
+
     def test_reported_boxes_are_valid(self):
         rng = np.random.default_rng(3)
         tracker = SortTracker(SortConfig(min_hits=1))
