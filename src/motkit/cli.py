@@ -108,10 +108,16 @@ def cmd_track(args) -> int:
     tracker = SortTracker(
         SortConfig(max_age=cfg["max_age"], min_hits=cfg["min_hits"], iou_min=cfg["iou_min"])
     )
+    # An empty frame only ages live tracks and reports nothing, so with none
+    # live the tracker jumps straight to the next frame with detections.
     results: dict[int, list] = {}
-    last_frame = max(detections) if detections else 0
-    for frame in range(1, last_frame + 1):
-        reported = tracker.step(detections.get(frame, []), frame)
+    frame = 0
+    for busy in sorted(f for f, rows in detections.items() if len(rows)):
+        while len(tracker.ids) and frame + 1 < busy:
+            frame += 1
+            tracker.step(np.empty((0, 6)), frame)
+        frame = busy
+        reported = tracker.step(detections[frame], frame)
         if reported:
             results[frame] = [(track_id, box) for track_id, box, _ in reported]
     mio.write_mot(results, args.output)

@@ -1,13 +1,16 @@
 """File formats: MOT15-style rows, tensor dumps, run configs, box and graph JSON.
 
-Readers reject malformed input instead of silently repairing it; writers
-are deterministic (same data, byte-identical file).
+Readers reject malformed input instead of silently repairing it, boxes
+too large for geometry.corner_iou included; writers are deterministic
+(same data, byte-identical file).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# geometry.corner_iou keeps every intermediate finite for boxes whose corners
+# lie within +-_CORNER_LIMIT and whose area, doubled, is finite.
+_CORNER_LIMIT = sys.float_info.max / 2
+
+
+def _check_extent(where: str, x0, y0, x1, y1) -> None:
+    if not (
+        all(abs(v) <= _CORNER_LIMIT for v in (x0, y0, x1, y1))
+        and math.isfinite(2.0 * (x1 - x0) * (y1 - y0))
+    ):
+        raise FormatError(
+            f"{where}: box ({x0}, {y0}, {x1}, {y1}) overflows: corners must lie "
+            f"within +-{_CORNER_LIMIT:.6g} and twice its area must be finite"
+        )
+
+
 def parse_mot_line(line: str, lineno: int) -> MotRow:
     parts = [p.strip() for p in line.split(",")]
     if len(parts) != MOT_COLUMNS:
@@ -74,6 +93,7 @@ def parse_mot_line(line: str, lineno: int) -> MotRow:
         raise FormatError(f"line {lineno}: frame must be >= 1, got {frame}")
     if width <= 0 or height <= 0:
         raise FormatError(f"line {lineno}: non-positive box size {width}x{height}")
+    _check_extent(f"line {lineno}", left, top, left + width, top + height)
     if not 0.0 <= conf <= 1.0:
         raise FormatError(f"line {lineno}: conf outside [0, 1]: {conf}")
     return MotRow(frame, track_id, left, top, width, height, conf)
@@ -235,6 +255,7 @@ def _read_boxes(path, with_score: bool) -> dict[str, list[BoundingBox]]:
             x0, y0, x1, y1, score, cls = row if with_score else (*row[:4], 1.0, row[4])
             if not float(cls).is_integer():
                 raise FormatError(f"{image_id}[{i}]: class id must be an integer, got {cls!r}")
+            _check_extent(f"{image_id}[{i}]", x0, y0, x1, y1)
             boxes.append(BoundingBox(x0, y0, x1, y1, score, int(cls)))
         out[image_id] = boxes
     return out

@@ -7,6 +7,11 @@ the gate) before Hungarian-matching the remainder; identity switches are
 counted against each object's last recorded track id. Without the
 carryover step IDSW counts would be ill-defined - this is the single
 biggest protocol choice here.
+
+Detection AP follows COCO's greedy matching. Each class's IoUs come from one
+corner_iou call over a ragged array of (detection, ground truth of its image)
+pairs; at each threshold only detections owning a pair at or above it are
+visited, as no other can match.
 """
 
 from __future__ import annotations
@@ -138,8 +143,10 @@ def average_precision(
     Detections are taken in descending score order, ties by image key repr
     and then list position; each greedily claims the still-unmatched
     ground-truth box of its image it overlaps best (at or above the
-    threshold), one ground truth per detection.
+    threshold), one ground truth per detection. iou_thresh is in [0, 1].
     """
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh outside [0, 1]: {iou_thresh}")
     return _ap_table(dets, gts, (iou_thresh,), class_id)[class_id][0]
 
 
@@ -155,53 +162,51 @@ def coco_map(dets: dict[object, Boxes], gts: dict[object, Boxes]) -> float:
 
 
 def _ap_table(dets, gts, thresholds, only_class=None) -> dict[int, list[float]]:
-    """average_precision at each of `thresholds` for each ground-truth class
-    (or `only_class`), each image's IoU matrix of a class computed once."""
-    truth, n_gt = {}, {}  # (image key, class id) -> ground-truth corners; class id -> count
-    for image_key, boxes in gts.items():
-        rows = box_rows(boxes)
-        for cls in set(rows[:, 5].astype(int).tolist()):
-            truth[image_key, cls] = corners = rows[rows[:, 5] == cls, :4]
-            n_gt[cls] = n_gt.get(cls, 0) + len(corners)
+    """average_precision at each of `thresholds` per ground-truth class (or `only_class`)."""
+    # Ground truth and detections each in one array, images numbered in key repr
+    # order (-1: no detections). Stable sorts leave each class a run: ground truth
+    # by image in list order, detections by descending score (rank order).
+    keys = sorted(dets, key=repr)
+    image_of = {k: i for i, k in enumerate(keys)}
+    per_image = [box_rows(boxes) for boxes in gts.values()]
+    gt_image = np.repeat([image_of.get(k, -1) for k in gts], [len(r) for r in per_image])
+    truth = np.concatenate([np.empty((0, 6)), *per_image])
+    order = np.lexsort((gt_image, truth[:, 5]))
+    truth, gt_image = truth[order], gt_image[order]
+    classes, counts = np.unique(truth[:, 5], return_counts=True)
+    n_gt = dict(zip(map(int, classes.tolist()), counts.tolist()))  # class id -> count
     if only_class is not None and only_class not in n_gt:
         raise ValueError(f"no ground truth for class {only_class}; AP undefined")
     if not n_gt:
         raise ValueError("mAP undefined: empty ground truth")
 
-    # All detections in one array, images in key repr order. One stable sort
-    # by (class, -score) leaves each class a run of rows in rank order.
-    keys = sorted(dets, key=repr)
     per_image = [box_rows(dets[k]) for k in keys]
     image = np.repeat(np.arange(len(keys)), [len(r) for r in per_image])
     rows = np.concatenate([np.empty((0, 6)), *per_image])
     order = np.lexsort((-rows[:, 4], rows[:, 5]))
-    rows, image = rows[order], image[order].tolist()
+    rows, image = rows[order], image[order]
     table = {}
     for cls in sorted(n_gt) if only_class is None else [only_class]:
         lo, hi = np.searchsorted(rows[:, 5], [cls, cls + 1]).tolist()
-        corners = rows[lo:hi, :4]
-        ranks_by_image: dict[int, list[int]] = {}
-        for rank, i in enumerate(image[lo:hi]):
-            ranks_by_image.setdefault(i, []).append(rank)
+        glo, ghi = np.searchsorted(truth[:, 5], [cls, cls + 1]).tolist()
+        # Rank r's pairs: start[r]:end[r], with class ground truths first[r], ...
+        first = np.searchsorted(gt_image[glo:ghi], image[lo:hi])
+        count = np.searchsorted(gt_image[glo:ghi], image[lo:hi], "right") - first
+        owner, start = np.repeat(np.arange(hi - lo), count), np.cumsum(count) - count
+        truth_of = np.arange(len(owner)) + np.repeat(first - start, count)
+        overlaps = corner_iou(rows[lo:hi, :4][owner], truth[glo:ghi, :4][truth_of])
+        pairs, first, start, end = (a.tolist() for a in (overlaps, first, start, start + count))
         tp = np.zeros((len(thresholds), hi - lo))
-        for i, ranks in ranks_by_image.items():
-            gt_corners = truth.get((keys[i], cls))
-            if gt_corners is None:
-                continue
-            overlaps = corner_iou(corners[ranks, None], gt_corners[None]).tolist()
-            best = [max(row) for row in overlaps]
-            for t, thresh in enumerate(thresholds):
-                claimed = [False] * len(gt_corners)
-                for rank, row, top in zip(ranks, overlaps, best):
-                    if top < thresh:
-                        continue  # claims only lower a row, so it cannot match
-                    best_j, best_iou = -1, 0.0
-                    for j, overlap in enumerate(row):
-                        if not claimed[j] and overlap > best_iou:
-                            best_j, best_iou = j, overlap
-                    if best_j >= 0 and best_iou >= thresh:
-                        claimed[best_j] = True
-                        tp[t, rank] = 1.0
+        for t, thresh in enumerate(thresholds):
+            claimed = [False] * (ghi - glo)
+            for rank in np.unique(owner[overlaps >= thresh]).tolist():
+                best_j, best_iou = -1, 0.0
+                for j, overlap in enumerate(pairs[start[rank] : end[rank]], first[rank]):
+                    if not claimed[j] and overlap > best_iou:
+                        best_j, best_iou = j, overlap
+                if best_j >= 0 and best_iou >= thresh:
+                    claimed[best_j] = True
+                    tp[t, rank] = 1.0
 
         # 101-point interpolated AP per threshold. Recall never decreases, so
         # precision[recall >= r] is a suffix: a reversed running maximum gives

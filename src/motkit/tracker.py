@@ -74,10 +74,10 @@ class SortTracker:
             raise ValueError(
                 f"frame_index must increase: got {frame_index} after {self._last_frame}"
             )
-        self._last_frame = frame_index
         cfg = self.config
         rows = box_rows(detections)
         z = kalman.box_to_measurement(rows[:, :4])
+        self._last_frame = frame_index  # a step rejected above leaves the tracker as it was
 
         self.x, self.P = kalman.predict(self.x, self.P, cfg.kalman)
         self.hits[self.time_since_update > 0] = 0

@@ -370,6 +370,61 @@ class TestAveragePrecision:
         ]
         assert ap_table(as_rows(dets), gts) == ap_table(dets, gts)
 
+    def test_seeded_crowd_matches_oracle(self):
+        """Hundreds of detections over int and str image keys: crowded images
+        with several ground truths per class, images with only detections or
+        only ground truth, coarse coordinates and four scores, so IoU ties,
+        score ties and competing claims are common."""
+        rng = np.random.default_rng(2024)
+
+        def grid_box(score, cls):
+            x0, y0 = (rng.integers(0, 30, 2) * 2).tolist()
+            w, h = (rng.integers(2, 12, 2) * 2).tolist()
+            return BoundingBox(x0, y0, x0 + w, y0 + h, score, cls)
+
+        def near(g, score):
+            dx0, dy0, dx1, dy1 = rng.integers(-2, 3, 4).tolist()
+            return BoundingBox(g.x_min + dx0, g.y_min + dy0, max(g.x_min + dx0, g.x_max + dx1),
+                               max(g.y_min + dy0, g.y_max + dy1), score, g.class_id)
+
+        scores = [0.25, 0.5, 0.75, 1.0]
+        dets, gts = {}, {}
+        for key in [0, 1, 2, 3, 10, "a", "b", "c", "d", "e"]:
+            truth = [grid_box(1.0, int(rng.integers(0, 4))) for _ in range(rng.integers(3, 13))]
+            if key not in (3, "e"):  # only detections there
+                gts[key] = truth
+            if key not in (10, "d"):  # only ground truth there
+                dets[key] = [near(truth[int(rng.integers(len(truth)))], rng.choice(scores))
+                             for _ in range(rng.integers(20, 40))]
+                dets[key] += [grid_box(rng.choice(scores), int(rng.integers(0, 5)))
+                              for _ in range(rng.integers(5, 15))]
+        assert sum(map(len, dets.values())) >= 300
+        table = ap_table(dets, gts)
+        assert table == {
+            cls: [box_oracle.average_precision(dets, gts, t, cls) for t in COCO_IOU_THRESHOLDS]
+            for cls in range(4)
+        }
+        assert ap_table(as_rows(dets), as_rows(gts)) == table
+        assert all(0.0 < aps[0] < 1.0 for aps in table.values())  # matches and misses
+
+    def test_one_crowded_image_costs_no_padding(self):
+        """One image with 2,000 ground truths of a class and 2,000 images with
+        one detection and one ground truth each: the IoU pairs number 4,000,
+        where padding every detection to the crowded image would make 4M."""
+        crowd = np.array([[x, 0, x + 8, 8, 1.0, 0] for x in range(0, 8000, 4)], dtype=float)
+        gts, dets = {"crowd": crowd}, {"crowd": np.array([[0, 0, 8, 8, 0.5, 0]], dtype=float)}
+        for i in range(2000):
+            gts[i] = np.array([[0, 0, 8, 8, 1.0, 0]], dtype=float)
+            dets[i] = np.array([[1, 0, 9, 8, 0.9, 0]], dtype=float)
+        tracemalloc.start()
+        try:
+            table = ap_table(dets, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table[0][0] == pytest.approx(51 / 101)  # 2,001 TP of 4,000 ground truths
+        assert peak < 8e6  # one float64 IoU per padded pair alone would be 32 MB
+
     def test_no_ground_truth_for_class_rejected_like_oracle(self):
         gts = {"img": [BoundingBox(0, 0, 1, 1, class_id=1)]}
         for scorer in (average_precision, box_oracle.average_precision):

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +17,15 @@ from conftest import (
     fork_join_stream_graph,
     mul_conv_chain_graph,
 )
+import motkit
 from motkit import cli, dataflow
 from motkit.cli import main
 from motkit.dataflow import save_stream_graph
-from motkit.io import read_mot, write_tensor
+from motkit.io import read_mot, write_mot, write_tensor
 from motkit.metrics import COCO_IOU_THRESHOLDS
 from motkit.streamline import PASSES, apply_passes, load_graph, run_pipeline, save_graph
+from motkit.synthetic import generate_sequence
+from motkit.tracker import SortConfig, SortTracker
 
 GOLDEN_DETS = """\
 1,-1,100,100,40,40,0.9,-1,-1,-1
@@ -191,6 +199,40 @@ class TestTrack:
         assert sorted(frames) == [1, 3]
         assert frames[1][0][0] == frames[3][0][0]  # same id across the gap
 
+    @pytest.mark.parametrize("seed, max_age", [(0, 1), (1, 3), (2, 8)])
+    def test_skipping_dead_time_matches_stepping_every_frame(self, tmp_path, seed, max_age):
+        """Frames shifted by gaps of random length, some long enough that
+        every track dies and some not, and a lead-in before the first: the
+        output is byte-identical to a tracker stepped on every frame."""
+        rng = np.random.default_rng(seed)
+        _, frames = generate_sequence(4, 80, 1.0, seed)
+        shifted, offset = {}, int(rng.integers(1, 30))
+        for frame, boxes in frames.items():
+            if rng.random() < 0.15:
+                offset += int(rng.integers(1, 20))
+            shifted[frame + offset] = [(-1, b) for _, b in boxes]
+        dets, got = tmp_path / "dets.txt", tmp_path / "got.txt"
+        write_mot(shifted, dets)
+        assert main(["track", "--detections", str(dets), "--max-age", str(max_age),
+                     "-o", str(got)]) == 0
+
+        tracker, want = SortTracker(SortConfig(max_age=max_age)), {}
+        read = read_mot(dets)
+        for frame in range(1, max(read) + 1):
+            reported = tracker.step([b for _, b in read.get(frame, [])], frame)
+            if reported:
+                want[frame] = [(track_id, b) for track_id, b, _ in reported]
+        write_mot(want, tmp_path / "want.txt")
+        assert got.read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_far_out_frame_takes_no_time(self, tmp_path):
+        dets, res = tmp_path / "dets.txt", tmp_path / "res.txt"
+        dets.write_text("1000000000,-1,10,10,20,20,0.9,-1,-1,-1\n")
+        start = time.perf_counter()
+        assert main(["track", "--detections", str(dets), "--min-hits", "1", "-o", str(res)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert res.read_text() == "1000000000,1,10,10,20,20,0.9,-1,-1,-1\n"
+
 
 class TestEval:
     def test_gt_as_result_scores_one(self, tmp_path, capsys):
@@ -274,6 +316,68 @@ class TestEval:
         assert main(["eval-det", str(tmp_path / "gt.json"), str(tmp_path / "det.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestWarningsAsErrors:
+    """The evaluators run as `python -W error -m motkit`, so that a warning
+    leaked from numpy ends the process; in-process tests see only warnings
+    raised while pytest's filter is on."""
+
+    MOT = "1,1,10,10,20,20,1,-1,-1,-1\n1,2,50,50,20,20,1,-1,-1,-1\n2,1,12,10,20,20,1,-1,-1,-1\n"
+    GT = {"a": [[0, 0, 10, 10, 0], [20, 0, 30, 10, 2]], "b": [[0, 0, 10, 10, 2]]}
+    DET = {"a": [[1, 0, 11, 10, 0.9, 0], [0, 0, 5, 5, 0.7, 2]], "c": [[0, 0, 9, 9, 0.4, 7]]}
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(motkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "motkit", *map(str, argv)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    @staticmethod
+    def write(tmp_path, name, content):
+        path = tmp_path / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        return path
+
+    def test_valid_files_exit_zero_silently(self, tmp_path):
+        mot = self.write(tmp_path, "gt.txt", self.MOT)
+        done = self.run("eval-mot", mot, mot)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "MOTA   1.000000" in done.stdout
+        gt, det = self.write(tmp_path, "gt.json", self.GT), self.write(tmp_path, "det.json", self.DET)
+        done = self.run("eval-det", gt, det)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("mAP    ")
+
+    @pytest.mark.parametrize(
+        "command, gt, result, where",
+        [
+            ("eval-mot", "1,1,10,20,inf,40,1,-1,-1,-1\n", None, "line 1"),
+            ("eval-mot", "1,1,1e308,1e308,1e308,1e308,1,-1,-1,-1\n", None, "line 1"),
+            ("eval-mot", "1,1,10,10,20,20,1,-1,-1,-1\n", "1,7,0,0,1e200,1e200,1,-1,-1,-1\n",
+             "line 1"),
+            ("eval-det", {"img": [[0, 0, 1e308, 1e308, 0]]},
+             {"img": [[0, 0, 1e308, 1e308, 0.9, 0]]}, "img[0]"),
+            ("eval-det", {"img": [[0, 0, 10, 10, 0]]},
+             {"img": [[0, 0, 10, 10, 0.9, 0], [0, 0, 1e200, 1e200, 0.5, 0]]}, "img[1]"),
+        ],
+        ids=["mot_inf_width", "mot_huge_box", "mot_area_overflow", "det_huge_box",
+             "det_area_overflow"],
+    )
+    def test_overflowing_boxes_exit_two_with_one_error_line(
+        self, tmp_path, command, gt, result, where
+    ):
+        """Given None, the result is the ground truth: an identical pair."""
+        gt_path = self.write(tmp_path, "gt", gt)
+        done = self.run(command, gt_path,
+                        gt_path if result is None else self.write(tmp_path, "result", result))
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: box ("), done.stderr
+        assert "overflows" in lines[0]
 
 
 class TestDecode:

@@ -1,3 +1,6 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,22 @@ class TestMotRows:
     def test_rejects_garbage_number(self):
         with pytest.raises(FormatError, match="line 7"):
             parse_mot_line("1,2,xx,20,30,40,1,-1,-1,-1", 7)
+
+    @pytest.mark.parametrize(
+        "fields",
+        ["10,20,inf,40", "-inf,20,30,40", "10,20,nan,40", "1e308,0,1e308,1",
+         "0,0,1e200,1e200", "-1e308,-1e308,1e308,1e308"],
+        ids=["inf_width", "inf_left", "nan_width", "corner_past_limit", "area_overflow",
+             "full_span"],
+    )
+    def test_rejects_overflowing_box_with_line_number(self, fields):
+        with pytest.raises(FormatError, match="line 4: box .* overflows"):
+            parse_mot_line(f"1,2,{fields},1,-1,-1,-1", 4)
+
+    def test_accepts_box_at_the_corner_limit(self):
+        limit = sys.float_info.max / 2
+        row = parse_mot_line(f"1,2,{limit - 1e300!r},0,{1e300!r},1e-300,1,-1,-1,-1", 1)
+        assert row.to_box().x_max == limit
 
 
 class TestTensorDump:
@@ -151,3 +170,25 @@ class TestDetJson:
         path.write_text('{"img1": [[0, 0, 10, 10]]}')
         with pytest.raises(FormatError):
             read_gt_boxes(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0, 0, 1e308, 1e308], [-1e308, 0, 0, 1], [0, 0, 10**400, 1], [0, 0, 1e200, 1e200],
+         [float("nan"), 0, 1, 1]],
+        ids=["corners_past_limit", "negative_corner_past_limit", "huge_int", "area_overflow",
+             "nan_corner"],
+    )
+    @pytest.mark.parametrize("reader", [read_gt_boxes, read_det_boxes])
+    def test_overflowing_box_rejected_naming_the_entry(self, tmp_path, row, reader):
+        extra = [0] if reader is read_gt_boxes else [0.9, 0]
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps({"img1": [[0, 0, 10, 10, *extra], row + extra]}))
+        with pytest.raises(FormatError, match=r"img1\[1\]: box .* overflows"):
+            reader(path)
+
+    def test_degenerate_boxes_at_the_corner_limit_accepted(self, tmp_path):
+        limit = sys.float_info.max / 2
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"a": [[-limit, -limit, -limit, -limit, 0],
+                                          [limit, 0, limit, 1, 0]]}))
+        assert [b.x_min for b in read_gt_boxes(path)["a"]] == [-limit, limit]

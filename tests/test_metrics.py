@@ -146,6 +146,12 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision({}, {"img": []}, 0.5, 0)
 
+    @pytest.mark.parametrize("thresh", [float("nan"), 1.5, -0.5, float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, thresh):
+        gts = {"img": [box(0, 0)]}
+        with pytest.raises(ValueError, match="iou_thresh outside"):
+            average_precision({"img": [box(0, 0, score=0.9)]}, gts, thresh, 0)
+
     def test_interleaved_fp_matches_hand_built_pr_curve(self):
         """2 TP + 1 FP ranked TP, FP, TP over 2 gt.
 

@@ -67,6 +67,18 @@ class TestLifecycle:
             tracker.step([BoundingBox(0, 0, 1e200, 1e200)], 2)
         assert tracker.ids.tolist() == [1] and tracker.x[0, 2] < 1e4
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[BoundingBox(0, 0, 1e200, 1e200)], np.array([[10.0, 0.0, 0.0, 10.0, 0.9, 0.0]])],
+        ids=["overflowing_measurement", "inverted_row"],
+    )
+    def test_rejected_step_leaves_its_frame_unused(self, bad):
+        tracker = SortTracker(SortConfig(min_hits=1))
+        with pytest.raises(ValueError):
+            tracker.step(bad, 1)
+        fresh = SortTracker(SortConfig(min_hits=1))
+        assert tracker.step([box_at(10, 10)], 1) == fresh.step([box_at(10, 10)], 1)
+
     def test_reported_boxes_are_valid(self):
         rng = np.random.default_rng(3)
         tracker = SortTracker(SortConfig(min_hits=1))
