@@ -1,12 +1,15 @@
 """Axis-aligned bounding boxes and overlap measures.
 
 Boxes travel as box_rows' float64 (N, 6) rows (x_min, y_min, x_max, y_max,
-score, class_id); BoundingBox holds one box at the edges of motkit.
+score, class_id); BoundingBox holds one box at the edges of motkit, and
+boxes turns rows back into BoundingBoxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -34,8 +37,8 @@ class BoundingBox:
             )
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score outside [0, 1]: {self.score}")
-        if not float(self.class_id).is_integer():
-            raise ValueError(f"class id must be an integer, got {self.class_id}")
+        if not is_class_id(self.class_id):
+            raise ValueError(f"class id must be an integer in float64 range, got {self.class_id}")
 
     @property
     def width(self) -> float:
@@ -47,6 +50,14 @@ class BoundingBox:
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
+
+
+def is_class_id(value) -> bool:
+    """Whether `value` is integral and within float64 range, as box rows need."""
+    try:
+        return float(value).is_integer()
+    except OverflowError:  # an int past float64 range
+        return False
 
 
 Boxes = np.ndarray | list[BoundingBox]  # what box_rows accepts
@@ -68,6 +79,39 @@ def box_rows(boxes: Boxes) -> np.ndarray:
     if not ok.all():
         BoundingBox(*rows[~ok][0].tolist())  # raises for the first bad row
     return rows
+
+
+def int64_class_ids(rows: np.ndarray) -> np.ndarray:
+    """The class column of checked box rows as int64; an id outside int64
+    raises ValueError instead of wrapping."""
+    class_id = rows[:, 5]
+    outside = (class_id < -(2.0**63)) | (class_id >= 2.0**63)
+    if outside.any():
+        raise ValueError(f"class id outside int64: {class_id[outside][0]}")
+    return class_id.astype(np.int64)
+
+
+_SETTERS = [getattr(BoundingBox, f.name).__set__ for f in fields(BoundingBox)]
+# (score, class_id): the very objects that BoundingBox(*corners) holds
+_DEFAULTS = BoundingBox.__init__.__defaults__
+
+
+def boxes(rows: np.ndarray) -> list[BoundingBox]:
+    """box_rows' inverse: BoundingBoxes of (N, 6) box rows, or of (N, 4) corners
+    with BoundingBox's default score and class id. The array is checked once, as
+    box_rows checks it; class ids come back as ints and must fit int64. Each
+    slot is filled column by column, so no Python code runs per box."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 2 and rows.shape[1] == 4:
+        box_rows(np.column_stack([rows, np.tile(_DEFAULTS, (len(rows), 1))]))
+        columns = [*rows.T.tolist(), *map(repeat, _DEFAULTS)]
+    else:
+        rows = box_rows(rows)
+        columns = [*rows[:, :5].T.tolist(), int64_class_ids(rows).tolist()]
+    out = list(map(object.__new__, repeat(BoundingBox, len(rows))))
+    for setter, column in zip(_SETTERS, columns):
+        deque(map(setter, out, column), maxlen=0)
+    return out
 
 
 def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, is_class_id
 
 MOT_COLUMNS = 10
 
@@ -253,8 +253,10 @@ def _read_boxes(path, with_score: bool) -> dict[str, list[BoundingBox]]:
             if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
                 raise FormatError(f"{image_id}[{i}]: fields must be numbers, got {row!r}")
             x0, y0, x1, y1, score, cls = row if with_score else (*row[:4], 1.0, row[4])
-            if not float(cls).is_integer():
-                raise FormatError(f"{image_id}[{i}]: class id must be an integer, got {cls!r}")
+            if not is_class_id(cls):
+                raise FormatError(
+                    f"{image_id}[{i}]: class id must be an integer in float64 range, got {cls!r}"
+                )
             _check_extent(f"{image_id}[{i}]", x0, y0, x1, y1)
             boxes.append(BoundingBox(x0, y0, x1, y1, score, int(cls)))
         out[image_id] = boxes

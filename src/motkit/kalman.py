@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, boxes
 
 STATE_DIM = 7
 MEAS_DIM = 4
@@ -116,5 +116,4 @@ def state_to_corners(x: np.ndarray) -> np.ndarray:
 
 def state_to_box(x: np.ndarray, scores, class_ids) -> list[BoundingBox]:
     """States (N, 7) -> boxes carrying the rows' scores and class ids."""
-    rows = zip(state_to_corners(x).tolist(), *(np.asarray(c).tolist() for c in (scores, class_ids)))
-    return [BoundingBox(*c, score, cls) for c, score, cls in rows]
+    return boxes(np.column_stack([state_to_corners(x), scores, class_ids]))

@@ -187,8 +187,9 @@ def _ap_table(dets, gts, thresholds, only_class=None) -> dict[int, list[float]]:
     rows, image = rows[order], image[order]
     table = {}
     for cls in sorted(n_gt) if only_class is None else [only_class]:
-        lo, hi = np.searchsorted(rows[:, 5], [cls, cls + 1]).tolist()
-        glo, ghi = np.searchsorted(truth[:, 5], [cls, cls + 1]).tolist()
+        # both sides of cls itself: from 2**53 up, cls + 1 rounds back to cls
+        lo, hi = (np.searchsorted(rows[:, 5], cls, side) for side in ("left", "right"))
+        glo, ghi = (np.searchsorted(truth[:, 5], cls, side) for side in ("left", "right"))
         # Rank r's pairs: start[r]:end[r], with class ground truths first[r], ...
         first = np.searchsorted(gt_image[glo:ghi], image[lo:hi])
         count = np.searchsorted(gt_image[glo:ghi], image[lo:hi], "right") - first

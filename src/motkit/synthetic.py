@@ -3,14 +3,17 @@
 Lets the full pipeline (track -> evaluate) run with zero external data:
 objects move linearly inside the image for the whole sequence, and the
 detection stream is the ground truth plus optional jitter. Coordinates are
-built as (frame, object) arrays and become boxes one frame at a time.
+built as (frame, object) arrays and become boxes in one geometry.boxes call
+for the ground truth and one for the detections.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, boxes
 
 MIN_BOX_SIDE = 4.0
 
@@ -63,11 +66,11 @@ def generate_sequence(
         if not np.isfinite(det).all():
             raise ValueError(f"noise {noise} jitters box corners past float64 range")
 
+    gt_boxes = boxes(gt.reshape(-1, 4))
+    det_boxes = gt_boxes if det is None else boxes(det.reshape(-1, 4))
     gt_frames, det_frames = {}, {}
     for frame in range(1, n_frames + 1):
-        boxes = [BoundingBox(*corners) for corners in gt[frame - 1].tolist()]
-        gt_frames[frame] = list(enumerate(boxes, 1))
-        if det is not None:
-            boxes = [BoundingBox(*corners) for corners in det[frame - 1].tolist()]
-        det_frames[frame] = [(-1, box) for box in boxes]
+        at = slice((frame - 1) * n_objects, frame * n_objects)
+        gt_frames[frame] = list(enumerate(gt_boxes[at], 1))
+        det_frames[frame] = list(zip(repeat(-1), det_boxes[at]))
     return gt_frames, det_frames

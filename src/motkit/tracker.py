@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kalman
 from .assignment import associate
-from .geometry import BoundingBox, Boxes, box_rows
+from .geometry import BoundingBox, Boxes, box_rows, int64_class_ids
 from .io import check_int
 from .kalman import KalmanConfig
 
@@ -77,6 +77,7 @@ class SortTracker:
         cfg = self.config
         rows = box_rows(detections)
         z = kalman.box_to_measurement(rows[:, :4])
+        class_ids = int64_class_ids(rows)
         self._last_frame = frame_index  # a step rejected above leaves the tracker as it was
 
         self.x, self.P = kalman.predict(self.x, self.P, cfg.kalman)
@@ -100,7 +101,7 @@ class SortTracker:
         self.x = np.concatenate([self.x[keep], x])
         self.P = np.concatenate([self.P[keep], P])
         self.ids = np.concatenate([self.ids[keep], self._next_id + np.arange(len(new))])
-        self.class_ids = np.concatenate([self.class_ids[keep], rows[new, 5].astype(np.int64)])
+        self.class_ids = np.concatenate([self.class_ids[keep], class_ids[new]])
         self.scores = np.concatenate([self.scores[keep], rows[new, 4]])
         self.hits = np.concatenate([self.hits[keep], np.ones(len(new), dtype=np.int64)])
         self.time_since_update = np.concatenate(

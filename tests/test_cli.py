@@ -262,6 +262,14 @@ class TestEval:
         assert main(["eval-det", str(gt), str(det)]) == 0
         assert "mAP    1.000000" in capsys.readouterr().out
 
+    def test_eval_det_scores_class_ids_from_2_pow_53_up(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        det = tmp_path / "det.json"
+        gt.write_text(json.dumps({"img": [[0, 0, 10, 10, 10**17]]}))
+        det.write_text(json.dumps({"img": [[0, 0, 10, 10, 0.9, 10**17]]}))
+        assert main(["eval-det", str(gt), str(det)]) == 0
+        assert capsys.readouterr().out == "mAP    1.000000\n"
+
     def test_eval_det_csv_rows_average_to_printed_map(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
         det = tmp_path / "det.json"
@@ -378,6 +386,17 @@ class TestWarningsAsErrors:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}: box ("), done.stderr
         assert "overflows" in lines[0]
+
+    @pytest.mark.parametrize("which", ["gt", "det"])
+    def test_class_id_past_float_range_exits_two_with_one_error_line(self, tmp_path, which):
+        huge = "1" + "0" * 400  # a JSON integer that float() overflows on
+        files = {"gt": '{"img": [[0, 0, 10, 10, 0]]}', "det": '{"img": [[0, 0, 10, 10, 0.9, 0]]}'}
+        files[which] = files[which].replace(", 0]]", f", {huge}]]")
+        done = self.run("eval-det", *(self.write(tmp_path, f"{k}.json", v) for k, v in files.items()))
+        assert done.returncode == 2 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("error: img[0]: class id must be an integer in float64 range")
 
 
 class TestDecode:

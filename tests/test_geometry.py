@@ -1,13 +1,20 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import box_oracle
+import test_records
 from conftest import translated
 from motkit.geometry import BoundingBox, box_rows, corner_iou, iou_matrix
+from motkit.geometry import boxes as make_boxes
 
 
 def boxes(min_size=0.0):
@@ -121,26 +128,29 @@ class TestBoundingBox:
             BoundingBox(0, 0, 1, 1, class_id=0.5)
         assert BoundingBox(0, 0, 1, 1, class_id=np.int64(3)).class_id == 3
 
+    def test_rejects_a_class_id_past_float_range_as_value_error(self):
+        with pytest.raises(ValueError, match="class id must be an integer in float64 range"):
+            BoundingBox(0, 0, 1, 1, class_id=10**400)
+        assert BoundingBox(0, 0, 1, 1, class_id=10**300).class_id == 10**300
+
 
 GOOD_ROW = (0.0, 0.0, 1.0, 1.0, 0.5, 0.0)
+BAD_ROWS = [
+    (2.0, 0.0, 1.0, 1.0, 0.5, 0.0),
+    (0.0, 3.0, 1.0, 1.0, 0.5, 0.0),
+    (0.0, 0.0, math.nan, 1.0, 0.5, 0.0),
+    (math.nan, 0.0, 1.0, 1.0, 0.5, 0.0),
+    (0.0, 0.0, 1.0, 1.0, 1.5, 0.0),
+    (0.0, 0.0, 1.0, 1.0, math.nan, 0.0),
+    (0.0, 0.0, 1.0, 1.0, 0.5, 0.5),
+    (0.0, 0.0, 1.0, 1.0, 0.5, math.inf),
+]
+BAD_ROW_IDS = ["inverted_x", "inverted_y", "nan_x_max", "nan_x_min", "score_1.5", "nan_score",
+               "class_0.5", "infinite_class"]
 
 
 class TestBoxRows:
-    @pytest.mark.parametrize(
-        "row",
-        [
-            (2.0, 0.0, 1.0, 1.0, 0.5, 0.0),
-            (0.0, 3.0, 1.0, 1.0, 0.5, 0.0),
-            (0.0, 0.0, math.nan, 1.0, 0.5, 0.0),
-            (math.nan, 0.0, 1.0, 1.0, 0.5, 0.0),
-            (0.0, 0.0, 1.0, 1.0, 1.5, 0.0),
-            (0.0, 0.0, 1.0, 1.0, math.nan, 0.0),
-            (0.0, 0.0, 1.0, 1.0, 0.5, 0.5),
-            (0.0, 0.0, 1.0, 1.0, 0.5, math.inf),
-        ],
-        ids=["inverted_x", "inverted_y", "nan_x_max", "nan_x_min", "score_1.5", "nan_score",
-             "class_0.5", "infinite_class"],
-    )
+    @pytest.mark.parametrize("row", BAD_ROWS, ids=BAD_ROW_IDS)
     def test_rejects_what_bounding_box_rejects_with_its_message(self, row):
         with pytest.raises(ValueError) as from_box:
             BoundingBox(*row)
@@ -167,6 +177,107 @@ class TestBoxRows:
         assert box_rows(rows.astype(np.float32)).tolist() == rows.tolist()
         assert box_rows(iter(boxes)).tolist() == rows.tolist()
         assert box_rows([]).shape == box_rows(np.empty((0, 6))).shape == (0, 6)
+
+
+FIELDS = [f.name for f in dataclasses.fields(BoundingBox)]
+COORD = st.floats(-1e6, 1e6, allow_nan=False)
+SIDE = st.floats(0.0, 1e6, allow_nan=False)
+# 2**63 - 1024 is the largest float64 below 2**63
+CLASS_ID = st.one_of(
+    st.integers(-3, 300), st.integers(-(2**62), 2**62),
+    st.sampled_from([-(2**63), 2**63 - 1024, 2**53 + 2]),
+)
+
+
+@st.composite
+def box_arrays(draw):
+    """(N, 4) corners or (N, 6) rows that satisfy BoundingBox's invariants."""
+    n, width = draw(st.integers(0, 8)), draw(st.sampled_from([4, 6]))
+    rows = []
+    for _ in range(n):
+        x, y, w, h = draw(COORD), draw(COORD), draw(SIDE), draw(SIDE)
+        extra = [draw(st.floats(0.0, 1.0)), float(draw(CLASS_ID))] if width == 6 else []
+        rows.append([x, y, x + w, y + h, *extra])
+    return np.array(rows, dtype=float).reshape(n, width)
+
+
+class TestBoxes:
+    """geometry.boxes against one BoundingBox(...) per row, class ids as ints."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_arrays())
+    def test_matches_per_box_construction(self, rows):
+        want = [BoundingBox(*r[:5], *map(int, r[5:])) for r in rows.tolist()]
+        got = make_boxes(rows)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert [getattr(a, f) for f in FIELDS] == [getattr(b, f) for f in FIELDS]
+            assert [type(getattr(a, f)) for f in FIELDS] == [type(getattr(b, f)) for f in FIELDS]
+            assert repr(a) == repr(b) and hash(a) == hash(b) and a == b
+
+    @pytest.mark.parametrize("row", BAD_ROWS, ids=BAD_ROW_IDS)
+    def test_rejects_bad_rows_with_box_rows_message(self, row):
+        rows = np.array([GOOD_ROW, row, GOOD_ROW])
+        with pytest.raises(ValueError) as from_rows:
+            box_rows(rows)
+        with pytest.raises(ValueError) as from_boxes:
+            make_boxes(rows)
+        assert str(from_boxes.value) == str(from_rows.value)
+
+    @pytest.mark.parametrize("row", BAD_ROWS[:4], ids=BAD_ROW_IDS[:4])
+    def test_rejects_bad_corners_with_box_rows_message(self, row):
+        rows = np.array([GOOD_ROW, row, GOOD_ROW])
+        rows[:, 4:] = (1.0, 0.0)  # BoundingBox's defaults
+        with pytest.raises(ValueError) as from_rows:
+            box_rows(rows)
+        with pytest.raises(ValueError) as from_corners:
+            make_boxes(rows[:, :4])
+        assert str(from_corners.value) == str(from_rows.value)
+
+    @pytest.mark.parametrize("shape", [(0,), (6,), (2, 5), (2, 7), (1, 1, 6)])
+    def test_rejects_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            make_boxes(np.zeros(shape))
+
+    def test_empty_inputs_give_no_boxes(self):
+        assert make_boxes(np.empty((0, 4))) == make_boxes(np.empty((0, 6))) == []
+
+    @pytest.mark.parametrize("class_id", [2.0**63, -(2.0**64), 1e19, 1e300])
+    def test_class_id_outside_int64_rejected_not_wrapped(self, class_id):
+        with pytest.raises(ValueError) as raised:
+            make_boxes(np.array([GOOD_ROW, [*GOOD_ROW[:5], class_id]]))
+        assert str(raised.value) == f"class id outside int64: {class_id}"
+
+    def test_int64_bounds_come_back_exact(self):
+        rows = np.array([[*GOOD_ROW[:5], -(2.0**63)], [*GOOD_ROW[:5], np.nextafter(2.0**63, 0)]])
+        assert [b.class_id for b in make_boxes(rows)] == [-(2**63), 2**63 - 1024]
+
+    def test_factory_box_keeps_the_record_contract(self, monkeypatch):
+        row = np.array([[1.0, 2.0, 3.5, 4.5, 0.75, 3.0]])
+        monkeypatch.setitem(test_records.RECORDS, "BoundingBox", lambda: make_boxes(row)[0])
+        test_records.test_instances_have_no_dict("BoundingBox")
+        for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            test_records.test_copies_and_pickles_are_equal("BoundingBox", clone)
+        test_records.test_frozen_records_refuse_every_assignment("BoundingBox")
+        test_records.test_bounding_box_hash_and_repr_follow_the_fields()
+
+    def test_corners_share_the_default_score_and_class_objects(self):
+        n = 10_000
+        corners = np.random.default_rng(0).uniform(0.0, 10.0, (n, 4))
+        corners[:, 2:] += corners[:, :2]
+        default = BoundingBox(0, 0, 1, 1)
+        make_boxes(corners)  # warm numpy's caches before tracing
+        tracemalloc.start()
+        try:
+            out = make_boxes(corners)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(b.score is default.score and b.class_id is default.class_id for b in out)
+        # each box holds its four corner floats and nothing else of its own:
+        # a score or class object per box would add n * 24 bytes or more
+        per_box = sys.getsizeof(out[0]) + 4 * sys.getsizeof(1.0)
+        assert held <= n * per_box + sys.getsizeof(out) + 8192
 
 
 def test_iou_matrix_matches_pairwise():

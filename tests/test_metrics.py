@@ -231,6 +231,15 @@ class TestCocoMap:
         with pytest.raises(ValueError):
             coco_map({}, {})
 
+    @pytest.mark.parametrize("cls", [2**53, 2**53 + 2, 10**17, -(10**17), 2**63 + 2**11, 10**300])
+    def test_class_ids_from_2_pow_53_up_keep_their_detections(self, cls):
+        # cls + 1 rounds back to cls as a float from 2**53 up, so a class's run
+        # must be found by searching cls itself on both sides
+        gts = {"img": [box(0, 0, cls=cls), box(30, 30, cls=0)]}
+        dets = {"img": [box(0, 0, score=0.9, cls=cls), box(30, 30, score=0.8, cls=0)]}
+        assert coco_map(dets, gts) == 1.0
+        assert coco_map({"img": dets["img"][:1]}, gts) == 0.5
+
     def test_threshold_grid(self):
         assert COCO_IOU_THRESHOLDS[0] == 0.5
         assert COCO_IOU_THRESHOLDS[-1] == 0.95

@@ -7,9 +7,9 @@ the default or a zero-covariance setting (zero P0, no position noise, R
 only on the aspect ratio) under which a fresh track's first update is
 singular while an older track's is not, so one batched update mixes
 singular and regular rows. After every frame the reported ids, their
-order, class ids, scores, boxes and dropped_updates must equal the
-oracle's, and so must every live track's id, hits, time_since_update and
-filter state. A tracker fed the same frames as box rows must report exactly
+order, class ids (Python ints), scores, boxes and dropped_updates must
+equal the oracle's, and so must every live track's id, hits,
+time_since_update and filter state. A tracker fed the same frames as box rows must report exactly
 what the list-fed one does, and hold the same tracks. The oracle
 associates with the frozen solver of ``lap_oracle``, so the LAP is checked
 along with the tracker.
@@ -79,6 +79,7 @@ def run_both(config, frames):
         assert from_rows.dropped_updates == tracker.dropped_updates
         assert_same_tracks(from_rows, oracle)
         assert [(tid, cls) for tid, _, cls in got] == [(tid, cls) for tid, _, cls in want]
+        assert all(type(cls) is type(box.class_id) is int for _, box, cls in got)
         for (_, box, _), (_, ref, _) in zip(got, want):
             assert (box.score, box.class_id) == (ref.score, ref.class_id)
             assert np.allclose(box.corners(), ref.corners(), rtol=0.0, atol=BOX_ATOL)

@@ -5,7 +5,7 @@ with scalar ``rng.normal`` calls. On a seeded grid of object counts, frame
 counts, noise levels and image sizes (65x65 is small enough that clipping and
 the MIN_BOX_SIDE floor both bite), and on hypothesis cases, the live generator
 must return the same frames in the same order, the same ids in the same
-order, and every box field bit for bit. At noise 0 each detection entry must
+order, and every box field bit for bit and of the same type. At noise 0 each detection entry must
 hold its ground-truth box object itself.
 """
 
@@ -23,10 +23,17 @@ from motkit.synthetic import MIN_BOX_SIDE, generate_sequence
 FIELDS = [f.name for f in dataclasses.fields(BoundingBox)]
 
 
+def field_bits(value):
+    """A field's hex string and type, so class id 0 never passes as 0.0. The
+    oracle's numpy-scalar arithmetic leaves np.float64 corners, a float
+    subclass, which count as float."""
+    return float(value).hex(), float if isinstance(value, float) else type(value)
+
+
 def bits(frames):
-    """{frame: [(id, field hex strings)]} in the frames' own orders."""
+    """{frame: [(id, field bits)]} in the frames' own orders."""
     return [
-        (frame, [(tid, [float(getattr(box, name)).hex() for name in FIELDS]) for tid, box in items])
+        (frame, [(tid, [field_bits(getattr(box, name)) for name in FIELDS]) for tid, box in items])
         for frame, items in frames.items()
     ]
 

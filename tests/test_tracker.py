@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,23 @@ class TestLifecycle:
             tracker.step(bad, 1)
         fresh = SortTracker(SortConfig(min_hits=1))
         assert tracker.step([box_at(10, 10)], 1) == fresh.step([box_at(10, 10)], 1)
+
+    @pytest.mark.parametrize("class_id", [1e19, 2.0**63, -1e19])
+    def test_class_id_outside_int64_rejected_before_any_change(self, class_id):
+        tracker = SortTracker(SortConfig(min_hits=1))
+        for frame in (1, 2):
+            tracker.step([box_at(10.0 + frame, 10.0), BoundingBox(90, 50, 110, 70, 0.8, 2)], frame)
+        before = {k: copy.deepcopy(v) for k, v in vars(tracker).items() if k != "config"}
+        bad = np.array([[10.0, 10.0, 20.0, 20.0, 0.9, 0.0], [50.0, 50.0, 60.0, 60.0, 0.9, class_id]])
+        with pytest.raises(ValueError, match="class id outside int64"):
+            tracker.step(bad, 3)
+        after = vars(tracker)
+        assert after.keys() - {"config"} == before.keys()
+        for name, value in before.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == after[name].dtype and np.array_equal(value, after[name])
+            else:
+                assert after[name] == value, name
 
     def test_reported_boxes_are_valid(self):
         rng = np.random.default_rng(3)
