@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, summarised per end-to-end metric.
+
+Runs N pairs of ``python3 bench/run.py`` from a parent checkout and a
+changed one, each in its own directory, on the same seed and run length.
+The parent runs first in odd pairs and the change in even ones, so that a
+drift of the machine over the session does not favour one side. For each
+workload and end-to-end metric it prints each side's median and quartiles
+and how many pairs the change won (ties count for neither side), taking the
+direction from ``BENCHMARK.json``'s ``better``. A ``--claim METRIC`` is met
+when the change won at least nine tenths of at least ten pairs, and the
+medians differ, in the better direction, by more than the parent's
+interquartile range.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload detect-eval \\
+        --pairs 10 --seed 11 --seconds 30 --claim op_ms_p90 --out runs.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+MIN_CLAIM_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced bench run in `checkout`; its result line as a dict."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summarize(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> dict[str, dict]:
+    """Per-metric statistics of `pairs`, each pair mapping "parent" and
+    "change" to one workload's result dicts. Metrics missing from any run
+    are left out."""
+    stats = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        if not all(name in pair[side]["metrics"] for pair in pairs for side in SIDES):
+            continue
+        values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
+        sign = -1.0 if spec["better"] == "lower" else 1.0
+        stats[name] = {
+            "better": spec["better"],
+            "unit": spec["unit"],
+            **values,
+            **{f"{side}_quartiles": np.percentile(values[side], [25, 50, 75]).tolist()
+               for side in SIDES},
+            "wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+            "pairs": len(pairs),
+        }
+    return stats
+
+
+def claim_met(stat: dict) -> bool:
+    """Whether a metric's statistics support claiming a gain: at least nine
+    tenths of at least ten pairs won, and the medians further apart, in the
+    better direction, than the parent's interquartile range."""
+    (q1, parent_median, q3), change_median = stat["parent_quartiles"], stat["change_quartiles"][1]
+    gain = change_median - parent_median if stat["better"] == "higher" else parent_median - change_median
+    return (stat["pairs"] >= MIN_CLAIM_PAIRS and stat["wins"] >= CLAIM_WIN_SHARE * stat["pairs"]
+            and gain > q3 - q1)
+
+
+def format_summary(workload: str, stats: dict[str, dict], claim: str | None = None) -> list[str]:
+    """Printable lines: one per metric, then the claim's verdict if any."""
+    lines = []
+    for name, s in stats.items():
+        (pq1, pm, pq3), (cq1, cm, cq3) = s["parent_quartiles"], s["change_quartiles"]
+        change = f"{(cm - pm) / abs(pm):+.1%}" if pm else "n/a"
+        lines.append(
+            f"{workload} {name}: parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]"
+            f"  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}] {s['unit']}  {change}"
+            f"  change won {s['wins']}/{s['pairs']} ({s['better']} is better)"
+        )
+    if claim is not None:
+        if claim not in stats:
+            lines.append(f"{workload} claim {claim}: not measured")
+        else:
+            s = stats[claim]
+            verdict = "met" if claim_met(s) else "not met"
+            lines.append(
+                f"{workload} claim {claim}: {verdict} (won {s['wins']}/{s['pairs']}, medians "
+                f"{s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g}, "
+                f"parent IQR {s['parent_quartiles'][2] - s['parent_quartiles'][0]:.6g})"
+            )
+            lines.append(f"  parent runs: {' '.join(f'{v:.6g}' for v in s['parent'])}")
+            lines.append(f"  change runs: {' '.join(f'{v:.6g}' for v in s['change'])}")
+    return lines
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--claim", help="an end-to-end metric to test a gain on")
+    parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
+    args = parser.parse_args()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    runs: dict[str, list[dict]] = {w: [] for w in args.workload}
+    for i in range(1, args.pairs + 1):
+        order = SIDES if i % 2 else SIDES[::-1]
+        for workload in args.workload:
+            pair = {side: run_bench(getattr(args, side), workload, args.seed, args.seconds)
+                    for side in order}
+            runs[workload].append(pair)
+            print(f"pair {i} {workload}: {' then '.join(order)}", file=sys.stderr)
+    if args.out:
+        args.out.write_text(json.dumps(runs, indent=1, sort_keys=True))
+    for workload, pairs in runs.items():
+        print("\n".join(format_summary(workload, summarize(pairs, spec), args.claim)))
+
+
+if __name__ == "__main__":
+    main()

@@ -68,18 +68,25 @@ def reduce_dfl(data: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> np.ndarray
     The first 4*B channels hold four bin distributions (side-major layout:
     channel side*B + bin); each is replaced by its expectation, summed in bin
     order whatever the memory layout. Class channels pass through untouched.
-    num_bins is an integer >= 1.
+    num_bins is an integer >= 1. A side with a NaN or +inf bin, or with all
+    bins -inf, gets a NaN expectation and no warning; other -inf bins weigh 0.
     """
     check_int("num_bins", num_bins, 1, ValueError)
     c, h, w = data.shape
     if c <= 4 * num_bins:
         raise ValueError(f"{c} channels cannot hold 4*{num_bins} bins plus classes")
     dist = data[: 4 * num_bins].reshape(4, num_bins, h, w)
-    z = dist - dist.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf: the side's expectation is NaN
+        z = dist - dist.max(axis=1, keepdims=True)
     p = np.exp(z, out=z) if z.dtype.kind == "f" else np.exp(z)  # integers promote
-    p /= sum(p[:, b] for b in range(num_bins))[:, None]
+    total = p[:, 0].copy()
+    for b in range(1, num_bins):
+        total += p[:, b]
+    p /= total[:, None]
     out = np.empty((c - 4 * num_bins + 4, h, w), np.result_type(np.float64, data.dtype))
-    out[:4] = sum(p[:, b] * np.float64(b) for b in range(num_bins))
+    acc, term = np.multiply(p[:, 0], np.float64(0), out=out[:4]), np.empty_like(out[:4])
+    for b in range(1, num_bins):
+        acc += np.multiply(p[:, b], np.float64(b), out=term)
     out[4:] = data[4 * num_bins :]
     return out
 
@@ -119,7 +126,7 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = DEFAULT_SCORE_THRESH
         cy, cx = np.divmod(cells, m.width)
         picked = flat[:, cells]
         # corners: centre - (left, top) and centre + (right, bottom), clipped
-        dist = np.clip(picked[:REGRESSION_CHANNELS], 0.0, None) * stride * [[-1], [-1], [1], [1]]
+        dist = np.maximum(picked[:REGRESSION_CHANNELS], 0.0) * stride * [[-1], [-1], [1], [1]]
         centre = (np.stack([cx, cy, cx, cy]) + 0.5) * stride
         corners = np.clip(centre + dist, 0.0, [[img_w], [img_h], [img_w], [img_h]])
         class_id = picked[REGRESSION_CHANNELS:].argmax(axis=0)
@@ -149,16 +156,17 @@ def nms(boxes: Boxes, iou_thresh: float = DEFAULT_NMS_IOU, class_aware: bool = T
     corners, groups = ranked[order, :4], groups[order]
     group_start = np.searchsorted(groups, groups)
     kept = np.zeros(len(order), dtype=bool)
+    later = ~np.tri(NMS_BLOCK, dtype=bool)  # [i, j]: j > i; built per call to follow NMS_BLOCK
     for start in range(0, len(order), NMS_BLOCK):
-        block = np.arange(start, min(start + NMS_BLOCK, len(order)))
+        stop = min(start + NMS_BLOCK, len(order))
         earlier = np.flatnonzero(kept[group_start[start] : start]) + group_start[start]
-        cols = np.concatenate([earlier, block])
-        over = corner_iou(corners[block, None], corners[None, cols]) > iou_thresh
-        over &= groups[block, None] == groups[None, cols]
+        cols = np.concatenate([earlier, np.arange(start, stop)])
+        over = corner_iou(corners[start:stop, None], corners[None, cols]) > iou_thresh
+        over &= groups[start:stop, None] == groups[None, cols]
         dead = over[:, : len(earlier)].any(axis=1)
-        inner = np.triu(over[:, len(earlier) :], 1)  # row j suppresses later rows
+        inner = over[:, len(earlier) :] & later[: len(over), : len(over)]  # j kills later rows
         for j in np.flatnonzero(inner.any(axis=1)):
             if not dead[j]:
                 dead |= inner[j]
-        kept[block] = ~dead
+        kept[start:stop] = ~dead
     return ranked[np.sort(order[kept])]

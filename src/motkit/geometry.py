@@ -126,7 +126,7 @@ def corner_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     boxes never abort a run."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter

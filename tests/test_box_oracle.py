@@ -123,6 +123,20 @@ def signed_grid_boxes():
     )
 
 
+def overlapping_boxes(n: int, seed: int, side: int = 60) -> list[BoundingBox]:
+    """n boxes of two classes and 8 scores, on a 1/2-pixel grid, each 2 to 30
+    pixels a side, with top-left corners in a side x side square."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(0, 2 * side, (n, 2)) / 2
+    wh = rng.integers(4, 60, (n, 2)) / 2
+    return [
+        BoundingBox(x, y, x + w, y + h, float(s), int(c))
+        for (x, y), (w, h), s, c in zip(
+            xy.tolist(), wh.tolist(), rng.integers(1, 9, n) / 8, rng.integers(0, 2, n)
+        )
+    ]
+
+
 class TestNms:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -159,18 +173,21 @@ class TestNms:
     @pytest.mark.parametrize("class_aware", [True, False])
     def test_matches_oracle_across_full_blocks(self, class_aware):
         # 700 overlapping boxes of two classes: many full blocks per class
-        rng = np.random.default_rng(4)
-        xy = rng.integers(0, 120, (700, 2)) / 2
-        wh = rng.integers(4, 60, (700, 2)) / 2
-        boxes = [
-            BoundingBox(x, y, x + w, y + h, float(s), int(c))
-            for (x, y), (w, h), s, c in zip(
-                xy.tolist(), wh.tolist(), rng.integers(1, 9, 700) / 8, rng.integers(0, 2, 700)
-            )
-        ]
+        boxes = overlapping_boxes(700, seed=4)
         want = oracle_rows(box_oracle.nms(boxes, 0.45, class_aware))
         assert_same_rows(nms(boxes, 0.45, class_aware), want)
         assert_same_rows(nms(box_rows(boxes), 0.45, class_aware), want)
+
+    @pytest.mark.parametrize("class_aware", [True, False])
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("block", [64, 65, 100])
+    def test_matches_oracle_at_block_bounds(self, block, n, class_aware):
+        # Last blocks that are full or hold one row; blocks above the default
+        # size need nms's triangle mask to be built for the patched size.
+        boxes = overlapping_boxes(n, seed=n, side=10)
+        want = oracle_rows(box_oracle.nms(boxes, 0.45, class_aware))
+        with mock.patch.object(decode, "NMS_BLOCK", block):
+            assert_same_rows(nms(box_rows(boxes), 0.45, class_aware), want)
 
 
 class TestDecodeHeads:
@@ -218,7 +235,12 @@ def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def oracle_dfl(data: np.ndarray, bins: int) -> np.ndarray:
+    """The frozen ``reduce_dfl``, which warns on inf - inf in its softmax."""
+    with np.errstate(invalid="ignore"):
+        return box_oracle.reduce_dfl(data, bins)
+
+
 class TestReduceDfl:
     """``reduce_dfl`` adds over bins in bin order, whatever the map's layout.
     The oracle's numpy sums add in bin order too when the bin axis is not
@@ -235,10 +257,13 @@ class TestReduceDfl:
     @pytest.mark.parametrize("layout", ["C", "strided", "channels_last", "fortran"])
     def test_matches_oracle(self, dtype, bins, layout):
         data = laid_out(dfl_map(dtype, bins, 5, 7), layout)
+        memory = data if data.base is None else data.base  # all of a strided view's array
+        before = memory.tobytes()
         got = decode.reduce_dfl(data, bins)
-        assert_same_bytes(got, box_oracle.reduce_dfl(np.ascontiguousarray(data), bins))
+        assert memory.tobytes() == before  # the in-place sums write only their own arrays
+        assert_same_bytes(got, oracle_dfl(np.ascontiguousarray(data), bins))
         if layout in ("C", "strided") or bins < 8:
-            assert_same_bytes(got, box_oracle.reduce_dfl(data, bins))
+            assert_same_bytes(got, oracle_dfl(data, bins))
         assert np.isnan(got[:4]).any() == (np.dtype(dtype).kind == "f")
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -246,7 +271,7 @@ class TestReduceDfl:
     def test_single_cell_maps(self, dtype, bins):
         for seed in range(20):
             data = dfl_map(dtype, bins, 1, 1, seed)
-            got, want = decode.reduce_dfl(data, bins), box_oracle.reduce_dfl(data, bins)
+            got, want = decode.reduce_dfl(data, bins), oracle_dfl(data, bins)
             if bins < 8:
                 assert_same_bytes(got, want)
                 continue

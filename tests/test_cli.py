@@ -398,6 +398,37 @@ class TestWarningsAsErrors:
         assert len(lines) == 1, done.stderr
         assert lines[0].startswith("error: img[0]: class id must be an integer in float64 range")
 
+    @pytest.mark.parametrize("command", ["decode", "track"])
+    @pytest.mark.parametrize("logit", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scoring", [True, False], ids=["scoring", "below_thresh"])
+    def test_non_finite_dfl_logits_exit_cleanly(self, tmp_path, command, logit, scoring):
+        """All 16 bins of one side of cell (0, 0) hold the logit: that side's
+        expectation is NaN, so a scoring cell is an inverted-corners error and
+        any other cell is ignored, and no numpy warning leaks either way."""
+        for stride in (8, 16, 32):
+            data = np.zeros((4 * 16 + 2, 32 // stride, 32 // stride), dtype=np.float32)
+            data[64:] = -1e4
+            if stride == 8:
+                data[0:16, 0, 0] = logit
+                data[64, 0, 0] = 4.0 if scoring else -1e4
+                data[64, 2, 2] = 4.0  # a finite scoring cell beside it
+            write_tensor(data, tmp_path / f"frame0001_stride{stride}.tnsr")
+        maps = [tmp_path / f"frame0001_stride{s}.tnsr" for s in (8, 16, 32)]
+        if command == "decode":
+            done = self.run("decode", "--maps", *maps, "--dfl-bins", 16)
+        else:
+            done = self.run("track", "--head-maps", tmp_path, "--dfl-bins", 16, "--min-hits", 1,
+                            "-o", tmp_path / "res.txt")
+        if scoring:
+            assert (done.returncode, done.stdout) == (2, ""), done.stderr
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: inverted corners: (nan,")
+        else:
+            assert (done.returncode, done.stderr) == (0, "")
+            rows = (done.stdout if command == "decode" else
+                    (tmp_path / "res.txt").read_text()).splitlines()
+            assert len(rows) == 1 + (command == "decode")
+
 
 class TestDecode:
     def test_decode_single_frame(self, tmp_path, capsys):

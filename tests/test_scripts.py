@@ -1,4 +1,6 @@
-"""Smoke tests: each demo script's main() runs to the end on small inputs."""
+"""Smoke tests: each demo script's main() runs to the end on small inputs.
+bench_pairs.py is tested through its summary on canned bench results; no
+test starts the benchmark."""
 
 import importlib.util
 import sys
@@ -9,10 +11,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_main(name: str, argv: list[str], monkeypatch) -> None:
+def load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_main(name: str, argv: list[str], monkeypatch) -> None:
+    module = load_script(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
     assert module.main() is None
 
@@ -39,3 +46,68 @@ def test_fifo_sizing_experiment_reports_deadlock_and_sizing(monkeypatch, capsys)
         "recommended depths: {'e_in': 1, 'e1': 1, 'e2': 15, 'e3': 8, 'e4': 8, 'e5': 1}",
         "at recommended depths: completed in 51 cycles",
     ]
+
+
+SPEC = [
+    {"name": "op_ms_p90", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
+    {"name": "sim_cycles_per_s", "unit": "cycles/s", "better": "higher", "bound": 0.25},
+]
+
+
+def canned_pairs(parent_p90, change_p90, parent_ops, change_ops):
+    """Bench result dicts as bench/run.py prints them, one pair per value."""
+
+    def result(p90, ops):
+        return {"correct": 1, "attempted": 1, "failed": 0,
+                "metrics": {"op_ms_p90": {"value": p90, "unit": "ms"},
+                            "ops_per_s": {"value": ops, "unit": "ops/s"}}}
+
+    return [{"parent": result(pp, po), "change": result(cp, co)}
+            for pp, cp, po, co in zip(parent_p90, change_p90, parent_ops, change_ops)]
+
+
+class TestBenchPairs:
+    bench_pairs = load_script("bench_pairs")
+
+    def test_quartiles_wins_and_a_met_claim(self):
+        parent = [16.0, 15.0, 17.0, 16.5, 15.5, 16.0, 18.0, 15.0, 16.0, 17.0]
+        change = [14.0, 14.5, 13.5, 14.0, 16.0, 14.0, 14.5, 13.0, 14.0, 15.0]
+        stats = self.bench_pairs.summarize(canned_pairs(parent, change, parent, change), SPEC)
+        assert list(stats) == ["op_ms_p90", "ops_per_s"]  # sim_cycles_per_s was not reported
+        p90 = stats["op_ms_p90"]
+        assert p90["parent_quartiles"] == [15.625, 16.0, 16.875]
+        assert p90["change_quartiles"] == [14.0, 14.0, 14.5]
+        assert (p90["wins"], p90["pairs"]) == (9, 10)  # pair 5 went the other way
+        assert self.bench_pairs.claim_met(p90)
+        # the same numbers on a higher-is-better metric are a loss in 9 pairs
+        assert stats["ops_per_s"]["wins"] == 1
+        assert not self.bench_pairs.claim_met(stats["ops_per_s"])
+        lines = self.bench_pairs.format_summary("detect-eval", stats, "op_ms_p90")
+        assert lines[0].startswith("detect-eval op_ms_p90: parent 16 [15.625, 16.875]")
+        assert "change won 9/10 (lower is better)" in lines[0]
+        assert lines[2].startswith("detect-eval claim op_ms_p90: met (won 9/10")
+
+    def test_ties_count_for_neither_side(self):
+        stats = self.bench_pairs.summarize(canned_pairs([5.0] * 10, [5.0] * 10, [1.0] * 10,
+                                                        [1.0] * 10), SPEC)
+        assert stats["op_ms_p90"]["wins"] == stats["ops_per_s"]["wins"] == 0
+
+    @pytest.mark.parametrize(
+        "parent, change",
+        [
+            ([10.0] * 9, [9.0] * 9),  # won every pair, but fewer than ten
+            ([10.0] * 8 + [9.0, 9.0], [9.0] * 10),  # 8 of 10 won, 2 tied
+            ([8.0, 12.0] * 5, [7.9, 11.9] * 5),  # won every pair, inside the parent's IQR
+        ],
+        ids=["nine_pairs", "eight_wins", "within_iqr"],
+    )
+    def test_claim_not_met(self, parent, change):
+        stats = self.bench_pairs.summarize(canned_pairs(parent, change, parent, change), SPEC)
+        assert not self.bench_pairs.claim_met(stats["op_ms_p90"])
+        assert self.bench_pairs.format_summary("w", stats, "op_ms_p90")[2].startswith(
+            "w claim op_ms_p90: not met")
+
+    def test_unmeasured_claim_reported(self):
+        stats = self.bench_pairs.summarize(canned_pairs([1.0], [1.0], [1.0], [1.0]), SPEC)
+        assert self.bench_pairs.format_summary("w", stats, "map")[-1] == "w claim map: not measured"
