@@ -7,10 +7,15 @@ The parent runs first in odd pairs and the change in even ones, so that a
 drift of the machine over the session does not favour one side. For each
 workload and end-to-end metric it prints each side's median and quartiles
 and how many pairs the change won (ties count for neither side), taking the
-direction from ``BENCHMARK.json``'s ``better``. A ``--claim METRIC`` is met
-when the change won at least nine tenths of at least ten pairs, and the
-medians differ, in the better direction, by more than the parent's
-interquartile range.
+direction from ``BENCHMARK.json``'s ``better``, and a no-regression verdict
+against the metric's ``bound`` (a share of the median): "worse" when the
+change's median is worse than the parent's by more than the bound,
+"unresolved" when either side's interquartile range is wider than the bound
+of its median and the change did not beat the parent in every run against
+every run, else "no worse". Each workload's failed-op share is printed per
+side. A ``--claim METRIC`` is met when the change won at least nine tenths
+of at least ten pairs, and the medians differ, in the better direction, by
+more than the parent's interquartile range.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload detect-eval \\
         --pairs 10 --seed 11 --seconds 30 --claim op_ms_p90 --out runs.json
@@ -52,16 +57,43 @@ def summarize(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> dict[str,
             continue
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
         sign = -1.0 if spec["better"] == "lower" else 1.0
-        stats[name] = {
+        stat = stats[name] = {
             "better": spec["better"],
             "unit": spec["unit"],
+            "bound": spec["bound"],
             **values,
             **{f"{side}_quartiles": np.percentile(values[side], [25, 50, 75]).tolist()
                for side in SIDES},
             "wins": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
             "pairs": len(pairs),
         }
+        stat["verdict"] = verdict(stat)
     return stats
+
+
+def verdict(stat: dict) -> str:
+    """Whether the change's median is worse than the parent's by more than
+    the bound: "no worse", "worse", or "unresolved" when either side's runs
+    spread wider than the bound and not every change run beats every parent
+    run. Bound and spread are shares of the median."""
+    sign = -1.0 if stat["better"] == "lower" else 1.0
+    if min(sign * np.array(stat["change"])) > max(sign * np.array(stat["parent"])):
+        return "no worse"
+    for side in SIDES:
+        q1, median, q3 = stat[f"{side}_quartiles"]
+        if q3 - q1 > stat["bound"] * abs(median):
+            return "unresolved"
+    parent, change = stat["parent_quartiles"][1], stat["change_quartiles"][1]
+    return "worse" if sign * (parent - change) > stat["bound"] * abs(parent) else "no worse"
+
+
+def format_failed(workload: str, pairs: list[dict[str, dict]]) -> str:
+    """Each side's failed-op share over its runs."""
+    shares = []
+    for side in SIDES:
+        failed, attempted = (sum(pair[side][key] for pair in pairs) for key in ("failed", "attempted"))
+        shares.append(f"{side} {failed / attempted:.4g} ({failed} of {attempted})")
+    return f"{workload} failed-op share: {', '.join(shares)}"
 
 
 def claim_met(stat: dict) -> bool:
@@ -84,6 +116,7 @@ def format_summary(workload: str, stats: dict[str, dict], claim: str | None = No
             f"{workload} {name}: parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]"
             f"  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}] {s['unit']}  {change}"
             f"  change won {s['wins']}/{s['pairs']} ({s['better']} is better)"
+            f"  {s['verdict']} at bound {s['bound']:g}"
         )
     if claim is not None:
         if claim not in stats:
@@ -125,6 +158,7 @@ def main():
         args.out.write_text(json.dumps(runs, indent=1, sort_keys=True))
     for workload, pairs in runs.items():
         print("\n".join(format_summary(workload, summarize(pairs, spec), args.claim)))
+        print(format_failed(workload, pairs))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ order and pops equally cheap columns in index order (frozen as the oracle
 in tests/lap_oracle.py). That is not in general the lowest set of (row,
 col) pairs. Keeping this tie rule is why the solver is hand-rolled rather
 than delegated to a library; it batches that solver's steps into numpy
-blocks without changing their outcome.
+blocks, and skips those whose outcome the tie rule already fixes, without
+changing the result.
 """
 
 from __future__ import annotations
@@ -63,64 +64,80 @@ def solve_lap(cost: np.ndarray) -> list[tuple[int, int]]:
     while i < m:
         # While v is unchanged, a row whose first-occurrence reduced minimum
         # lies in a free column settles there in its first scan; assign the
-        # run of such rows (with distinct columns) at once.
-        reduced = cost[i:] - v
-        cols = reduced.argmin(axis=1)
-        clash = p[cols] >= 0
-        order = cols.argsort(kind="stable")  # a repeated column clashes after its first row
-        clash[order[1:]] |= cols[order[1:]] == cols[order[:-1]]
-        run = int(clash.argmax()) if clash.any() else len(cols)
-        u[i : i + run] = reduced[np.arange(run), cols[:run]]
-        p[cols[:run]] = np.arange(i, i + run)
-        i += run
-        if i == m:
-            break
+        # run of such rows (with distinct columns) at once. Row i is probed
+        # first, so a row that clashes costs no run.
+        if p[(cost[i] - v).argmin()] < 0:
+            reduced = cost[i:] - v
+            cols = reduced.argmin(axis=1)
+            clash = p[cols] >= 0
+            order = cols.argsort(kind="stable")  # a repeated column clashes after its first row
+            clash[order[1:]] |= cols[order[1:]] == cols[order[:-1]]
+            run = int(clash.argmax()) or len(cols)  # clash[0] is False: row i settles
+            u[i : i + run] = reduced[np.arange(run), cols[:run]]
+            p[cols[:run]] = np.arange(i, i + run)
+            i += run
+            if i == m:
+                break
 
         # Dijkstra from row i. Each step scans a block of columns: after a
         # pop, the unused columns at level 0 would be popped in index order
-        # up to the first free one, so their rows are scanned together and
-        # the block is cut at the first row after which that order changes.
-        # minv is inf on used columns, so the pop and the tight test need no
-        # mask; used_rows marks the rows whose u moves with each delta.
+        # up to the first free one, f, so their rows are scanned together
+        # and the block is cut at the first row after which that order
+        # changes; a one-row block is scanned as a vector. If no row changes
+        # the order before f, f is popped next at delta 0: u, v and the path
+        # to f are final, so the search ends there. minv is inf on used
+        # columns, so the pop and the tight test need no mask; unused marks
+        # the columns not popped yet, used_rows the rows whose u moves with
+        # delta.
         p[n] = i
         minv = np.full(n + 1, np.inf)
-        used, used_rows = np.zeros(n + 1, dtype=bool), np.zeros(m, dtype=bool)
-        block = np.array([n])
+        unused, used_rows = np.ones(n + 1, dtype=bool), np.zeros(m, dtype=bool)
+        walk = block = np.array([n])  # walk is block, then f if there is one
         while True:
-            rows = p[block]
-            cur = cost[rows] - u[rows][:, None]
-            cur -= v
-            if len(block) > 1:
-                # Popping stays in block order after row r unless r leaves a
+            if len(block) == 1:
+                rows = p[block[0]]
+                low = cost[rows] - u[rows]
+                low -= v
+                src = block[0]
+            else:
+                rows = p[block]
+                cur = cost[rows] - u[rows][:, None]
+                cur -= v
+                # Popping stays in walk order after row r unless r leaves a
                 # value below 0 (a rounding step) in a column it sees unused,
                 # which cuts at r, or a 0 in column cc where minv was above 0,
-                # which cuts once the next block column lies past cc. lim is
+                # which cuts once the next walk column lies past cc. lim is
                 # -inf on used columns, -5e-324 (x <= lim: x < 0) at minv 0.
                 lim = np.where(minv > 0.0, 0.0, -5e-324)
-                lim[used] = -np.inf
+                lim[~unused] = -np.inf
                 rr, cc = np.divmod((cur <= lim).ravel().nonzero()[0], n + 1)
-                at = block.searchsorted(cc)  # row r sees block[at] unused if at > r
+                at = walk.searchsorted(cc)  # row r sees walk[at] unused if at > r
                 stop = np.where(cur[rr, cc] < 0.0, rr, np.maximum(rr, at - 1))
-                k = int(stop[(minv[cc] > 0.0) | (at > rr)].min(initial=len(block) - 1)) + 1
+                k = int(stop[(minv[cc] > 0.0) | (at > rr)].min(initial=len(walk) - 1)) + 1
+                if k > len(block):  # no cut before f
+                    j1 = walk[-1]
+                    break
                 block, rows, cur = block[:k], rows[:k], cur[:k]
-            used[block] = True
+                arg = cur.argmin(axis=0)
+                low, src = cur[arg, columns], block[arg]
+            unused[block] = False
             used_rows[rows] = True
             minv[block] = np.inf
-            arg = cur.argmin(axis=0)
-            low = cur[arg, columns]
-            better = (low < minv) & ~used
+            better = (low < minv) & unused
             np.copyto(minv, low, where=better)
-            np.copyto(way, block[arg], where=better)
+            np.copyto(way, src, where=better)
             # first occurrence = lowest index among the cheapest unused columns
             j1 = int(minv.argmin())
             delta = minv[j1]
-            np.add(u, delta, out=u, where=used_rows)
-            np.subtract(v, delta, out=v, where=used)
-            minv -= delta
+            if delta:  # at delta 0 they could only flip the sign of a zero
+                np.add(u, delta, out=u, where=used_rows)
+                np.subtract(v, delta, out=v, where=~unused)
+                minv -= delta
             if p[j1] < 0:
                 break
             tight = (minv == 0.0).nonzero()[0]  # tight[0] is j1, which is owned
-            block = tight[: (p[tight] < 0).argmax() or len(tight)]
+            f = int((p[tight] < 0).argmax())
+            walk, block = (tight[: f + 1], tight[:f]) if f else (tight, tight)
         while j1 != n:  # augment back along the path to the start column
             p[j1], j1 = p[way[j1]], way[j1]
         i += 1

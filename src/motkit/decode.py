@@ -98,7 +98,8 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = DEFAULT_SCORE_THRESH
     Requires each stride in {8, 16, 32} exactly once and mutually consistent
     image dimensions. Negative regressed distances clamp to zero. Candidates
     below score_thresh are dropped; survivors are clipped to image bounds,
-    and inverted corners (a NaN regression) raise box_rows's ValueError.
+    and inverted corners (a NaN regression) raise box_rows's ValueError. A
+    NaN class logit in any cell raises ValueError naming its stride and cell.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError(f"score_thresh outside [0, 1]: {score_thresh}")
@@ -121,7 +122,11 @@ def decode_heads(maps: list[HeadMap], score_thresh: float = DEFAULT_SCORE_THRESH
     for stride in EXPECTED_STRIDES:
         m = by_stride[stride]
         flat = m.data.reshape(m.channels, -1)
-        score = sigmoid(flat[REGRESSION_CHANNELS:].max(axis=0))
+        logit = flat[REGRESSION_CHANNELS:].max(axis=0)  # NaN if any class logit is
+        if np.isnan(logit).any():
+            y, x = divmod(int(np.isnan(logit).argmax()), m.width)
+            raise ValueError(f"stride-{stride} cell (x={x}, y={y}) has a NaN class logit")
+        score = sigmoid(logit)
         cells = np.flatnonzero(score >= score_thresh)
         cy, cx = np.divmod(cells, m.width)
         picked = flat[:, cells]

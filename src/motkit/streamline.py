@@ -447,6 +447,10 @@ def _insert_after(g: OpGraph, node_id: str, kind: str, attrs: dict) -> Node:
     return new
 
 
+# Absorbing may overflow thresholds to inf, which is allowed (inf - inf then
+# reads as ascending): numpy's warnings for it are off once per run, not
+# per absorb.
+@np.errstate(over="ignore", invalid="ignore")
 def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, checks) -> bool:
     """Rewrite g in place until no site is left; True if it changed g.
     `checks` holds (check, kinds) pairs: ``check(g, node, notes)`` is True

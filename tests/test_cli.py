@@ -23,7 +23,14 @@ from motkit.cli import main
 from motkit.dataflow import save_stream_graph
 from motkit.io import read_mot, write_mot, write_tensor
 from motkit.metrics import COCO_IOU_THRESHOLDS
-from motkit.streamline import PASSES, apply_passes, load_graph, run_pipeline, save_graph
+from motkit.streamline import (
+    PASSES,
+    OpGraph,
+    apply_passes,
+    load_graph,
+    run_pipeline,
+    save_graph,
+)
 from motkit.synthetic import generate_sequence
 from motkit.tracker import SortConfig, SortTracker
 
@@ -428,6 +435,43 @@ class TestWarningsAsErrors:
             rows = (done.stdout if command == "decode" else
                     (tmp_path / "res.txt").read_text()).splitlines()
             assert len(rows) == 1 + (command == "decode")
+
+    @pytest.mark.parametrize("command", ["decode", "track"])
+    def test_nan_class_logit_exits_two(self, tmp_path, command):
+        """Class logits (NaN, 4.0) at stride-8 cell (0, 0) would make its
+        score NaN and drop the cell unseen; it is one error line instead."""
+        for stride in (8, 16, 32):
+            data = np.zeros((4 * 16 + 2, 32 // stride, 32 // stride), dtype=np.float32)
+            data[64:] = -1e4
+            if stride == 8:
+                data[64:, 0, 0] = np.nan, 4.0
+            write_tensor(data, tmp_path / f"frame0001_stride{stride}.tnsr")
+        if command == "decode":
+            maps = [tmp_path / f"frame0001_stride{s}.tnsr" for s in (8, 16, 32)]
+            done = self.run("decode", "--maps", *maps, "--dfl-bins", 16)
+        else:
+            done = self.run("track", "--head-maps", tmp_path, "--dfl-bins", 16,
+                            "-o", tmp_path / "res.txt")
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == "error: stride-8 cell (x=0, y=0) has a NaN class logit\n"
+
+    @pytest.mark.parametrize("passes", [[], ["--passes", "absorb_affine"]], ids=["pipeline", "absorb"])
+    def test_overflowing_absorb_exits_cleanly(self, tmp_path, passes):
+        """Mul(0.1) into thresholds near the float limit overflows them to
+        inf, which streamlining allows: no numpy warning may leak."""
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("mul", "Mul", scale=0.1)
+        g.add_node("mt", "MultiThreshold", thresholds=[[1e308, 1.2e308, 1.5e308]], out_bits=2)
+        g.add_node("out", "Output")
+        for src, dst in (("in", "mul"), ("mul", "mt"), ("mt", "out")):
+            g.connect(src, dst)
+        save_graph(g, tmp_path / "in.json")
+        done = self.run("streamline", tmp_path / "in.json", "-o", tmp_path / "out.json", *passes)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        nodes = json.loads((tmp_path / "out.json").read_text())["nodes"]
+        assert [n["kind"] for n in nodes] == ["Input", "MultiThreshold", "Output"]
+        assert nodes[1]["attrs"]["thresholds"] == [[np.inf] * 3]
 
 
 class TestDecode:

@@ -152,6 +152,20 @@ class TestDecodeHeads:
         maps[0].data[0:4, 1, 2] = np.nan
         assert len(decode_heads(maps, score_thresh=0.25)) == 0
 
+    @pytest.mark.parametrize("other", [4.0, -1e4, np.inf])
+    def test_nan_class_logit_rejected(self, other):
+        # the cell's max is NaN whatever its other classes hold, so it
+        # would fail every threshold and vanish; it is an error instead
+        maps = make_maps(img_w=32, img_h=32)
+        maps[1].data[4:6, 1, 0] = np.nan, other
+        with pytest.raises(ValueError, match=r"^stride-16 cell \(x=0, y=1\) has a NaN class logit$"):
+            decode_heads(maps, score_thresh=0.25)
+
+    def test_minus_inf_class_logit_decoded(self):
+        maps = make_maps(img_w=32, img_h=32)
+        maps[1].data[4:6, 1, 0] = -np.inf, 4.0
+        assert decode_heads(maps, score_thresh=0.25)[:, 5].tolist() == [1.0]
+
     def test_missing_stride_rejected(self):
         maps = make_maps()[:2]
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ columns), each solved as drawn and transposed; dense uniform and digit
 matrices with few ties; crowded -IoU matrices of about 100 x 105 from
 synthetic scenes with clutter, where the tie walks are long; every matrix the
 sort-crowd benchmark solves on two of its sequences; and one shrunk matrix per
-rule that cuts a block tie walk.
+rule that cuts a block tie walk and per shortcut that skips settled work.
 """
 
 import sys
@@ -129,6 +129,44 @@ WALK_CUTS = {
 @pytest.mark.parametrize("name", sorted(WALK_CUTS))
 def test_walk_cut_regressions(name):
     cost = np.array(WALK_CUTS[name], dtype=float)
+    assert solve_lap(cost) == lap_oracle.solve_lap(cost)
+
+
+# One matrix per shortcut that lets solve_lap skip work whose outcome the tie
+# rule already fixes. Each was found by searching tie-heavy matrices for one
+# that takes the shortcut's path and on which a solver with that shortcut's
+# guard dropped or broken (named per entry) disagreed with the oracle, then
+# shrunk. Two guards, the own-column exclusion and the delta-0 skip, only
+# cost time when dropped; those entries are the smallest matrices found that
+# reach the state the guard must tolerate.
+SHORTCUTS = {
+    # row 2 starts a search whose first scan clashes: a run built without
+    # probing it would settle it in column 0 over row 0
+    "first_row_clashes": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    # a search of one-row blocks, each scanned as a vector: subtracting v
+    # before u rounds differently from the oracle's (cost - u) - v
+    "one_row_chain": [
+        [-0.0, -0.0, -0.0, -0.0],
+        [-0.0, -0.0, -0.0, -0.0],
+        [-0.0, -0.0, -0.1, -0.1],
+        [-1.0, -1.0, -1.0, -0.0],
+        [-0.0, -0.0, -0.0, -0.0],
+    ],
+    # an uncut block before a free column ends the search there although a
+    # block row's reduced cost in its own column rounds below 0
+    "own_column_below_zero": [[0.1, 0.2, 0.3], [0.5, 0.5, 0.6], [0.5, 0.5, 0.6], [0.5, 0.5, 0.6]],
+    # the last block row makes a column tight before the free one: ending
+    # there, as an uncut block alone would allow, pairs the wrong row
+    "tight_before_free": [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+    # pops at delta 0 skip the potential updates, keeping a -0.0 in u or v
+    # where the oracle holds +0.0, and later scans read it
+    "zero_potential": [[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [-0.1, -0.0, -0.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUTS))
+def test_shortcut_regressions(name):
+    cost = np.array(SHORTCUTS[name], dtype=float)
     assert solve_lap(cost) == lap_oracle.solve_lap(cost)
 
 

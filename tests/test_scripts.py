@@ -111,3 +111,45 @@ class TestBenchPairs:
     def test_unmeasured_claim_reported(self):
         stats = self.bench_pairs.summarize(canned_pairs([1.0], [1.0], [1.0], [1.0]), SPEC)
         assert self.bench_pairs.format_summary("w", stats, "map")[-1] == "w claim map: not measured"
+
+
+class TestNoRegressionVerdicts:
+    bench_pairs = load_script("bench_pairs")
+
+    def verdicts(self, parent, change):
+        """Verdicts on op_ms_p90 (lower is better) and ops_per_s (higher),
+        both fed the same values."""
+        stats = self.bench_pairs.summarize(canned_pairs(parent, change, parent, change), SPEC)
+        return stats["op_ms_p90"]["verdict"], stats["ops_per_s"]["verdict"]
+
+    def test_clean_pair_is_no_worse(self):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
+        change = [10.5, 10.4, 10.6, 10.3, 10.5, 10.4]  # 5 % up: inside the 0.25 bound
+        assert self.verdicts(parent, change) == ("no worse", "no worse")
+        lines = self.bench_pairs.format_summary("w", self.bench_pairs.summarize(
+            canned_pairs(parent, change, parent, change), SPEC))
+        assert lines[0].endswith("change won 0/6 (lower is better)  no worse at bound 0.25")
+
+    def test_regression_past_the_bound(self):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
+        # 30 % up is worse on the lower-is-better metric, a gain on ops_per_s;
+        # 30 % down the other way round
+        assert self.verdicts(parent, [v * 1.3 for v in parent]) == ("worse", "no worse")
+        assert self.verdicts(parent, [v * 0.7 for v in parent]) == ("no worse", "worse")
+
+    def test_wide_spread_is_unresolved(self):
+        parent = [10.0, 10.0, 10.0, 10.0, 10.0, 10.0]
+        change = [6.0, 14.0, 7.0, 13.0, 8.0, 12.0]  # IQR 5.5 on a median of 10
+        assert self.verdicts(parent, change) == ("unresolved", "unresolved")
+
+    def test_wide_spread_resolved_when_every_run_wins(self):
+        parent = [20.0, 30.0, 20.0, 30.0]
+        change = [10.0, 19.0, 10.0, 19.0]  # wide on both sides, every change run lower
+        assert self.verdicts(parent, change) == ("no worse", "unresolved")
+
+    def test_failed_op_share_per_side(self):
+        pairs = canned_pairs([1.0] * 3, [1.0] * 3, [1.0] * 3, [1.0] * 3)
+        for pair in pairs:
+            pair["change"].update(attempted=40, failed=10)
+        assert self.bench_pairs.format_failed("sort-crowd", pairs) == (
+            "sort-crowd failed-op share: parent 0 (0 of 3), change 0.25 (30 of 120)")
