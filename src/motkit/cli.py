@@ -17,12 +17,13 @@ import numpy as np
 from . import io as mio
 from . import metrics, streamline
 from . import dataflow as df
-from .decode import DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH, HeadMap, decode_heads, nms, reduce_dfl
+from .decode import (DEFAULT_NMS_IOU, DEFAULT_SCORE_THRESH, EXPECTED_STRIDES, HeadMap,
+                     decode_heads, nms, reduce_dfl)
 from .geometry import box_rows
 from .synthetic import generate_sequence
 from .tracker import SortConfig, SortTracker
 
-_HEADMAP_RE = re.compile(r"frame(\d+)_stride(8|16|32)\.tnsr$")
+_HEADMAP_RE = re.compile(rf"frame(\d+)_stride({'|'.join(map(str, EXPECTED_STRIDES))})\.tnsr$")
 
 
 def _settings(args) -> dict:
@@ -41,7 +42,7 @@ def _settings(args) -> dict:
 
 def _headmap_paths(directory: str) -> dict[int, list[Path]]:
     """Group frame{N}_stride{S}.tnsr files by frame, in frame order, as
-    each frame's stride 8, 16 and 32 paths."""
+    each frame's paths in EXPECTED_STRIDES order."""
     by_frame: dict[int, dict[int, Path]] = {}
     for path in sorted(Path(directory).iterdir()):
         m = _HEADMAP_RE.search(path.name)
@@ -53,16 +54,17 @@ def _headmap_paths(directory: str) -> dict[int, list[Path]]:
     for frame, paths in sorted(by_frame.items()):
         if frame < 1:
             raise ValueError(f"{directory}: frame must be >= 1, got {frame}")
-        if sorted(paths) != [8, 16, 32]:
-            raise ValueError(f"frame {frame}: need strides 8,16,32, got {sorted(paths)}")
-        frames[frame] = [paths[8], paths[16], paths[32]]
+        if sorted(paths) != sorted(EXPECTED_STRIDES):
+            need = ",".join(map(str, EXPECTED_STRIDES))
+            raise ValueError(f"frame {frame}: need strides {need}, got {sorted(paths)}")
+        frames[frame] = [paths[stride] for stride in EXPECTED_STRIDES]
     return frames
 
 
 def _read_headmaps(paths: list[str] | list[Path], dfl_bins: int) -> list[HeadMap]:
-    """Stride 8, 16 and 32 head maps from their tensor dumps, in that order."""
+    """Head maps from their tensor dumps, one per stride, in EXPECTED_STRIDES order."""
     maps = []
-    for stride, path in zip((8, 16, 32), paths):
+    for stride, path in zip(EXPECTED_STRIDES, paths):
         data = mio.read_tensor(path).astype(float)
         if dfl_bins:
             data = reduce_dfl(data, dfl_bins)

@@ -17,9 +17,9 @@ FIFO sizing follows the probe procedure: each FIFO's depth is its largest
 saturation in a run at depths no occupancy can exceed, where no node stalls,
 so `probe_fifos` computes that run in closed form. It is its own verification
 (replay lemma): a run at depths `D` with peaks `M <= D` repeats cycle for
-cycle at depths `M`, since from equal states phases 1 and 4 act alike and
-phase 2 drains `min(staged, depth - occ)` alike, as the first run kept
-`occ + amount <= M` or filled up (`M = D`).
+cycle at depths `M`, since from equal states every advance and firing acts
+alike and every drain moves `min(staged, depth - occ)` alike, as the first
+run kept `occ + amount <= M` or filled up (`M = D`).
 """
 
 from __future__ import annotations
@@ -227,11 +227,13 @@ def _run_latencies(g: StreamGraph, workload: int, cycle_cap: int) -> tuple[list[
 def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
     """Run the pipeline on `workload` source tokens.
 
-    Per cycle: (1) busy nodes advance, completions stage their burst;
-    (2) staged tokens drain into FIFOs up to free space; (3) occupancy
-    peaks are sampled; (4) idle nodes with empty staging and sufficient
-    inputs fire. Deadlock is declared the first cycle nothing changes
-    while work remains - the state would then be frozen forever.
+    Each cycle visits the nodes once, in topological order: a busy node
+    advances, and a completed firing stages its burst; staged tokens drain
+    into the node's FIFOs up to free space, and their peaks are sampled; an
+    idle node with empty staging and sufficient inputs fires. Producers come
+    first, so each FIFO fills before its one consumer fires. Deadlock is
+    declared the first cycle nothing changes while work remains - the state
+    would then be frozen forever.
 
     Skip rule: after a cycle that drains and fires nothing while some node
     is busy, the next `min(busy) - 1` cycles (never past `cycle_cap`) pass
@@ -242,9 +244,10 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     """
     order, latency = _run_latencies(g, workload, cycle_cap)
 
-    # Each phase touches only a node's own state and edges, so the visiting
-    # order is free; insertion order is the key order of the report's dicts.
+    # Nodes and edges keep insertion indices, the key order of the report's
+    # dicts; `sweep` lists the node indices in topological order.
     pos = {nid: i for i, nid in enumerate(g.nodes)}
+    sweep = [pos[nid] for nid in order]
     eids = list(g.edges)
     eidx = {eid: k for k, eid in enumerate(eids)}
     ins = [[eidx[e.id] for e in g.in_edges(nid)] for nid in g.nodes]
@@ -252,7 +255,6 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     consume = [node.consume for node in g.nodes.values()]
     produce = [node.produce for node in g.nodes.values()]
     depth = [e.depth for e in g.edges.values()]
-    edge_src = [pos[e.src] for e in g.edges.values()]
     n, m = len(pos), len(eids)
 
     occupancy, max_occ = [0] * m, [0] * m
@@ -260,56 +262,48 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     node_staged = [0] * n  # the same, summed over a node's output edges
     busy, stall = [0] * n, [0] * n
     remaining = [0 if ins[i] else workload // produce[i] for i in range(n)]
-    # Running totals; the run is complete when all three are zero.
-    left, busy_nodes, held = sum(remaining), 0, 0  # held: staged or in a FIFO
-    delivered = 0
+    busy_nodes, delivered = 0, 0
 
     cycles = 0
     outcome = "cap_exceeded"
     while cycles < cycle_cap:
         cycles += 1
         advanced = busy_nodes > 0
-
-        # 1) advance busy nodes; completed firings stage their burst
-        for i in range(n):
+        drained = fired = False
+        for i in sweep:
             b = busy[i]
-            if b:
+            if b:  # a busy node has nothing staged
                 busy[i] = b - 1
-                if b == 1:
-                    busy_nodes -= 1
-                    for k in outs[i]:
-                        staged[k] += produce[i]
-                    node_staged[i] += produce[i] * len(outs[i])
-                    held += produce[i] * len(outs[i])
+                if b > 1:
+                    continue
+                busy_nodes -= 1  # the firing completes: stage its burst
+                for k in outs[i]:
+                    staged[k] = produce[i]
+                node_staged[i] = produce[i] * len(outs[i])
 
-        # 2) drain staging into FIFOs as far as space allows; 3) sample the
-        # post-drain peak (the "largest saturation") - only drains raise it
-        drained = False
-        for k in range(m):
-            s = staged[k]
-            if s:
-                amount = min(s, depth[k] - occupancy[k])
-                if amount > 0:
-                    staged[k] = s - amount
-                    node_staged[edge_src[k]] -= amount
-                    occ = occupancy[k] = occupancy[k] + amount
-                    if occ > max_occ[k]:
-                        max_occ[k] = occ
-                    drained = True
-
-        # 4) fire idle nodes whose burst has fully left and inputs suffice
-        fired = False
-        for i in range(n):
-            if busy[i]:
-                continue
+            # drain into the node's FIFOs as far as space allows; sample the
+            # post-drain peak (the "largest saturation") - only drains raise it
             if node_staged[i]:
-                stall[i] += 1  # burst still stuck in staging
-                continue
+                for k in outs[i]:
+                    s = staged[k]
+                    if s:
+                        amount = min(s, depth[k] - occupancy[k])
+                        if amount > 0:
+                            staged[k] = s - amount
+                            node_staged[i] -= amount
+                            occ = occupancy[k] = occupancy[k] + amount
+                            if occ > max_occ[k]:
+                                max_occ[k] = occ
+                            drained = True
+                if node_staged[i]:
+                    stall[i] += 1  # burst still stuck in staging
+                    continue
+
+            # fire if inputs suffice; their producers drained earlier in the sweep
             inputs = ins[i]
             if not inputs:  # source
                 if remaining[i]:
                     remaining[i] -= 1
-                    left -= 1
                     busy[i] = latency[i]
                     busy_nodes += 1
                     fired = True
@@ -321,14 +315,14 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
             else:
                 for k in inputs:
                     occupancy[k] -= need
-                held -= need * len(inputs)
                 if not outs[i]:  # sink swallows
                     delivered += need * len(inputs)
                 busy[i] = latency[i]
                 busy_nodes += 1
                 fired = True
 
-        if not (left or busy_nodes or held):
+        # a node that fired is still busy, so the scans run only on an idle cycle
+        if not (busy_nodes or any(remaining) or any(node_staged) or any(occupancy)):
             outcome = "completed"
             break
         if not (advanced or drained or fired):

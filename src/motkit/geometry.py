@@ -92,22 +92,14 @@ def int64_class_ids(rows: np.ndarray) -> np.ndarray:
 
 
 _SETTERS = [getattr(BoundingBox, f.name).__set__ for f in fields(BoundingBox)]
-# (score, class_id): the very objects that BoundingBox(*corners) holds
-_DEFAULTS = BoundingBox.__init__.__defaults__
 
 
 def boxes(rows: np.ndarray) -> list[BoundingBox]:
-    """box_rows' inverse: BoundingBoxes of (N, 6) box rows, or of (N, 4) corners
-    with BoundingBox's default score and class id. The array is checked once, as
-    box_rows checks it; class ids come back as ints and must fit int64. Each
-    slot is filled column by column, so no Python code runs per box."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 2 and rows.shape[1] == 4:
-        box_rows(np.column_stack([rows, np.tile(_DEFAULTS, (len(rows), 1))]))
-        columns = [*rows.T.tolist(), *map(repeat, _DEFAULTS)]
-    else:
-        rows = box_rows(rows)
-        columns = [*rows[:, :5].T.tolist(), int64_class_ids(rows).tolist()]
+    """box_rows' inverse: BoundingBoxes of (N, 6) box rows. The array is checked
+    once, as box_rows checks it; class ids come back as ints and must fit int64.
+    Each slot is filled column by column, so no Python code runs per box."""
+    rows = box_rows(np.asarray(rows, dtype=float))
+    columns = [*rows[:, :5].T.tolist(), int64_class_ids(rows).tolist()]
     out = list(map(object.__new__, repeat(BoundingBox, len(rows))))
     for setter, column in zip(_SETTERS, columns):
         deque(map(setter, out, column), maxlen=0)

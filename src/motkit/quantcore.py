@@ -38,8 +38,10 @@ class MultiThresholdOp:
                 f"{self.out_bits}-bit output needs {n} thresholds per channel, "
                 f"got {t.shape[1]}"
             )
-        if ((t[:, 1:] - t[:, :-1]) <= 0.0).any():  # np.diff's arithmetic
-            raise ValueError("thresholds must be strictly ascending per channel")
+        if (t[:, 1:] <= t[:, :-1]).any():  # else no difference is <= 0 either
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: inf, inf ascends
+                if ((t[:, 1:] - t[:, :-1]) <= 0.0).any():  # np.diff's arithmetic
+                    raise ValueError("thresholds must be strictly ascending per channel")
         flips = np.zeros(t.shape[0], bool) if self.count_above is None else self.count_above
         flips = np.asarray(flips, dtype=bool).reshape(-1)
         if flips.shape[0] != t.shape[0]:

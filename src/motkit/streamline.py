@@ -511,18 +511,20 @@ def _to_fixed_point(g: OpGraph, diagnostics: list[str] | None, checks) -> bool:
 
 def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
     """Fold a Mul/Add directly preceding a MultiThreshold into its thresholds
-    (t <- (t - b) / a) and drop it from the graph."""
+    (t <- (t - b) / a) and drop it from the graph. Its parameter must fit the
+    threshold rows, as interpret requires."""
     outs = g.out_edges(node.id)
     if len(outs) != 1:
         return False
     consumer = g.nodes[outs[0].dst]
     if consumer.kind != "MultiThreshold":
         return False
-    p = np.asarray(node.attrs["scale" if node.kind == "Mul" else "bias"], dtype=float)
+    op = _mt_from_attrs(consumer.attrs)
+    p = _per_channel(node.attrs["scale" if node.kind == "Mul" else "bias"], op.channels).squeeze()
     a, b = (p, np.zeros_like(p)) if node.kind == "Mul" else (np.ones_like(p), p)
     if (a == 0.0).any():
         raise GraphError(f"node {node.id}: zero scale cannot be absorbed")
-    op = quantcore.absorb_affine(_mt_from_attrs(consumer.attrs), a, b)
+    op = quantcore.absorb_affine(op, a, b)
     consumer.attrs.update(thresholds=op.thresholds, count_above=op.count_above)
     _bypass_single_node(g, node.id)
     return True
@@ -530,22 +532,25 @@ def _absorb_affine_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
 
 def _move_scale_past_conv_at(g: OpGraph, node: Node, notes: dict[str, None]) -> bool:
     """Relocate a scalar Mul from before a Conv to after it (exact by
-    linearity). Per-channel scales that actually differ would mix under the
+    linearity). The scale must fit the Conv's input channels, as interpret
+    requires; per-channel scales that actually differ would mix under the
     convolution, so those sites are skipped with a diagnostic."""
     outs = g.out_edges(node.id)
     if len(outs) != 1 or g.nodes[outs[0].dst].kind != "Conv":
         return False
     conv = g.nodes[outs[0].dst]
-    scale = np.asarray(node.attrs["scale"], dtype=float)
-    if scale.ndim > 0 and np.unique(scale).size > 1:
+    weights = np.shape(conv.attrs["weights"])
+    if len(weights) != 4:
+        raise GraphError(f"Conv {conv.id}: weights of shape {weights} are not (out, in, k, k)")
+    scale = _per_channel(node.attrs["scale"], weights[1])
+    if scale.size > 1 and np.unique(scale).size > 1:
         notes[
             f"node {node.id}: per-channel scale before Conv {conv.id} "
             "is not uniform; cannot move past a channel-mixing op"
         ] = None
         return False
-    s = float(scale.flat[0]) if scale.ndim else float(scale)
     _bypass_single_node(g, node.id)
-    _insert_after(g, conv.id, "Mul", {"scale": s})
+    _insert_after(g, conv.id, "Mul", {"scale": float(scale.flat[0])})
     return True
 
 

@@ -55,19 +55,20 @@ def generate_sequence(
     t = np.arange(n_frames)[:, None]  # positions are (frame, object) arrays
     left = x0 + (x_end - x0) / span * t
     top = y0 + (y_end - y0) / span * t
-    gt = np.stack([left, top, left + widths, top + heights], axis=2)
+    tail = [np.ones_like(left), np.zeros_like(left)]  # every box's score 1 and class 0
+    gt = np.stack([left, top, left + widths, top + heights, *tail], axis=2)
     det = None
     if noise > 0.0:
         jx, jy, jw, jh = rng.normal(0.0, noise, (n_frames, n_objects, 4)).transpose(2, 0, 1)
         with np.errstate(all="ignore"):
             cx, cy = left + widths / 2.0 + jx, top + heights / 2.0 + jy
             half_w, half_h = np.maximum(MIN_BOX_SIDE, [widths + jw, heights + jh]) / 2.0
-            det = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=2)
+            det = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h, *tail], axis=2)
         if not np.isfinite(det).all():
             raise ValueError(f"noise {noise} jitters box corners past float64 range")
 
-    gt_boxes = boxes(gt.reshape(-1, 4))
-    det_boxes = gt_boxes if det is None else boxes(det.reshape(-1, 4))
+    gt_boxes = boxes(gt.reshape(-1, 6))
+    det_boxes = gt_boxes if det is None else boxes(det.reshape(-1, 6))
     gt_frames, det_frames = {}, {}
     for frame in range(1, n_frames + 1):
         at = slice((frame - 1) * n_objects, frame * n_objects)

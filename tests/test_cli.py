@@ -533,6 +533,15 @@ class TestDecode:
         assert "frame must be >= 1, got 0" in capsys.readouterr().err
         assert not res.exists()
 
+    def test_track_head_map_frame_missing_a_stride_exits_two(self, tmp_path, capsys):
+        for stride in (8, 16, 64):  # stride 64 is no head map's, so it is not read
+            data = np.full((84, 32 // stride, 32 // stride), -1e4, dtype=np.float32)
+            write_tensor(data, tmp_path / f"frame0001_stride{stride}.tnsr")
+        res = tmp_path / "res.txt"
+        assert main(["track", "--head-maps", str(tmp_path), "-o", str(res)]) == 2
+        assert capsys.readouterr().err == "error: frame 1: need strides 8,16,32, got [8, 16]\n"
+        assert not res.exists()
+
     def test_track_from_head_map_directory(self, tmp_path):
         for frame in (1, 2, 3):
             for stride in (8, 16, 32):

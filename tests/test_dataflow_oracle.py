@@ -6,7 +6,10 @@ deadlock (under-buffered edges, rate mismatches) and sit idle for long
 latency countdowns. Every `SimReport` must equal the oracle's field by
 field, with the same key order in its dicts, at a cycle cap of 1, below
 completion, at it and above it; `size_fifos` must recommend the same depths
-or fail with the same error.
+or fail with the same error. The same holds on every 8th fifo-sweep pool
+design, at its given depths and at a cap below completion, and on a fork/join
+declared sinks first, so that the report's key order (insertion order) is
+not the topological order the simulator visits nodes in.
 
 The graph-check test holds ``StreamGraph``'s adjacency order, topological
 order and validation on the shared graph core to the frozen ones, on the same
@@ -29,6 +32,7 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dataflow_oracle as oracle
@@ -142,6 +146,27 @@ def test_simulate_matches_oracle(case, data):
     assert _sizing(dataflow.size_fifos, doc, workload) == _sizing(
         oracle.size_fifos, doc, workload
     )
+
+
+def test_fifo_sweep_pool_sample_matches_oracle():
+    for index in range(0, wl_fifo.POOL, 8):
+        g, tokens, _ = wl_fifo.make_design(index)
+        doc = g.to_json_dict()
+        full = _assert_same_report(doc, tokens, dataflow.DEFAULT_CYCLE_CAP)
+        _assert_same_report(doc, tokens, max(1, full.cycles // 2))
+
+
+@pytest.mark.parametrize("depths", [None, {"e1": 8, "e2": 8}], ids=["deadlock", "complete"])
+def test_sinks_first_fork_join_matches_oracle(depths):
+    doc = fork_join_stream_graph(depths).to_json_dict()
+    doc = {"nodes": doc["nodes"][::-1], "edges": doc["edges"][::-1]}
+    g = StreamGraph.from_json_dict(doc)
+    assert list(g.nodes)[0] == "sink" and g.topo_order()[0] == "src"
+    full = _assert_same_report(doc, FORK_JOIN_WORKLOAD, dataflow.DEFAULT_CYCLE_CAP)
+    assert full.outcome == ("deadlock" if depths is None else "completed")
+    assert list(full.stall_cycles) == list(g.nodes) and list(full.max_occupancy) == list(g.edges)
+    for cycle_cap in range(1, full.cycles + 2):
+        _assert_same_report(doc, FORK_JOIN_WORKLOAD, cycle_cap)
 
 
 def _at_depths(g: StreamGraph, depths) -> StreamGraph:

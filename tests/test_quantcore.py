@@ -55,6 +55,21 @@ class TestMultiThreshold:
         with pytest.raises(ValueError):
             MultiThresholdOp(np.array([1.0, 1.0, 5.0]), out_bits=2)
 
+    @pytest.mark.parametrize("row, ascending", [
+        ([1e308, np.inf, np.inf], True),  # inf - inf is NaN, which reads as ascending
+        ([-np.inf, -np.inf, 0.0], True),
+        ([-1e308, 1e308, np.inf], True),  # the first difference overflows to inf
+        ([-1e308, 1e308, -np.inf], False),
+    ])
+    def test_ascending_check_warns_on_no_row(self, row, ascending):
+        """Rows that overflow or meet equal infinities are judged by np.diff's
+        arithmetic, with no RuntimeWarning (an error under this suite)."""
+        if ascending:
+            MultiThresholdOp(np.array(row), out_bits=2)
+        else:
+            with pytest.raises(ValueError, match="strictly ascending"):
+                MultiThresholdOp(np.array(row), out_bits=2)
+
     @given(st.lists(st.integers(-64, 64), min_size=2, max_size=2, unique=True))
     def test_nondecreasing_in_x(self, pair):
         lo, hi = sorted(pair)

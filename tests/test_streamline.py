@@ -274,6 +274,39 @@ class TestAbsorbAffine:
         with pytest.raises(ValueError, match="strictly ascending"):
             run_pipeline(g)
 
+    def test_thresholds_absorbed_past_float_range_interpret_as_before(self):
+        """Mul(0.1) maps these thresholds past float range, to inf, inf, inf;
+        the streamlined graph interprets like the original, warning-free."""
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("m", "Mul", scale=0.1)
+        g.add_node("mt", "MultiThreshold", thresholds=np.array([1e308, 1.2e308, 1.5e308]),
+                   out_bits=2)
+        g.add_node("out", "Output")
+        for src, dst in (("in", "m"), ("m", "mt"), ("mt", "out")):
+            g.connect(src, dst)
+        g2 = run_pipeline(g)
+        assert np.isinf(g2.nodes["mt"].attrs["thresholds"]).all()
+        x = np.array([-np.inf, 0.0, 1e308, 1.7e308, np.inf]).reshape(1, 1, 5)
+        want = single_output(interpret(g, x))
+        assert want.tolist() == [[[0, 0, 0, 0, 3]]]
+        assert np.array_equal(single_output(interpret(g2, x)), want)
+
+    @pytest.mark.parametrize("kind, attrs", [("Mul", {"scale": [2.0]}), ("Add", {"bias": [1.0]})])
+    def test_parameter_that_misfits_the_channels_is_refused_as_interpret_does(self, kind, attrs):
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("aff", kind, **attrs)
+        g.add_node("mt", "MultiThreshold", thresholds=np.arange(12.0).reshape(4, 3), out_bits=2)
+        g.add_node("out", "Output")
+        for src, dst in (("in", "aff"), ("aff", "mt"), ("mt", "out")):
+            g.connect(src, dst)
+        message = r"^affine parameter shape \(1,\) does not fit 4 channels$"
+        with pytest.raises(GraphError, match=message):
+            interpret(g, np.zeros((4, 2, 2)))
+        with pytest.raises(GraphError, match=message):
+            run_pipeline(g)
+
     def test_randomized_chains_bit_equal(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
@@ -323,6 +356,31 @@ class TestMoveScalePastConv:
         assert [g2.nodes[nid].kind for nid in g2.topo_order()] == [
             "Input", "Conv", "Mul", "Output",
         ]
+
+    def test_scale_that_misfits_the_input_channels_is_refused_as_interpret_does(self):
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("m", "Mul", scale=[2.0])
+        g.add_node("conv", "Conv", weights=np.ones((2, 4, 1, 1)))
+        g.add_node("out", "Output")
+        for src, dst in (("in", "m"), ("m", "conv"), ("conv", "out")):
+            g.connect(src, dst)
+        message = r"^affine parameter shape \(1,\) does not fit 4 channels$"
+        with pytest.raises(GraphError, match=message):
+            interpret(g, np.zeros((4, 2, 2)))
+        with pytest.raises(GraphError, match=message):
+            apply_passes(g, ["move_scale_past_conv"])
+
+    def test_conv_weights_that_are_not_4d_are_refused(self):
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("m", "Mul", scale=2.0)
+        g.add_node("conv", "Conv", weights=np.ones(3))
+        g.add_node("out", "Output")
+        for src, dst in (("in", "m"), ("m", "conv"), ("conv", "out")):
+            g.connect(src, dst)
+        with pytest.raises(GraphError, match=r"^Conv conv: weights of shape \(3,\) are not"):
+            apply_passes(g, ["move_scale_past_conv"])
 
     def test_distinct_per_channel_scale_skipped_with_diagnostic(self):
         g = OpGraph()
