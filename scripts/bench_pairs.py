@@ -15,7 +15,9 @@ of its median and the change did not beat the parent in every run against
 every run, else "no worse". Each workload's failed-op share is printed per
 side. A ``--claim METRIC`` is met when the change won at least nine tenths
 of at least ten pairs, and the medians differ, in the better direction, by
-more than the parent's interquartile range.
+more than the parent's interquartile range. The script exits 1 when any
+verdict is "worse" or the change failed a larger share of its ops than the
+parent, else 0.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload detect-eval \\
         --pairs 10 --seed 11 --seconds 30 --claim op_ms_p90 --out runs.json
@@ -87,13 +89,26 @@ def verdict(stat: dict) -> str:
     return "worse" if sign * (parent - change) > stat["bound"] * abs(parent) else "no worse"
 
 
+def failed_ops(pairs: list[dict[str, dict]], side: str) -> tuple[int, int]:
+    """(failed, attempted) ops of one side over its runs."""
+    return tuple(sum(pair[side][key] for pair in pairs) for key in ("failed", "attempted"))
+
+
 def format_failed(workload: str, pairs: list[dict[str, dict]]) -> str:
     """Each side's failed-op share over its runs."""
     shares = []
     for side in SIDES:
-        failed, attempted = (sum(pair[side][key] for pair in pairs) for key in ("failed", "attempted"))
+        failed, attempted = failed_ops(pairs, side)
         shares.append(f"{side} {failed / attempted:.4g} ({failed} of {attempted})")
     return f"{workload} failed-op share: {', '.join(shares)}"
+
+
+def regressed(pairs: list[dict[str, dict]], stats: dict[str, dict]) -> bool:
+    """Whether a metric's verdict is "worse" or the change failed a larger
+    share of its ops than the parent."""
+    (p_failed, p_attempted), (c_failed, c_attempted) = (failed_ops(pairs, s) for s in SIDES)
+    return (any(s["verdict"] == "worse" for s in stats.values())
+            or c_failed * p_attempted > p_failed * c_attempted)
 
 
 def claim_met(stat: dict) -> bool:
@@ -134,7 +149,7 @@ def format_summary(workload: str, stats: dict[str, dict], claim: str | None = No
     return lines
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
@@ -156,10 +171,14 @@ def main():
             print(f"pair {i} {workload}: {' then '.join(order)}", file=sys.stderr)
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1, sort_keys=True))
+    worse = False
     for workload, pairs in runs.items():
-        print("\n".join(format_summary(workload, summarize(pairs, spec), args.claim)))
+        stats = summarize(pairs, spec)
+        print("\n".join(format_summary(workload, stats, args.claim)))
         print(format_failed(workload, pairs))
+        worse |= regressed(pairs, stats)
+    return int(worse)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,16 +2,24 @@
 
 Boxes travel as box_rows' float64 (N, 6) rows (x_min, y_min, x_max, y_max,
 score, class_id); BoundingBox holds one box at the edges of motkit, and
-boxes turns rows back into BoundingBoxes.
+boxes turns rows back into BoundingBoxes. One rule says which boxes exist:
+BoundingBox checks it on each box, box_rows on each array of rows, with the
+same outcome and message per row.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
+
+# corner_iou keeps every intermediate finite for boxes whose corners lie
+# within +-CORNER_LIMIT and whose area, doubled, is finite: an area of at
+# most CORNER_LIMIT too.
+CORNER_LIMIT = sys.float_info.max / 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -19,7 +27,8 @@ class BoundingBox:
     """Corner-form box with a detection score and class index.
 
     Invariants (checked at construction): x_max >= x_min, y_max >= y_min,
-    score in [0, 1], integral class_id.
+    corners within +-CORNER_LIMIT and a finite doubled area, score in [0, 1],
+    integral class_id.
     """
 
     x_min: float
@@ -30,14 +39,17 @@ class BoundingBox:
     class_id: int = 0
 
     def __post_init__(self):
-        if not (self.x_max >= self.x_min and self.y_max >= self.y_min):
+        x0, y0, x1, y1 = self.x_min, self.y_min, self.x_max, self.y_max
+        if not (x1 >= x0 and y1 >= y0):  # NaN fails too
+            raise ValueError(f"inverted corners: ({x0}, {y0}, {x1}, {y1})")
+        if not _within_limits(x0, y0, x1, y1):
             raise ValueError(
-                f"inverted corners: ({self.x_min}, {self.y_min}, "
-                f"{self.x_max}, {self.y_max})"
+                f"box ({x0}, {y0}, {x1}, {y1}) overflows: corners must lie "
+                f"within +-{CORNER_LIMIT:.6g} and twice its area must be finite"
             )
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score outside [0, 1]: {self.score}")
-        if not is_class_id(self.class_id):
+        if not _is_class_id(self.class_id):
             raise ValueError(f"class id must be an integer in float64 range, got {self.class_id}")
 
     @property
@@ -52,8 +64,18 @@ class BoundingBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-def is_class_id(value) -> bool:
-    """Whether `value` is integral and within float64 range, as box rows need."""
+def _within_limits(x0, y0, x1, y1) -> bool:
+    """The corner and area limits on ordered corners, taken as Python floats:
+    numpy scalars compare and multiply without a warning."""
+    try:
+        x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
+    except OverflowError:  # an int past float64 range
+        return False
+    return (-CORNER_LIMIT <= x0 and -CORNER_LIMIT <= y0 and x1 <= CORNER_LIMIT
+            and y1 <= CORNER_LIMIT and (x1 - x0) * (y1 - y0) <= CORNER_LIMIT)
+
+
+def _is_class_id(value) -> bool:
     try:
         return float(value).is_integer()
     except OverflowError:  # an int past float64 range
@@ -62,10 +84,17 @@ def is_class_id(value) -> bool:
 
 Boxes = np.ndarray | list[BoundingBox]  # what box_rows accepts
 
+# Fields within +-_SAFE_FIELD give sides of at most 2**511 and areas of at
+# most 2**1022, inside the rule with room to spare.
+_SAFE_FIELD = 2.0**510
+# Up to this many rows, building a BoundingBox per row costs less than the
+# whole-array reductions' fixed cost.
+_FEW_ROWS = 6
+
 
 def box_rows(boxes: Boxes) -> np.ndarray:
     """(N, 6) float64 rows of `boxes`. A list is valid by construction; an array
-    must be (N, 6), and its first row breaking a BoundingBox invariant raises
+    must be (N, 6), and its first row that BoundingBox refuses raises
     BoundingBox's ValueError. A float64 array comes back as it is, uncopied."""
     if not isinstance(boxes, np.ndarray):
         boxes = [(b.x_min, b.y_min, b.x_max, b.y_max, b.score, b.class_id) for b in boxes]
@@ -73,11 +102,18 @@ def box_rows(boxes: Boxes) -> np.ndarray:
     rows = np.asarray(boxes, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 6:
         raise ValueError(f"box rows must have shape (N, 6), got {rows.shape}")
-    score, class_id = rows[:, 4], rows[:, 5]
-    ok = (rows[:, 2:4] >= rows[:, :2]).all(axis=1) & (score >= 0.0) & (score <= 1.0)
-    ok &= np.isfinite(class_id) & (np.floor(class_id) == class_id)  # NaN fails each
-    if not ok.all():
-        BoundingBox(*rows[~ok][0].tolist())  # raises for the first bad row
+    # Whole-array reductions pass a larger array that cannot break the rule:
+    # every field within +-_SAFE_FIELD (NaN fails), scores in [0, 1], ordered
+    # corners and integral class ids. Any other array is checked row by row.
+    if len(rows) > _FEW_ROWS:
+        score, class_id = rows[:, 4], rows[:, 5]
+        if (-_SAFE_FIELD <= rows.min() and rows.max() <= _SAFE_FIELD
+                and 0.0 <= score.min() and score.max() <= 1.0
+                and ((rows[:, 2] >= rows[:, 0]) & (rows[:, 3] >= rows[:, 1])).all()
+                and (np.floor(class_id) == class_id).all()):
+            return rows
+    for row in rows.tolist():
+        BoundingBox(*row)  # raises for the first refused row
     return rows
 
 

@@ -1,21 +1,20 @@
 """File formats: MOT15-style rows, tensor dumps, run configs, box and graph JSON.
 
-Readers reject malformed input instead of silently repairing it, boxes
-too large for geometry.corner_iou included; writers are deterministic
-(same data, byte-identical file).
+Readers reject malformed input instead of silently repairing it; writers are
+deterministic (same data, byte-identical file). The box readers check no box
+invariant themselves: each row becomes a BoundingBox, whose constructor holds
+geometry's one box rule, and a refused row's error names its line or entry.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
-import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .geometry import BoundingBox, is_class_id
+from .geometry import BoundingBox
 
 MOT_COLUMNS = 10
 
@@ -36,26 +35,6 @@ class TruncatedError(TensorFormatError):
     pass
 
 
-@dataclass(frozen=True)
-class MotRow:
-    """One MOT15 CSV row: frame, id, bb_left, bb_top, bb_width, bb_height,
-    conf, x, y, z. Raw detections use id -1; x/y/z are echoed as -1."""
-
-    frame: int
-    track_id: int
-    left: float
-    top: float
-    width: float
-    height: float
-    conf: float = 1.0
-
-    def to_box(self, class_id: int = 0) -> BoundingBox:
-        return BoundingBox(
-            self.left, self.top, self.left + self.width, self.top + self.height,
-            self.conf, class_id,
-        )
-
-
 def _fmt(value: float) -> str:
     # shortest round-trip form; integral values print without a fraction
     if value == int(value) and abs(value) < 1e16:
@@ -63,51 +42,29 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-# geometry.corner_iou keeps every intermediate finite for boxes whose corners
-# lie within +-_CORNER_LIMIT and whose area, doubled, is finite.
-_CORNER_LIMIT = sys.float_info.max / 2
-
-
-def _check_extent(where: str, x0, y0, x1, y1) -> None:
-    if not (
-        all(abs(v) <= _CORNER_LIMIT for v in (x0, y0, x1, y1))
-        and math.isfinite(2.0 * (x1 - x0) * (y1 - y0))
-    ):
-        raise FormatError(
-            f"{where}: box ({x0}, {y0}, {x1}, {y1}) overflows: corners must lie "
-            f"within +-{_CORNER_LIMIT:.6g} and twice its area must be finite"
-        )
-
-
-def parse_mot_line(line: str, lineno: int) -> MotRow:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != MOT_COLUMNS:
-        raise FormatError(f"line {lineno}: expected {MOT_COLUMNS} columns, got {len(parts)}")
-    try:
-        frame = int(parts[0])
-        track_id = int(parts[1])
-        left, top, width, height, conf = (float(p) for p in parts[2:7])
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from exc
-    if frame < 1:
-        raise FormatError(f"line {lineno}: frame must be >= 1, got {frame}")
-    if width <= 0 or height <= 0:
-        raise FormatError(f"line {lineno}: non-positive box size {width}x{height}")
-    _check_extent(f"line {lineno}", left, top, left + width, top + height)
-    if not 0.0 <= conf <= 1.0:
-        raise FormatError(f"line {lineno}: conf outside [0, 1]: {conf}")
-    return MotRow(frame, track_id, left, top, width, height, conf)
-
-
 def read_mot(path) -> dict[int, list[tuple[int, BoundingBox]]]:
-    """Parse a MOT file into frame -> [(id, box), ...], frames sorted."""
+    """Parse MOT15 rows (frame, id, bb_left, bb_top, bb_width, bb_height, conf,
+    x, y, z; raw detections use id -1) into frame -> [(id, box), ...], frames
+    sorted. conf is the box's score."""
     frames: dict[int, list[tuple[int, BoundingBox]]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = parse_mot_line(line, lineno)
-            frames.setdefault(row.frame, []).append((row.track_id, row.to_box()))
+            parts = line.split(",")
+            if len(parts) != MOT_COLUMNS:
+                raise FormatError(f"line {lineno}: expected {MOT_COLUMNS} columns, got {len(parts)}")
+            try:
+                frame, track_id = int(parts[0]), int(parts[1])
+                left, top, width, height, conf = map(float, parts[2:7])
+                if frame < 1:
+                    raise ValueError(f"frame must be >= 1, got {frame}")
+                if width <= 0 or height <= 0:
+                    raise ValueError(f"non-positive box size {width}x{height}")
+                box = BoundingBox(left, top, left + width, top + height, conf)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+            frames.setdefault(frame, []).append((track_id, box))
     return dict(sorted(frames.items()))
 
 
@@ -253,12 +210,11 @@ def _read_boxes(path, with_score: bool) -> dict[str, list[BoundingBox]]:
             if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
                 raise FormatError(f"{image_id}[{i}]: fields must be numbers, got {row!r}")
             x0, y0, x1, y1, score, cls = row if with_score else (*row[:4], 1.0, row[4])
-            if not is_class_id(cls):
-                raise FormatError(
-                    f"{image_id}[{i}]: class id must be an integer in float64 range, got {cls!r}"
-                )
-            _check_extent(f"{image_id}[{i}]", x0, y0, x1, y1)
-            boxes.append(BoundingBox(x0, y0, x1, y1, score, int(cls)))
+            try:
+                box = BoundingBox(x0, y0, x1, y1, score, cls)
+            except ValueError as exc:
+                raise FormatError(f"{image_id}[{i}]: {exc}") from exc
+            boxes.append(box if isinstance(cls, int) else replace(box, class_id=int(cls)))
         out[image_id] = boxes
     return out
 

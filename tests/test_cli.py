@@ -100,7 +100,7 @@ class TestTrack:
     @pytest.mark.parametrize(
         "noise, message",
         [
-            ("1e200", "error: box width, height or area not finite"),  # the tracker's area
+            ("1e200", "error: box ("),  # areas past the box rule
             ("1e308", "error: noise 1e+308 jitters box corners past float64 range"),
         ],
     )
@@ -368,31 +368,38 @@ class TestWarningsAsErrors:
         assert done.stdout.startswith("mAP    ")
 
     @pytest.mark.parametrize(
-        "command, gt, result, where",
+        "command, gt, result, message",
         [
-            ("eval-mot", "1,1,10,20,inf,40,1,-1,-1,-1\n", None, "line 1"),
-            ("eval-mot", "1,1,1e308,1e308,1e308,1e308,1,-1,-1,-1\n", None, "line 1"),
+            ("eval-mot", "1,1,10,20,inf,40,1,-1,-1,-1\n", None, "line 1: box ("),
+            ("eval-mot", "1,1,1e308,1e308,1e308,1e308,1,-1,-1,-1\n", None, "line 1: box ("),
             ("eval-mot", "1,1,10,10,20,20,1,-1,-1,-1\n", "1,7,0,0,1e200,1e200,1,-1,-1,-1\n",
-             "line 1"),
+             "line 1: box ("),
             ("eval-det", {"img": [[0, 0, 1e308, 1e308, 0]]},
-             {"img": [[0, 0, 1e308, 1e308, 0.9, 0]]}, "img[0]"),
+             {"img": [[0, 0, 1e308, 1e308, 0.9, 0]]}, "img[0]: box ("),
             ("eval-det", {"img": [[0, 0, 10, 10, 0]]},
-             {"img": [[0, 0, 10, 10, 0.9, 0], [0, 0, 1e200, 1e200, 0.5, 0]]}, "img[1]"),
+             {"img": [[0, 0, 10, 10, 0.9, 0], [0, 0, 1e200, 1e200, 0.5, 0]]}, "img[1]: box ("),
+            ("eval-det", {"img": [[0, 0, 10, 10, 0]]},
+             {"img": [[0, 0, 10, 10, 0.9, 0], [5, 0, 1, 10, 0.5, 0]]},
+             "img[1]: inverted corners: (5, 0, 1, 10)"),
+            ("eval-det", {"img": [[0, 0, 10, 10, 0]]},
+             {"img": [[0, 0, 10, 10, 0.9, 0], [0, 0, 10, 10, float("nan"), 0]]},
+             "img[1]: score outside [0, 1]: nan"),
         ],
         ids=["mot_inf_width", "mot_huge_box", "mot_area_overflow", "det_huge_box",
-             "det_area_overflow"],
+             "det_area_overflow", "det_inverted", "det_nan_score"],
     )
     def test_overflowing_boxes_exit_two_with_one_error_line(
-        self, tmp_path, command, gt, result, where
+        self, tmp_path, command, gt, result, message
     ):
-        """Given None, the result is the ground truth: an identical pair."""
+        """Given None, the result is the ground truth: an identical pair. Each
+        error names the line or entry of the refused box."""
         gt_path = self.write(tmp_path, "gt", gt)
         done = self.run(command, gt_path,
                         gt_path if result is None else self.write(tmp_path, "result", result))
         assert done.returncode == 2 and done.stdout == ""
         lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: box ("), done.stderr
-        assert "overflows" in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), done.stderr
+        assert "overflows" in lines[0] or "box (" not in message
 
     @pytest.mark.parametrize("which", ["gt", "det"])
     def test_class_id_past_float_range_exits_two_with_one_error_line(self, tmp_path, which):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 import box_oracle
 import test_records
 from conftest import translated
-from motkit.geometry import BoundingBox, box_rows, corner_iou, iou_matrix
+from motkit.decode import nms
+from motkit.geometry import CORNER_LIMIT, BoundingBox, box_rows, corner_iou, iou_matrix
 from motkit.geometry import boxes as make_boxes
+from motkit.metrics import ap_table, coco_map
+from motkit.tracker import SortTracker
 
 
 def boxes(min_size=0.0):
@@ -133,6 +137,11 @@ class TestBoundingBox:
 
 
 GOOD_ROW = (0.0, 0.0, 1.0, 1.0, 0.5, 0.0)
+# A side of 2**511 and a width of CORNER_LIMIT / 2**511 make an area of exactly
+# CORNER_LIMIT, the largest whose double is finite.
+AREA_SIDE = 2.0**511
+AREA_WIDTH = CORNER_LIMIT / AREA_SIDE
+FULL_SPAN = (-1e308, -1e308, 1e308, 1e308, 0.9, 0.0)
 BAD_ROWS = [
     (2.0, 0.0, 1.0, 1.0, 0.5, 0.0),
     (0.0, 3.0, 1.0, 1.0, 0.5, 0.0),
@@ -142,19 +151,37 @@ BAD_ROWS = [
     (0.0, 0.0, 1.0, 1.0, math.nan, 0.0),
     (0.0, 0.0, 1.0, 1.0, 0.5, 0.5),
     (0.0, 0.0, 1.0, 1.0, 0.5, math.inf),
+    FULL_SPAN,
+    (0.0, 0.0, 1e200, 1e200, 0.5, 0.0),
+    (0.0, 0.0, math.inf, 1.0, 0.5, 0.0),
+    (-math.inf, 0.0, 1.0, 1.0, 0.5, 0.0),
+    (0.0, 0.0, np.nextafter(CORNER_LIMIT, math.inf), 1.0, 0.5, 0.0),
+    (0.0, -AREA_SIDE, np.nextafter(AREA_WIDTH, math.inf), 0.0, 0.5, 0.0),
 ]
 BAD_ROW_IDS = ["inverted_x", "inverted_y", "nan_x_max", "nan_x_min", "score_1.5", "nan_score",
-               "class_0.5", "infinite_class"]
+               "class_0.5", "infinite_class", "full_span", "area_overflow", "inf_x_max",
+               "inf_x_min", "corner_past_limit", "area_past_limit"]
 
 
 class TestBoxRows:
+    def test_rows_at_the_limits_accepted(self):
+        rows = np.array([(-CORNER_LIMIT, -CORNER_LIMIT, -CORNER_LIMIT, -CORNER_LIMIT, 0.0, 0.0),
+                         (0.0, 0.0, CORNER_LIMIT, 1.0, 1.0, 0.0),
+                         (0.0, -AREA_SIDE, AREA_WIDTH, 0.0, 0.5, 0.0)])
+        assert box_rows(rows) is rows
+        assert [list(BoundingBox(*row).corners()) for row in rows.tolist()] == rows[:, :4].tolist()
+        # a bad row after them is still the one refused
+        with pytest.raises(ValueError, match=r"^inverted corners: \(2\.0, "):
+            box_rows(np.vstack([rows, BAD_ROWS[0]]))
+
     @pytest.mark.parametrize("row", BAD_ROWS, ids=BAD_ROW_IDS)
     def test_rejects_what_bounding_box_rejects_with_its_message(self, row):
         with pytest.raises(ValueError) as from_box:
             BoundingBox(*row)
-        with pytest.raises(ValueError) as from_rows:
-            box_rows(np.array([GOOD_ROW, row, GOOD_ROW]))
-        assert str(from_rows.value) == str(from_box.value)
+        for good in (1, 4):  # row by row, then past the whole-array reductions
+            with pytest.raises(ValueError) as from_rows:
+                box_rows(np.array([GOOD_ROW] * good + [row] + [GOOD_ROW] * good))
+            assert str(from_rows.value) == str(from_box.value)
 
     def test_first_bad_row_is_reported(self):
         rows = np.array([GOOD_ROW, (2.0, 0.0, 1.0, 1.0, 0.5, 0.0), (5.0, 0.0, 1.0, 1.0, 0.5, 0.0)])
@@ -175,6 +202,95 @@ class TestBoxRows:
         assert box_rows(rows.astype(np.float32)).tolist() == rows.tolist()
         assert box_rows(iter(boxes)).tolist() == rows.tolist()
         assert box_rows([]).shape == box_rows(np.empty((0, 6))).shape == (0, 6)
+
+
+# Fields at and around each edge of the box rule, for corners and for scores
+# and class ids alike.
+EDGES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.0, 2.0, 1e200, -1e200,
+    CORNER_LIMIT, -CORNER_LIMIT, *np.nextafter([CORNER_LIMIT, -CORNER_LIMIT], math.inf).tolist(),
+    *np.nextafter([CORNER_LIMIT, -CORNER_LIMIT], -math.inf).tolist(),
+    AREA_SIDE, -AREA_SIDE, AREA_WIDTH, *np.nextafter(AREA_WIDTH, [-math.inf, math.inf]).tolist(),
+    2.0**510, np.nextafter(2.0**510, math.inf), float(np.finfo(float).max),
+]
+FIELD = st.one_of(st.sampled_from(EDGES), st.floats(-1e3, 1e3), st.floats())
+
+
+@st.composite
+def rule_rows(draw):
+    """1-5 valid rows, each left whole, with one field set near the rule's
+    edges, or with corners and sides taken from there; in half the cases
+    eight good rows around them, so that box_rows takes its whole-array path
+    as well as its row-by-row one."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        x, y, w, h = (draw(st.floats(-1e3, 1e3)) for _ in range(4))
+        row = [x, y, x + abs(w), y + abs(h), draw(st.floats(0.0, 1.0)),
+               float(draw(st.integers(-3, 300)))]
+        kind = draw(st.sampled_from(["whole", "field", "corners"]))
+        if kind == "field":
+            row[draw(st.integers(0, 5))] = draw(FIELD)
+        elif kind == "corners":
+            x, y, w, h = (draw(FIELD) for _ in range(4))
+            row[:4] = [x, y, x + abs(w), y + abs(h)]
+        rows.append(row)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 8))
+        rows = [list(GOOD_ROW)] * at + rows + [list(GOOD_ROW)] * (8 - at)
+    return rows
+
+
+def refusal(make, *args):
+    """The ValueError message `make(*args)` raises, or None; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            make(*args)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+class TestOneBoxRule:
+    """BoundingBox, box_rows and geometry.boxes accept the same rows and refuse
+    the first bad one with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rule_rows())
+    def test_three_forms_agree(self, rows):
+        first = next(filter(None, (refusal(BoundingBox, *row) for row in rows)), None)
+        array = np.array(rows)
+        assert refusal(box_rows, array) == first
+        if abs(array[:, 5]).max() < 2.0**63 or first is not None:  # boxes also needs int64 ids
+            assert refusal(make_boxes, array) == first
+        for row in rows:
+            assert refusal(BoundingBox, *map(np.float64, row)) == refusal(BoundingBox, *row)
+
+    def test_numpy_scalar_corners_do_not_warn(self):
+        big = np.float32(3e38)
+        assert "overflows" not in (refusal(BoundingBox, -big, -big, big, big) or "")
+        assert "overflows" in refusal(BoundingBox, np.float64(0), np.float64(0),
+                                      np.float64(1e200), np.float64(1e200))
+        assert refusal(BoundingBox, np.int64(-2**63), 0, np.int64(2**63 - 1), 1) is None
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda rows: nms(rows),
+        lambda rows: iou_matrix(rows, rows),
+        lambda rows: coco_map({"img": rows}, {"img": rows}),
+        lambda rows: ap_table({"img": rows}, {"img": rows}),
+        lambda rows: SortTracker().step(rows, 1),
+    ],
+    ids=["nms", "iou_matrix", "coco_map", "ap_table", "sort_step"],
+)
+def test_a_box_past_the_rule_is_refused_everywhere(use):
+    """The row that once made nms keep both of two identical boxes, IoU and
+    mAP read 0 and MOT scoring count a miss and a false positive."""
+    message = refusal(BoundingBox, *FULL_SPAN)
+    assert message.startswith("box (-1e+308, -1e+308, 1e+308, 1e+308) overflows")
+    assert refusal(use, np.array([FULL_SPAN, FULL_SPAN])) == message
 
 
 FIELDS = [f.name for f in dataclasses.fields(BoundingBox)]

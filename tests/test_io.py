@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -9,7 +10,6 @@ from motkit.io import (
     BadMagicError,
     FormatError,
     TruncatedError,
-    parse_mot_line,
     read_det_boxes,
     read_gt_boxes,
     read_mot,
@@ -20,11 +20,17 @@ from motkit.io import (
 )
 
 
+def read_lines(tmp_path, *lines):
+    """read_mot on a file of `lines`."""
+    path = tmp_path / "rows.txt"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return read_mot(path)
+
+
 class TestMotRows:
-    def test_parse_example_row(self):
-        row = parse_mot_line("1,2,10,20,30,40,1,-1,-1,-1", 1)
-        assert row.frame == 1 and row.track_id == 2
-        assert row.to_box().corners() == (10.0, 20.0, 40.0, 60.0)
+    def test_parse_example_row(self, tmp_path):
+        frames = read_lines(tmp_path, "1,2,10,20,30,40,0.5,-1,-1,-1")
+        assert frames == {1: [(2, BoundingBox(10.0, 20.0, 40.0, 60.0, 0.5))]}
 
     def test_round_trip_random_rows(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -55,9 +61,9 @@ class TestMotRows:
         write_mot(frames, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_rejects_wrong_column_count(self):
+    def test_rejects_wrong_column_count(self, tmp_path):
         with pytest.raises(FormatError, match="line 3"):
-            parse_mot_line("1,2,3", 3)
+            read_lines(tmp_path, "1,2,10,20,30,40,1,-1,-1,-1", "", "1,2,3")
 
     def test_rejects_non_positive_size_with_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -65,25 +71,28 @@ class TestMotRows:
         with pytest.raises(FormatError, match="line 2"):
             read_mot(path)
 
-    def test_rejects_garbage_number(self):
+    def test_rejects_garbage_number(self, tmp_path):
         with pytest.raises(FormatError, match="line 7"):
-            parse_mot_line("1,2,xx,20,30,40,1,-1,-1,-1", 7)
+            read_lines(tmp_path, *["1,2,10,20,30,40,1,-1,-1,-1"] * 6, "1,2,xx,20,30,40,1,-1,-1,-1")
 
     @pytest.mark.parametrize(
-        "fields",
-        ["10,20,inf,40", "-inf,20,30,40", "10,20,nan,40", "1e308,0,1e308,1",
-         "0,0,1e200,1e200", "-1e308,-1e308,1e308,1e308"],
+        "fields, message",
+        [("10,20,inf,40", "box .* overflows"), ("-inf,20,30,40", "box .* overflows"),
+         ("10,20,nan,40", r"inverted corners: \(10\.0, 20\.0, nan, 60\.0\)"),
+         ("1e308,0,1e308,1", "box .* overflows"), ("0,0,1e200,1e200", "box .* overflows"),
+         ("-1e308,-1e308,1e308,1e308", "box .* overflows")],
         ids=["inf_width", "inf_left", "nan_width", "corner_past_limit", "area_overflow",
              "full_span"],
     )
-    def test_rejects_overflowing_box_with_line_number(self, fields):
-        with pytest.raises(FormatError, match="line 4: box .* overflows"):
-            parse_mot_line(f"1,2,{fields},1,-1,-1,-1", 4)
+    def test_rejects_overflowing_box_with_line_number(self, tmp_path, fields, message):
+        with pytest.raises(FormatError, match=f"^line 4: {message}"):
+            read_lines(tmp_path, *["1,2,10,20,30,40,1,-1,-1,-1"] * 3, f"1,2,{fields},1,-1,-1,-1")
 
-    def test_accepts_box_at_the_corner_limit(self):
+    def test_accepts_box_at_the_corner_limit(self, tmp_path):
         limit = sys.float_info.max / 2
-        row = parse_mot_line(f"1,2,{limit - 1e300!r},0,{1e300!r},1e-300,1,-1,-1,-1", 1)
-        assert row.to_box().x_max == limit
+        [[(_, box)]] = read_lines(
+            tmp_path, f"1,2,{limit - 1e300!r},0,{1e300!r},1e-300,1,-1,-1,-1").values()
+        assert box.x_max == limit
 
 
 class TestTensorDump:
@@ -183,7 +192,8 @@ class TestDetJson:
         extra = [0] if reader is read_gt_boxes else [0.9, 0]
         path = tmp_path / "boxes.json"
         path.write_text(json.dumps({"img1": [[0, 0, 10, 10, *extra], row + extra]}))
-        with pytest.raises(FormatError, match=r"img1\[1\]: box .* overflows"):
+        message = "inverted corners" if math.isnan(row[0]) else "box .* overflows"
+        with pytest.raises(FormatError, match=rf"^img1\[1\]: {message}"):
             reader(path)
 
     def test_degenerate_boxes_at_the_corner_limit_accepted(self, tmp_path):

@@ -3,6 +3,7 @@ bench_pairs.py is tested through its summary on canned bench results; no
 test starts the benchmark."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -153,3 +154,37 @@ class TestNoRegressionVerdicts:
             pair["change"].update(attempted=40, failed=10)
         assert self.bench_pairs.format_failed("sort-crowd", pairs) == (
             "sort-crowd failed-op share: parent 0 (0 of 3), change 0.25 (30 of 120)")
+
+
+class TestBenchPairsExitStatus:
+    """main() on canned runs: run_bench hands out the parent's and the
+    change's results in the order main asks for them."""
+
+    def exit_status(self, tmp_path, monkeypatch, parent, change, change_failed=0):
+        bench_pairs = load_script("bench_pairs")
+        results = {side: [pair[side] for pair in canned_pairs(parent, change, parent, change)]
+                   for side in ("parent", "change")}
+        for result in results["change"]:
+            result.update(attempted=4, failed=change_failed)
+        monkeypatch.setattr(bench_pairs, "run_bench",
+                            lambda checkout, *_: results[checkout.name].pop(0))
+        for side in results:
+            (tmp_path / side).mkdir()
+        (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+        monkeypatch.setattr(sys, "argv", [
+            "bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+            "w", "--pairs", str(len(parent)), "--seed", "1", "--seconds", "1"])
+        return bench_pairs.main()
+
+    def test_no_worse_pairs_exit_zero(self, tmp_path, monkeypatch, capsys):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
+        assert self.exit_status(tmp_path, monkeypatch, parent, [v * 1.05 for v in parent]) == 0
+        assert "w failed-op share: parent 0 (0 of 6), change 0 (0 of 24)" in capsys.readouterr().out
+
+    def test_a_worse_verdict_exits_one(self, tmp_path, monkeypatch):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
+        assert self.exit_status(tmp_path, monkeypatch, parent, [v * 1.3 for v in parent]) == 1
+
+    def test_a_higher_failed_op_share_exits_one(self, tmp_path, monkeypatch):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
+        assert self.exit_status(tmp_path, monkeypatch, parent, parent, change_failed=1) == 1

@@ -65,13 +65,13 @@ class TestLifecycle:
     def test_overflowing_detection_rejected_without_warning(self):
         tracker = SortTracker(SortConfig(min_hits=1))
         tracker.step([box_at(10.0, 10.0)], 1)
-        with pytest.raises(ValueError, match="width, height or area not finite"):
-            tracker.step([BoundingBox(0, 0, 1e200, 1e200)], 2)
+        with pytest.raises(ValueError, match=r"^box \(0\.0, 0\.0, 1e\+200, 1e\+200\) overflows"):
+            tracker.step(np.array([[0.0, 0.0, 1e200, 1e200, 1.0, 0.0]]), 2)
         assert tracker.ids.tolist() == [1] and tracker.x[0, 2] < 1e4
 
     @pytest.mark.parametrize(
         "bad",
-        [[BoundingBox(0, 0, 1e200, 1e200)], np.array([[10.0, 0.0, 0.0, 10.0, 0.9, 0.0]])],
+        [np.array([[0.0, 0.0, 1e200, 1e200, 1.0, 0.0]]), np.array([[10.0, 0.0, 0.0, 10.0, 0.9, 0.0]])],
         ids=["overflowing_measurement", "inverted_row"],
     )
     def test_rejected_step_leaves_its_frame_unused(self, bad):
