@@ -17,7 +17,9 @@ side. A ``--claim METRIC`` is met when the change won at least nine tenths
 of at least ten pairs, and the medians differ, in the better direction, by
 more than the parent's interquartile range. The script exits 1 when any
 verdict is "worse" or the change failed a larger share of its ops than the
-parent, else 0.
+parent, else 0. ``--out`` is rewritten after every pair, so a run that exits
+non-zero loses none of the pairs before it: the script then names the run
+(workload, side, pair, exit code), prints its stderr and exits 2.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload detect-eval \\
         --pairs 10 --seed 11 --seconds 30 --claim op_ms_p90 --out runs.json
@@ -39,7 +41,8 @@ CLAIM_WIN_SHARE = 0.9
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced bench run in `checkout`; its result line as a dict."""
+    """One untraced bench run in `checkout`; its result line as a dict. A
+    run that exits non-zero raises `subprocess.CalledProcessError`."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
@@ -165,12 +168,19 @@ def main() -> int:
     for i in range(1, args.pairs + 1):
         order = SIDES if i % 2 else SIDES[::-1]
         for workload in args.workload:
-            pair = {side: run_bench(getattr(args, side), workload, args.seed, args.seconds)
-                    for side in order}
+            pair = {}
+            for side in order:
+                try:
+                    pair[side] = run_bench(getattr(args, side), workload, args.seed, args.seconds)
+                except subprocess.CalledProcessError as exc:
+                    print(f"bench run failed: workload {workload}, {side} side, pair {i}: "
+                          f"exit {exc.returncode}", file=sys.stderr)
+                    sys.stderr.write(exc.stderr or "")
+                    return 2
             runs[workload].append(pair)
             print(f"pair {i} {workload}: {' then '.join(order)}", file=sys.stderr)
-    if args.out:
-        args.out.write_text(json.dumps(runs, indent=1, sort_keys=True))
+            if args.out:
+                args.out.write_text(json.dumps(runs, indent=1, sort_keys=True))
     worse = False
     for workload, pairs in runs.items():
         stats = summarize(pairs, spec)

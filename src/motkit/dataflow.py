@@ -17,9 +17,20 @@ FIFO sizing follows the probe procedure: each FIFO's depth is its largest
 saturation in a run at depths no occupancy can exceed, where no node stalls,
 so `probe_fifos` computes that run in closed form. It is its own verification
 (replay lemma): a run at depths `D` with peaks `M <= D` repeats cycle for
-cycle at depths `M`, since from equal states every advance and firing acts
-alike and every drain moves `min(staged, depth - occ)` alike, as the first
-run kept `occ + amount <= M` or filled up (`M = D`).
+cycle at any depths `D'` with `M <= D' <= D`, since from equal states every
+advance and firing acts alike and every drain moves `min(staged, depth - occ)`
+alike, as the first run kept `occ + amount <= M <= D'` or filled up
+(`M = D = D'`). The probe's `D` lies past any occupancy, so its run repeats
+at any depths that hold its peaks.
+
+`simulate` returns that run when it can. Its burst test asks, in O(E),
+whether every edge is at least as deep as the larger of its producer's
+`produce` and its consumer's `consume`; every edge of a completed run
+carries tokens and so peaks at least that high, so a design that fails can
+never hold the probe's run and is stepped at once. On a design that passes, the closed-form run is the
+stepped run, report for report (outcome, cycles, peaks, delivered, zero
+stalls, dict order), if it completes within the cap and every peak fits its
+edge's given depth; else the design is stepped.
 """
 
 from __future__ import annotations
@@ -241,8 +252,17 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     stuck burst stall that many. It relies on staging, occupancy and the
     source counters staying frozen until a busy node completes, which
     whole-cycle latencies make exact. With no node busy nothing is skipped.
+
+    Closed-form return: if the given depths pass the burst test and hold the
+    completed closed-form run's peaks, that run is returned unstepped; the
+    replay lemma (module docstring) makes it the stepped run's report.
     """
     order, latency = _run_latencies(g, workload, cycle_cap)
+    nodes, edges = g.nodes, g.edges.values()
+    if all(e.depth >= max(nodes[e.src].produce, nodes[e.dst].consume) for e in edges):
+        run = _closed_form(g, order, latency, workload, cycle_cap)  # burst test passed
+        if not isinstance(run, str) and all(run.max_occupancy[e.id] <= e.depth for e in edges):
+            return run
 
     # Nodes and edges keep insertion indices, the key order of the report's
     # dicts; `sweep` lists the node indices in topological order.
@@ -360,9 +380,11 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     )
 
 
-def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
-    """`simulate`'s report for `g` at depths no occupancy can exceed, in
-    closed form; a GraphError unless that run completes.
+def _closed_form(g: StreamGraph, order: list[str], latency: list[int], workload: int,
+                 cycle_cap: int) -> SimReport | str:
+    """The completed run at depths no occupancy can exceed, or the outcome
+    ("deadlock" or "cap_exceeded") of a run that does not complete; `order`
+    and `latency` as `_run_latencies` returns them.
 
     A source's j-th firing (from 0) is at cycle `1 + j*L`; any other node's is
     at the later of its previous firing plus `L` and the landing of the last
@@ -370,7 +392,6 @@ def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CA
     burst lands, before that cycle's firings consume. The run completes as the
     last firing ends if every token was consumed, else deadlocks a cycle later.
     A run past 2**60 cycles exceeds any cap."""
-    order, latency = _run_latencies(g, workload, cycle_cap)
     latency = dict(zip(g.nodes, latency))
     cap = min(cycle_cap, 2**60)  # cycles saturate past it, so int64 holds them
     done: dict[str, np.ndarray] = {}  # cycles each node's firings end and land
@@ -380,7 +401,7 @@ def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CA
         n = (min(len(done[e.src]) * g.nodes[e.src].produce for e in ins) // c if ins
              else workload // g.nodes[nid].produce)
         if n * lat > cap:  # its last firing ends past the cap
-            raise GraphError("probe run did not complete: cap_exceeded")
+            return "cap_exceeded"
         if not ins:
             done[nid] = 1 + lat * np.arange(1, n + 1)
             continue
@@ -398,9 +419,17 @@ def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CA
         done[nid] = np.minimum(fire + lat, cap + 1)
     last = max(int(d[-1]) for d in done.values() if len(d))
     if left_over or last > cap:
-        outcome = "cap_exceeded" if last + left_over > cap else "deadlock"
-        raise GraphError(f"probe run did not complete: {outcome}")
+        return "cap_exceeded" if last + left_over > cap else "deadlock"
     return SimReport("completed", last, max_occupancy, delivered, dict.fromkeys(g.nodes, 0))
+
+
+def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
+    """`simulate`'s report for `g` at depths no occupancy can exceed, in
+    closed form (`_closed_form`); a GraphError unless that run completes."""
+    run = _closed_form(g, *_run_latencies(g, workload, cycle_cap), workload, cycle_cap)
+    if isinstance(run, str):
+        raise GraphError(f"probe run did not complete: {run}")
+    return run
 
 
 def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict[str, int]:

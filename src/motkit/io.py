@@ -55,6 +55,8 @@ def read_mot(path) -> dict[int, list[tuple[int, BoundingBox]]]:
             if len(parts) != MOT_COLUMNS:
                 raise FormatError(f"line {lineno}: expected {MOT_COLUMNS} columns, got {len(parts)}")
             try:
+                if "_" in line:  # int() and float() read 1_0 as 10
+                    raise ValueError(f"'_' in field {next(p for p in parts if '_' in p).strip()!r}")
                 frame, track_id = int(parts[0]), int(parts[1])
                 left, top, width, height, conf = map(float, parts[2:7])
                 if frame < 1:

@@ -20,7 +20,8 @@ class MultiThresholdOp:
     smallest threshold above x, saturating at n. count_above[c] inverts the
     comparison for that channel (out_bias + |{i : t_i >= x}|); it is set by
     absorb_affine when a negative scale flips the input ordering, so the
-    absorbed operator stays exact even when x lands on a threshold.
+    absorbed operator stays exact even when x lands on a threshold. A NaN
+    threshold is refused; equal infinities (inf - inf is NaN) count as ascending.
     """
 
     thresholds: np.ndarray
@@ -38,7 +39,10 @@ class MultiThresholdOp:
                 f"{self.out_bits}-bit output needs {n} thresholds per channel, "
                 f"got {t.shape[1]}"
             )
-        if (t[:, 1:] <= t[:, :-1]).any():  # else no difference is <= 0 either
+        # common rows pass on one comparison, which a pair holding a NaN fails
+        # as a pair out of order does; a lone threshold has no pair to fail
+        odd = t.shape[1] < 2 or not (t[:, 1:] > t[:, :-1]).all()
+        if odd:
             with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: inf, inf ascends
                 if ((t[:, 1:] - t[:, :-1]) <= 0.0).any():  # np.diff's arithmetic
                     raise ValueError("thresholds must be strictly ascending per channel")
@@ -46,6 +50,8 @@ class MultiThresholdOp:
         flips = np.asarray(flips, dtype=bool).reshape(-1)
         if flips.shape[0] != t.shape[0]:
             raise ValueError("count_above length must match channel count")
+        if odd and np.isnan(t).any():
+            raise ValueError("thresholds must not be NaN")
         object.__setattr__(self, "count_above", flips)
 
     @property

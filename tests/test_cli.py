@@ -252,6 +252,14 @@ class TestEval:
         assert main(["eval-mot", str(gt), str(gt)]) == 0
         assert "MOTA   1.000000" in capsys.readouterr().out
 
+    def test_eval_mot_refuses_digit_group_underscores(self, tmp_path, capsys):
+        gt, result = tmp_path / "gt.txt", tmp_path / "result.txt"
+        gt.write_text("1,1,10,20,30,40,1,-1,-1,-1\n")
+        result.write_text("1,1,1_0,20,30,40,1,-1,-1,-1\n")
+        assert main(["eval-mot", str(gt), str(result)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: line 1: '_' in field '1_0'\n")
+
     def test_eval_mot_csv(self, tmp_path):
         gt = tmp_path / "gt.txt"
         gt.write_text("1,1,10,10,20,20,1,-1,-1,-1\n")
@@ -479,6 +487,21 @@ class TestWarningsAsErrors:
         nodes = json.loads((tmp_path / "out.json").read_text())["nodes"]
         assert [n["kind"] for n in nodes] == ["Input", "MultiThreshold", "Output"]
         assert nodes[1]["attrs"]["thresholds"] == [[np.inf] * 3]
+
+    def test_nan_threshold_exits_two(self, tmp_path):
+        """A NaN threshold would otherwise be written out as a bare NaN token."""
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("mul", "Mul", scale=2.0)
+        g.add_node("mt", "MultiThreshold", thresholds=[[0.0, np.nan, 2.0]], out_bits=2)
+        g.add_node("out", "Output")
+        for src, dst in (("in", "mul"), ("mul", "mt"), ("mt", "out")):
+            g.connect(src, dst)
+        save_graph(g, tmp_path / "in.json")
+        done = self.run("streamline", tmp_path / "in.json", "-o", tmp_path / "out.json")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == ["error: thresholds must not be NaN"]
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestDecode:

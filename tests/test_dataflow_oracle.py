@@ -25,8 +25,17 @@ verification run, on the same cases and on every 16th fifo-sweep pool
 design: a completed run repeats, report and dict key order included, at
 depths equal to its own peaks, and a run at the recommended depths repeats
 the probe.
+
+The path tests count calls to `simulate`'s closed-form helper, on the same
+cases and on every 16th fifo-sweep pool design whose probe completes, at
+depths equal to the probe's peaks or up to 4 deeper: there `simulate` calls
+it and returns the oracle's report; with the cycle cap below completion it
+calls it and reports `cap_exceeded` as the oracle does; and with one edge
+shallower than its producer's burst the burst test keeps it from being
+called, and the stepped run equals the oracle.
 """
 
+import contextlib
 import copy
 import math
 import sys
@@ -253,6 +262,66 @@ def test_fifo_sweep_pool_sample_replays():
         g, tokens, _ = wl_fifo.make_design(index)
         stalled += _check_replay(g, tokens)
     assert stalled > 0
+
+
+@contextlib.contextmanager
+def _closed_form_calls():
+    """A list that gathers the arguments of each call to `dataflow._closed_form`."""
+    calls = []
+    closed_form = dataflow._closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataflow, "_closed_form", counted)
+        yield calls
+
+
+def _check_paths(g, workload, extra: int, below) -> bool:
+    """Which path `simulate` takes at the probe's peaks plus `extra`, each
+    path equal to the oracle; the cap below completion is `below(cycles)`.
+    False if the probe does not complete."""
+    try:
+        peaks = dataflow.probe_fifos(g, workload).max_occupancy
+    except GraphError:
+        return False
+    doc = _at_depths(g, {eid: peak + extra for eid, peak in peaks.items()}).to_json_dict()
+    widest = max(g.edges.values(), key=lambda e: g.nodes[e.src].produce)
+    with _closed_form_calls() as calls:
+        full = _assert_same_report(doc, workload, dataflow.DEFAULT_CYCLE_CAP)
+        assert full.completed and len(calls) == 1
+        assert _assert_same_report(doc, workload, below(full.cycles)).outcome == "cap_exceeded"
+        assert len(calls) == 2
+        shallow = {**peaks, widest.id: g.nodes[widest.src].produce - 1}
+        _assert_same_report(_at_depths(g, shallow).to_json_dict(), workload,
+                            dataflow.DEFAULT_CYCLE_CAP)
+        assert len(calls) == 2
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases(), data=st.data())
+@example(case=_fixture(chain_stream_graph(), 20), data=None)
+@example(case=_fixture(burst_stream_graph(burst_depth=2), 16), data=None)
+@example(case=_fixture(fork_join_stream_graph(), FORK_JOIN_WORKLOAD), data=None)
+def test_simulate_takes_the_closed_form_only_where_it_holds(case, data):
+    doc, workload = case
+    if data is None:
+        extra, below = 0, lambda cycles: cycles - 1
+    else:
+        extra = data.draw(st.integers(0, 4))
+        below = lambda cycles: data.draw(st.integers(1, cycles - 1))  # noqa: E731
+    _check_paths(StreamGraph.from_json_dict(doc), workload, extra, below)
+
+
+def test_fifo_sweep_pool_sample_takes_the_closed_form_only_where_it_holds():
+    probed = 0
+    for index in range(0, wl_fifo.POOL, 16):
+        g, tokens, _ = wl_fifo.make_design(index)
+        probed += _check_paths(g, tokens, index % 3, lambda cycles: cycles // 2)
+    assert probed > 0
 
 
 def _outcome(fn, *args):

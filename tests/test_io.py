@@ -88,6 +88,13 @@ class TestMotRows:
         with pytest.raises(FormatError, match=f"^line 4: {message}"):
             read_lines(tmp_path, *["1,2,10,20,30,40,1,-1,-1,-1"] * 3, f"1,2,{fields},1,-1,-1,-1")
 
+    @pytest.mark.parametrize("row", ["1,1,1_0,20,30,40,1,-1,-1,-1", "1,1,10,20,30,40,1,-1,-1,-1_0",
+                                     "1_0,1,10,20,30,40,1,-1,-1,-1"])
+    def test_rejects_digit_group_underscores(self, tmp_path, row):
+        """int() and float() read 1_0 as 10; the reader refuses it."""
+        with pytest.raises(FormatError, match=r"^line 2: '_' in field '(1_0|-1_0)'$"):
+            read_lines(tmp_path, "1,2,10,20,30,40,1,-1,-1,-1", row)
+
     def test_accepts_box_at_the_corner_limit(self, tmp_path):
         limit = sys.float_info.max / 2
         [[(_, box)]] = read_lines(

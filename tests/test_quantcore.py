@@ -70,6 +70,17 @@ class TestMultiThreshold:
             with pytest.raises(ValueError, match="strictly ascending"):
                 MultiThresholdOp(np.array(row), out_bits=2)
 
+    @pytest.mark.parametrize("row", [[0.0, np.nan, 2.0], [np.nan] * 3, [0.0, 1.0, np.nan],
+                                     [np.inf, np.inf, np.nan], [np.nan]])
+    def test_nan_threshold_refused(self, row):
+        with pytest.raises(ValueError, match="^thresholds must not be NaN$"):
+            MultiThresholdOp(np.array([row]), out_bits=len(row).bit_length())
+
+    @pytest.mark.parametrize("row", [[0.0, np.inf, np.inf], [np.inf] * 3, [-np.inf] * 3])
+    def test_equal_infinities_accepted(self, row):
+        op = MultiThresholdOp(np.array([row]), out_bits=2)
+        assert multithreshold(1.0, op) == (row[0] <= 1.0) + (row[1] <= 1.0) + (row[2] <= 1.0)
+
     @given(st.lists(st.integers(-64, 64), min_size=2, max_size=2, unique=True))
     def test_nondecreasing_in_x(self, pair):
         lo, hi = sorted(pair)

@@ -29,7 +29,7 @@ DET = {"a": [[0, 0, 10, 10, 0.9, 0], [21, 20, 40, 50, 0.8, 1]], "b": [[5, 5, 15,
 ODD_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 10**400, -(10**400), 2**63,
                1e19, -5, -0.5, 0, 2.5, 0.5, "7", None, True, []]
 ODD_TEXT = ["nan", "inf", "-inf", "1e308", "-1e308", "1e400", "9" * 40, "-5", "0", "2.5", "", "x",
-            " 3 "]
+            " 3 ", "1_0"]
 # phrases of BoundingBox's refusals; a reader prefixes each with its line or entry
 BOX_REFUSAL = re.compile(r"inverted corners|overflows|score outside|class id must")
 LOCATED = re.compile(r"^error: (line \d+|\w+\[\d+\]): ")

@@ -1,6 +1,7 @@
 """Smoke tests: each demo script's main() runs to the end on small inputs.
-bench_pairs.py is tested through its summary on canned bench results; no
-test starts the benchmark."""
+bench_pairs.py is tested through its summary on canned bench results and
+on temporary checkouts with a stand-in bench/run.py; no test starts the
+benchmark."""
 
 import importlib.util
 import json
@@ -188,3 +189,37 @@ class TestBenchPairsExitStatus:
     def test_a_higher_failed_op_share_exits_one(self, tmp_path, monkeypatch):
         parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0]
         assert self.exit_status(tmp_path, monkeypatch, parent, parent, change_failed=1) == 1
+
+
+# bench/run.py of a temporary checkout: one result line per run, counted in
+# runs.txt, until the run numbered by FAIL_ON exits 1
+FAKE_BENCH = """import json, pathlib, sys
+count = pathlib.Path("runs.txt")
+runs = int(count.read_text()) + 1 if count.exists() else 1
+count.write_text(str(runs))
+if runs == FAIL_ON:
+    sys.exit("bench broke")
+print(json.dumps({"correct": 1, "attempted": 1, "failed": 0,
+                  "metrics": {"ops_per_s": {"value": 10.0, "unit": "ops/s"}}}))
+"""
+
+
+def test_bench_pairs_keeps_the_pairs_before_a_failed_run(tmp_path, monkeypatch, capsys):
+    """The change's second run (pair 2, change first) exits 1: main exits 2
+    naming that run, and --out holds pair 1."""
+    for side, fail_on in (("parent", 0), ("change", 2)):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(
+            FAKE_BENCH.replace("FAIL_ON", str(fail_on)))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    out = tmp_path / "runs.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+        "--pairs", "3", "--seed", "1", "--seconds", "1", "--out", str(out)])
+    assert load_script("bench_pairs").main() == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["pair 1 w: parent then change",
+                   "bench run failed: workload w, change side, pair 2: exit 1", "bench broke"]
+    runs = json.loads(out.read_text())
+    assert list(runs) == ["w"] and len(runs["w"]) == 1
+    assert (tmp_path / "parent" / "runs.txt").read_text() == "1"

@@ -551,6 +551,21 @@ def assert_same_op(new, old):
     assert (new.out_bits, new.out_bias) == (old.out_bits, old.out_bias)
 
 
+NAN_REFUSAL = (ValueError, "thresholds must not be NaN")
+
+
+def same_outcome(new, err_new, old, err_old):
+    """The error both sides raised, or None when both built the same op. The
+    frozen code accepts NaN thresholds, which the live code refuses."""
+    if err_old is None and np.isnan(old.thresholds).any():
+        assert err_new == NAN_REFUSAL
+        return err_new
+    assert err_new == err_old
+    if err_old is None:
+        assert_same_op(new, old)
+    return err_old
+
+
 def compare_threshold_code(thresholds, bits, bias, flips, a, b):
     """Build, absorb and read back from attrs on both sides; return the first
     error, or None."""
@@ -563,16 +578,11 @@ def compare_threshold_code(thresholds, bits, bias, flips, a, b):
     ):
         new, err_new = raised(make_new)
         old, err_old = raised(make_old)
-        assert err_new == err_old
-        if err_old is not None:
-            return err_old
-        assert_same_op(new, old)
-    new, err_new = raised(quantcore.absorb_affine, new, copy.deepcopy(a), copy.deepcopy(b))
-    old, err_old = raised(oracle.absorb_affine, old, copy.deepcopy(a), copy.deepcopy(b))
-    assert err_new == err_old
-    if err_old is None:
-        assert_same_op(new, old)
-    return err_old
+        err = same_outcome(new, err_new, old, err_old)
+        if err is not None:
+            return err
+    return same_outcome(*raised(quantcore.absorb_affine, new, copy.deepcopy(a), copy.deepcopy(b)),
+                        *raised(oracle.absorb_affine, old, copy.deepcopy(a), copy.deepcopy(b)))
 
 
 VALUES = st.one_of(
@@ -618,6 +628,9 @@ class TestThresholdOracle:
     @given(threshold_cases())
     # inf - inf is nan, so the frozen code takes equal infinities as ascending
     @example((np.array([[0.0, np.inf, np.inf]]), 2, 0, None, -1.0, 0.0))
+    # a NaN row is neither ascending nor not to the frozen code, which takes it
+    @example((np.array([[2.0, np.nan, 1.0]]), 2, 0, None, 1.0, 0.0))
+    @example((np.array([[0.0, 1.0, np.inf]]), 2, 0, None, 1.0, np.inf))  # inf - inf absorbed
     def test_matches_frozen_threshold_code(self, case):
         with np.errstate(all="ignore"):  # inf and nan warn, and warnings are errors here
             compare_threshold_code(*case)
