@@ -21,16 +21,13 @@ cycle at any depths `D'` with `M <= D' <= D`, since from equal states every
 advance and firing acts alike and every drain moves `min(staged, depth - occ)`
 alike, as the first run kept `occ + amount <= M <= D'` or filled up
 (`M = D = D'`). The probe's `D` lies past any occupancy, so its run repeats
-at any depths that hold its peaks.
+at any depths that hold its peaks. It reads no depth, so a graph computes it
+once and reuses it while its rates, latencies and edges are unchanged.
 
-`simulate` returns that run when it can. Its burst test asks, in O(E),
-whether every edge is at least as deep as the larger of its producer's
-`produce` and its consumer's `consume`; every edge of a completed run
-carries tokens and so peaks at least that high, so a design that fails can
-never hold the probe's run and is stepped at once. On a design that passes, the closed-form run is the
-stepped run, report for report (outcome, cycles, peaks, delivered, zero
-stalls, dict order), if it completes within the cap and every peak fits its
-edge's given depth; else the design is stepped.
+`simulate` returns that run where the given depths hold its peaks, report for
+report (zero stalls included). An O(E) burst test first steps at once any
+design with an edge shallower than its producer's `produce` or its consumer's
+`consume`, since every edge of a completed run peaks at least that high.
 """
 
 from __future__ import annotations
@@ -76,13 +73,13 @@ class Folding:
 @dataclass(slots=True)
 class StreamNode:
     """One pipeline stage: firing rates, latency, optional folding. A folded
-    node fires in its folding's cycles per output; its latency must then be
-    left at 1 or equal that count."""
+    node fires in its folding's cycles per output, which a given latency must
+    equal; a latency of `None` is not given (1 on an unfolded node)."""
 
     id: str
     consume: int = 1
     produce: int = 1
-    latency: int = 1
+    latency: int | None = None
     folding: Folding | None = None
     outputs_per_frame: int = 1
 
@@ -130,10 +127,17 @@ class StreamGraph(Graph):
     """Nodes joined by bounded FIFO edges; sources feed, sinks drain. Edges
     are never removed, and adjacency queries list them in connection order."""
 
+    _closed = None  # (key, run) of its last closed-form run; see `_closed_form`
+
     def add_node(self, node_id: str, **kwargs) -> StreamNode:
         node = StreamNode(node_id, **kwargs)
+        if node.latency is None and node.folding is None:
+            node.latency = 1
         for name in ("consume", "produce", "latency", "outputs_per_frame"):
-            check_int(f"node {node_id}: {name}", getattr(node, name), 1, GraphError)
+            if name != "latency" or node.latency is not None:  # None: a folded node's cycles
+                check_int(f"node {node_id}: {name}", getattr(node, name), 1, GraphError)
+        if node.folding is not None and node.latency is not None:
+            _firing_latency(node)  # a given latency must match the folding
         return self._add_node(node)
 
     def connect(self, src: str, dst: str, depth: int = 1, edge_id: str | None = None) -> FifoEdge:
@@ -211,15 +215,13 @@ def load_stream_graph(path) -> tuple[StreamGraph, int | None]:
 
 def _firing_latency(node: StreamNode) -> int:
     """Cycles one firing of `node` occupies: its folding's cycles per output
-    when folded, else its latency; a GraphError if the two disagree."""
+    when folded, else its latency; a GraphError if a given latency disagrees."""
     if node.folding is None:
         return node.latency
     cycles = node.folding.cycles_per_output()
-    if node.latency not in (1, cycles):
-        raise GraphError(
-            f"node {node.id}: latency {node.latency} disagrees with its folding's "
-            f"{cycles} cycles per output"
-        )
+    if node.latency not in (None, cycles):
+        raise GraphError(f"node {node.id}: latency {node.latency} disagrees with its "
+                         f"folding's {cycles} cycles per output")
     return cycles
 
 
@@ -244,7 +246,8 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     idle node with empty staging and sufficient inputs fires. Producers come
     first, so each FIFO fills before its one consumer fires. Deadlock is
     declared the first cycle nothing changes while work remains - the state
-    would then be frozen forever.
+    would then be frozen forever. Where the given depths pass the burst test
+    and hold the closed-form run's peaks, that run is the report (replay lemma).
 
     Skip rule: after a cycle that drains and fires nothing while some node
     is busy, the next `min(busy) - 1` cycles (never past `cycle_cap`) pass
@@ -252,10 +255,6 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     stuck burst stall that many. It relies on staging, occupancy and the
     source counters staying frozen until a busy node completes, which
     whole-cycle latencies make exact. With no node busy nothing is skipped.
-
-    Closed-form return: if the given depths pass the burst test and hold the
-    completed closed-form run's peaks, that run is returned unstepped; the
-    replay lemma (module docstring) makes it the stepped run's report.
     """
     order, latency = _run_latencies(g, workload, cycle_cap)
     nodes, edges = g.nodes, g.edges.values()
@@ -382,20 +381,29 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
 
 def _closed_form(g: StreamGraph, order: list[str], latency: list[int], workload: int,
                  cycle_cap: int) -> SimReport | str:
-    """The completed run at depths no occupancy can exceed, or the outcome
-    ("deadlock" or "cap_exceeded") of a run that does not complete; `order`
-    and `latency` as `_run_latencies` returns them.
+    """The completed run at depths no occupancy can exceed, or the outcome ("deadlock"
+    or "cap_exceeded") of one that does not, for `order` and `latency` from `_run_latencies`.
+    `g` keeps its last run, keyed on all the run reads; each caller gets its own dicts."""
+    key = (workload, cycle_cap, latency, [(n.id, n.consume, n.produce) for n in g.nodes.values()],
+           [(e.id, e.src, e.dst) for e in g.edges.values()])
+    if g._closed is None or g._closed[0] != key:
+        g._closed = key, _closed_form_run(g, order, latency, workload, cycle_cap)
+    run = g._closed[1]
+    return run if isinstance(run, str) else SimReport(
+        run.outcome, run.cycles, dict(run.max_occupancy), run.delivered, dict(run.stall_cycles))
 
-    A source's j-th firing (from 0) is at cycle `1 + j*L`; any other node's is
-    at the later of its previous firing plus `L` and the landing of the last
-    of the `(j+1)*consume` tokens it needs on each input. An edge peaks as a
-    burst lands, before that cycle's firings consume. The run completes as the
-    last firing ends if every token was consumed, else deadlocks a cycle later.
-    A run past 2**60 cycles exceeds any cap."""
+
+def _closed_form_run(g: StreamGraph, order: list[str], latency: list[int], workload: int,
+                     cycle_cap: int) -> SimReport | str:
+    """`_closed_form` afresh. A source's j-th firing (from 0) is at cycle
+    `1 + j*L`; any other node's at the later of its previous firing plus `L`
+    and the landing of the last of the `(j+1)*consume` tokens it needs on each
+    input. An edge peaks as a burst lands, before that cycle's firings consume.
+    The run completes as the last firing ends if every token was consumed, else
+    deadlocks a cycle later."""
     latency = dict(zip(g.nodes, latency))
-    cap = min(cycle_cap, 2**60)  # cycles saturate past it, so int64 holds them
-    done: dict[str, np.ndarray] = {}  # cycles each node's firings end and land
-    max_occupancy, delivered, left_over = dict.fromkeys(g.edges, 0), 0, False
+    cap = min(cycle_cap, 2**60)  # past 2**60 cycles a run exceeds any cap; int64 holds it
+    done, fires, left_over = {}, {}, False  # cycles each node's firings end (and land), start
     for nid in order:
         c, lat, ins = g.nodes[nid].consume, latency[nid], g.in_edges(nid)
         n = (min(len(done[e.src]) * g.nodes[e.src].produce for e in ins) // c if ins
@@ -403,24 +411,36 @@ def _closed_form(g: StreamGraph, order: list[str], latency: list[int], workload:
         if n * lat > cap:  # its last firing ends past the cap
             return "cap_exceeded"
         if not ins:
-            done[nid] = 1 + lat * np.arange(1, n + 1)
+            done[nid] = np.arange(1 + lat, 2 + n * lat, lat)
             continue
-        need = np.arange(c - 1, n * c, c)  # index of each firing's last token
-        ready = reduce(np.maximum, [done[e.src][need // g.nodes[e.src].produce] for e in ins])
-        steps = np.arange(0, n * lat, lat)
-        fire = steps + np.maximum.accumulate(ready - steps)
+        needed = []  # the landing of each firing's last token, per input
         for e in ins:
             p, landed = g.nodes[e.src].produce, done[e.src]
-            held = np.arange(p, (len(landed) + 1) * p, p) - c * fire.searchsorted(landed)
-            max_occupancy[e.id] = int(held.max(initial=0))
+            needed.append(landed[c // p - 1:n * c // p:c // p] if c % p == 0
+                          else landed[np.arange(c - 1, n * c, c) // p])
             left_over |= len(landed) * p != n * c
-        if not g.out_edges(nid):
-            delivered += n * c * len(ins)
-        done[nid] = np.minimum(fire + lat, cap + 1)
+        steps = np.arange(0, n * lat, lat)
+        fire = fires[nid] = reduce(np.maximum, needed) - steps
+        np.maximum.accumulate(fire, out=fire)
+        fire += steps
+        done[nid] = fire + lat
+        if n and done[nid][-1] > cap:  # a firing ends past the cap
+            return "cap_exceeded"
     last = max(int(d[-1]) for d in done.values() if len(d))
     if left_over or last > cap:
         return "cap_exceeded" if last + left_over > cap else "deadlock"
-    return SimReport("completed", last, max_occupancy, delivered, dict.fromkeys(g.nodes, 0))
+    edges = g.edges.values()  # each edge's peak, over all edges in one pass
+    sizes = [len(done[e.src]) for e in edges]
+    starts = np.cumsum(sizes) - sizes
+    taken = np.concatenate([fires[e.dst].searchsorted(done[e.src]) for e in edges])
+    bursts = np.arange(1, len(taken) + 1) - starts.repeat(sizes)
+    rates = np.array([(g.nodes[e.src].produce, g.nodes[e.dst].consume) for e in edges])
+    rates = rates.repeat(sizes, axis=0)
+    peaks = np.maximum.reduceat(rates[:, 0] * bursts - rates[:, 1] * taken, starts).tolist()
+    delivered = sum(len(fires[nid]) * g.nodes[nid].consume * len(g.in_edges(nid))
+                    for nid in g.sinks())
+    return SimReport("completed", last, dict(zip(g.edges, peaks)), delivered,
+                     dict.fromkeys(g.nodes, 0))
 
 
 def probe_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) -> SimReport:
@@ -437,7 +457,7 @@ def size_fifos(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP
 
     By the replay lemma (module docstring) a run at these depths repeats the
     probe, report and all, so it completes; sizing simulates nothing."""
-    return dict(probe_fifos(g, workload, cycle_cap).max_occupancy)
+    return probe_fifos(g, workload, cycle_cap).max_occupancy
 
 
 def throughput(g: StreamGraph) -> int:

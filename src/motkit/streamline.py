@@ -256,6 +256,11 @@ class OpGraph(Graph):
             for key in _ARRAY_ATTRS & attrs.keys():
                 attrs[key] = np.asarray(attrs[key], dtype=float)
             g.add_node(spec["id"], spec["kind"], **attrs)
+            if spec["kind"] == "MultiThreshold" and {"thresholds", "out_bits"} <= attrs.keys():
+                try:  # the one threshold rule, where a document is read
+                    _mt_from_attrs(attrs)
+                except (TypeError, ValueError) as exc:
+                    raise GraphError(f"node {spec['id']}: {exc}") from exc
         for spec in graph_specs(doc, "edges", ("id", "src", "dst")):
             eid, scale, bits, signed = (spec.get(k) for k in ("id", "scale", "bits", "signed"))
             for port in ("src_out", "dst_in"):

@@ -11,11 +11,20 @@ procedure on top of it. ``motkit.dataflow`` must return the same
 core, written over the public ``nodes`` and ``edges`` dicts: edges are never
 removed, so a node's edges in connection order are its edges in ``edges``
 order. Only the cycle message has changed since.
+
+``_closed_form`` is ``motkit.dataflow``'s closed-form run as it was before it
+was kept per graph and computed in fewer numpy calls, copied verbatim: per
+node it gathers each input's landings by a fancy index, clamps every firing
+at the cap and takes each in-edge's peak as it goes. ``order`` and
+``latency`` come from ``motkit.dataflow._run_latencies``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+
+import numpy as np
 
 from motkit.dataflow import DEFAULT_CYCLE_CAP, GraphError, SimReport, StreamGraph
 
@@ -233,3 +242,46 @@ def validate(g: StreamGraph) -> None:
     stranded = set(g.nodes) - (reach_fwd & reach_bwd)
     if stranded:
         raise GraphError(f"nodes not on any source->sink path: {sorted(stranded)}")
+
+
+def _closed_form(g: StreamGraph, order: list[str], latency: list[int], workload: int,
+                 cycle_cap: int) -> SimReport | str:
+    """The completed run at depths no occupancy can exceed, or the outcome
+    ("deadlock" or "cap_exceeded") of a run that does not complete; `order`
+    and `latency` as `_run_latencies` returns them.
+
+    A source's j-th firing (from 0) is at cycle `1 + j*L`; any other node's is
+    at the later of its previous firing plus `L` and the landing of the last
+    of the `(j+1)*consume` tokens it needs on each input. An edge peaks as a
+    burst lands, before that cycle's firings consume. The run completes as the
+    last firing ends if every token was consumed, else deadlocks a cycle later.
+    A run past 2**60 cycles exceeds any cap."""
+    latency = dict(zip(g.nodes, latency))
+    cap = min(cycle_cap, 2**60)  # cycles saturate past it, so int64 holds them
+    done: dict[str, np.ndarray] = {}  # cycles each node's firings end and land
+    max_occupancy, delivered, left_over = dict.fromkeys(g.edges, 0), 0, False
+    for nid in order:
+        c, lat, ins = g.nodes[nid].consume, latency[nid], g.in_edges(nid)
+        n = (min(len(done[e.src]) * g.nodes[e.src].produce for e in ins) // c if ins
+             else workload // g.nodes[nid].produce)
+        if n * lat > cap:  # its last firing ends past the cap
+            return "cap_exceeded"
+        if not ins:
+            done[nid] = 1 + lat * np.arange(1, n + 1)
+            continue
+        need = np.arange(c - 1, n * c, c)  # index of each firing's last token
+        ready = reduce(np.maximum, [done[e.src][need // g.nodes[e.src].produce] for e in ins])
+        steps = np.arange(0, n * lat, lat)
+        fire = steps + np.maximum.accumulate(ready - steps)
+        for e in ins:
+            p, landed = g.nodes[e.src].produce, done[e.src]
+            held = np.arange(p, (len(landed) + 1) * p, p) - c * fire.searchsorted(landed)
+            max_occupancy[e.id] = int(held.max(initial=0))
+            left_over |= len(landed) * p != n * c
+        if not g.out_edges(nid):
+            delivered += n * c * len(ins)
+        done[nid] = np.minimum(fire + lat, cap + 1)
+    last = max(int(d[-1]) for d in done.values() if len(d))
+    if left_over or last > cap:
+        return "cap_exceeded" if last + left_over > cap else "deadlock"
+    return SimReport("completed", last, max_occupancy, delivered, dict.fromkeys(g.nodes, 0))

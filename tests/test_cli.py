@@ -500,7 +500,7 @@ class TestWarningsAsErrors:
         save_graph(g, tmp_path / "in.json")
         done = self.run("streamline", tmp_path / "in.json", "-o", tmp_path / "out.json")
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.splitlines() == ["error: thresholds must not be NaN"]
+        assert done.stderr.splitlines() == ["error: node mt: thresholds must not be NaN"]
         assert not (tmp_path / "out.json").exists()
 
 
@@ -786,6 +786,32 @@ class TestStreamlineCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("passes", [["--passes", "move_scale_past_conv"], []],
+                             ids=["no_absorb", "pipeline"])
+    def test_nan_threshold_refused_where_read(self, tmp_path, capsys, passes):
+        """A NaN threshold is refused where the document is read, naming its
+        node, even when no pass reaches the MultiThreshold."""
+        doc = {
+            "nodes": [
+                {"id": "in", "kind": "Input"},
+                {"id": "m", "kind": "Mul", "attrs": {"scale": 2.0}},
+                {"id": "mt", "kind": "MultiThreshold",
+                 "attrs": {"thresholds": [[0.0, float("nan"), 2.0]], "out_bits": 2}},
+                {"id": "out", "kind": "Output"},
+            ],
+            "edges": [
+                {"id": "e0", "src": "in", "dst": "m"},
+                {"id": "e1", "src": "m", "dst": "mt"},
+                {"id": "e2", "src": "mt", "dst": "out"},
+            ],
+        }
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(doc))
+        assert main(["streamline", str(src), "-o", str(out), *passes]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: node mt: thresholds must not be NaN"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "groups",

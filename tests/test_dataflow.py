@@ -153,8 +153,21 @@ class TestFolding:
         ids=["simulate", "throughput", "size_fifos"],
     )
     def test_latency_disagreeing_with_folding_rejected(self, run):
-        with pytest.raises(GraphError, match="disagrees with its folding"):
-            run(self._burst_graph(folding=self.FOLD8, latency=4))
+        """A folding set on a built node meets its given latency in `run`;
+        `add_node` refuses the pair itself (`test_given_latency_must_match_folding`)."""
+        g = self._burst_graph(latency=4)
+        g.nodes["producer"].folding = self.FOLD8
+        with pytest.raises(GraphError, match="latency 4 disagrees with its folding's 8 cycles"):
+            run(g)
+
+    def test_given_latency_must_match_folding(self):
+        """An explicit 1 is a given latency, not the default: 1 against 64 cycles."""
+        g = StreamGraph()
+        with pytest.raises(GraphError, match="latency 1 disagrees with its folding's 64 cycles"):
+            g.add_node("m", latency=1, folding=Folding(1, 1, 8, 8))
+        assert g.add_node("m", latency=64, folding=Folding(1, 1, 8, 8)).latency == 64
+        assert g.add_node("f", folding=Folding(1, 1, 8, 8)).latency is None
+        assert g.add_node("u").latency == 1
 
     def test_nonpositive_folding_rejected(self):
         with pytest.raises(GraphError, match="folding simd"):
@@ -186,9 +199,12 @@ class TestFromJson:
             StreamGraph.from_json_dict(doc)
 
     def test_round_trip(self):
+        """A folded node's latency left out stays `null`; an unfolded one's is 1."""
         g = fork_join_stream_graph({"e2": 5})
         g.nodes["acc"].folding = Folding(simd=2, pe=4, in_ch=8, out_ch=8, k=3)
+        g.nodes["acc"].latency = None
         doc = g.to_json_dict()
+        assert doc["nodes"][3]["latency"] is None and doc["nodes"][0]["latency"] == 1
         assert StreamGraph.from_json_dict(doc).to_json_dict() == doc
 
 

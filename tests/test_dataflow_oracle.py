@@ -33,6 +33,18 @@ it and returns the oracle's report; with the cycle cap below completion it
 calls it and reports `cap_exceeded` as the oracle does; and with one edge
 shallower than its producer's burst the burst test keeps it from being
 called, and the stepped run equals the oracle.
+
+The kernel tests hold `_closed_form_run`, the closed form behind its memo, to
+the frozen `oracle._closed_form` field by field and in dict key order, on the
+same cases and on every 16th pool design, at the default cap, a cap below
+completion and 50; a rate mismatch gives the "deadlock" and "cap_exceeded"
+outcomes, and chains of 2**56- and 2**60-cycle firings hold int64 at its edge.
+The memo tests count kernel runs: `simulate` then `size_fifos` runs it once
+per design point; changing a node's `consume`, `produce`, `latency` or
+`folding`, adding an edge, or changing the workload or cap between two calls
+reruns it and gives the frozen kernel's fresh run; changing a returned
+report's dicts changes no later report; and a fresh graph of equal content
+runs it afresh.
 """
 
 import contextlib
@@ -52,7 +64,7 @@ from conftest import (
     fork_join_stream_graph,
 )
 from motkit import dataflow, streamline
-from motkit.dataflow import GraphError, StreamGraph
+from motkit.dataflow import Folding, GraphError, StreamGraph
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import wl_fifo  # noqa: E402  (the benchmark's pool of designs)
@@ -265,17 +277,18 @@ def test_fifo_sweep_pool_sample_replays():
 
 
 @contextlib.contextmanager
-def _closed_form_calls():
-    """A list that gathers the arguments of each call to `dataflow._closed_form`."""
+def _closed_form_calls(name: str = "_closed_form"):
+    """A list that gathers the arguments of each call to `dataflow.<name>`:
+    `_closed_form`, or the kernel `_closed_form_run` behind its memo."""
     calls = []
-    closed_form = dataflow._closed_form
+    wrapped = getattr(dataflow, name)
 
     def counted(*args):
         calls.append(args)
-        return closed_form(*args)
+        return wrapped(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataflow, "_closed_form", counted)
+        patch.setattr(dataflow, name, counted)
         yield calls
 
 
@@ -322,6 +335,179 @@ def test_fifo_sweep_pool_sample_takes_the_closed_form_only_where_it_holds():
         g, tokens, _ = wl_fifo.make_design(index)
         probed += _check_paths(g, tokens, index % 3, lambda cycles: cycles // 2)
     assert probed > 0
+
+
+def _closed(closed_form, g: StreamGraph, workload: int,
+            cycle_cap: int = dataflow.DEFAULT_CYCLE_CAP):
+    """The closed-form run of `g` by `closed_form`: `dataflow._closed_form`
+    (memo and kernel), `dataflow._closed_form_run` or the frozen `oracle._closed_form`."""
+    return closed_form(g, *dataflow._run_latencies(g, workload, cycle_cap), workload, cycle_cap)
+
+
+def _assert_same_run(got, want, cycle_cap):
+    """Equal outcome names, or equal reports field by field, in key order,
+    with Python int peaks."""
+    assert got == want, cycle_cap
+    if not isinstance(want, str):
+        assert list(got.max_occupancy) == list(want.max_occupancy)
+        assert list(got.stall_cycles) == list(want.stall_cycles)
+        assert all(type(peak) is int for peak in got.max_occupancy.values())
+
+
+def _check_kernel(doc, workload, below, caps=(dataflow.DEFAULT_CYCLE_CAP, 50)) -> set[str]:
+    """The kernel equals the frozen closed form at each of `caps` and, under
+    a completed run's last cycle, at `below(cycles)`; the outcomes seen."""
+    g = StreamGraph.from_json_dict(doc)
+    full = _closed(oracle._closed_form, g, workload)
+    caps = set(caps)
+    if not isinstance(full, str) and full.cycles > 1:
+        caps.add(below(full.cycles))
+    outcomes = set()
+    for cycle_cap in caps:
+        want = _closed(oracle._closed_form, g, workload, cycle_cap)
+        got = _closed(dataflow._closed_form_run, g, workload, cycle_cap)
+        _assert_same_run(got, want, cycle_cap)
+        outcomes.add(want if isinstance(want, str) else want.outcome)
+    return outcomes
+
+
+# src -> a (consume 3) -> sink on 4 tokens: one token is left over, a deadlock.
+RATE_MISMATCH = ({
+    "nodes": [{"id": "src"}, {"id": "a", "consume": 3}, {"id": "sink"}],
+    "edges": [{"src": "src", "dst": "a"}, {"src": "a", "dst": "sink"}],
+}, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases(), data=st.data())
+@example(case=RATE_MISMATCH, data=None)
+@example(case=_fixture(chain_stream_graph(), 20), data=None)
+@example(case=_fixture(fork_join_stream_graph(), FORK_JOIN_WORKLOAD), data=None)
+def test_kernel_matches_frozen_closed_form(case, data):
+    doc, workload = case
+    if data is None:
+        below = lambda cycles: cycles - 1  # noqa: E731
+    else:
+        below = lambda cycles: data.draw(st.integers(1, cycles - 1))  # noqa: E731
+    _check_kernel(doc, workload, below)
+
+
+def _long_chain(latency: int, stages: int = 12) -> StreamGraph:
+    g = StreamGraph()
+    prev = "src"
+    g.add_node(prev, latency=latency)
+    for nid in [f"s{k}" for k in range(stages)] + ["sink"]:
+        g.add_node(nid, latency=latency)
+        g.connect(prev, nid)
+        prev = nid
+    return g
+
+
+def test_kernel_outcomes_match_frozen_closed_form():
+    """Every outcome, each at the same caps as the frozen kernel's, and
+    firings near the 2**60 cycles int64 must hold, completing or not."""
+    outcomes = _check_kernel(*RATE_MISMATCH, None, caps=range(1, 12))
+    assert outcomes == {"deadlock", "cap_exceeded"}
+    for latency, cycle_cap, outcome in ((2**56, 2**62, "completed"),
+                                        (2**60, 2**66, "cap_exceeded")):
+        g = _long_chain(latency)
+        want = _closed(oracle._closed_form, g, 1, cycle_cap)
+        assert (want if isinstance(want, str) else want.outcome) == outcome
+        _assert_same_run(_closed(dataflow._closed_form_run, g, 1, cycle_cap), want, cycle_cap)
+    for index in range(0, wl_fifo.POOL, 16):
+        g, tokens, _ = wl_fifo.make_design(index)
+        outcomes |= _check_kernel(g.to_json_dict(), tokens, lambda cycles: cycles // 2)
+    assert outcomes == {"completed", "deadlock", "cap_exceeded"}
+
+
+def test_simulate_then_size_fifos_runs_the_kernel_once():
+    """One kernel run per design point, whether `simulate` or `size_fifos`
+    runs it, and the oracle's report and the frozen kernel's depths."""
+    in_simulate = 0
+    for index in range(0, wl_fifo.POOL, 16):
+        g, tokens, _ = wl_fifo.make_design(index)
+        probe = _closed(oracle._closed_form, g, tokens)
+        if index % 2 and not isinstance(probe, str):  # at the probe's own peaks
+            g = _at_depths(g, probe.max_occupancy)
+        doc = g.to_json_dict()
+        with _closed_form_calls("_closed_form_run") as runs:
+            report = dataflow.simulate(g, tokens)
+            in_simulate += len(runs)
+            try:
+                depths = list(dataflow.size_fifos(g, tokens).items())
+            except GraphError as exc:
+                depths = f"GraphError: {exc}"
+        assert len(runs) == 1, index
+        assert report == oracle.simulate(StreamGraph.from_json_dict(doc), tokens)
+        assert depths == (f"GraphError: probe run did not complete: {probe}"
+                          if isinstance(probe, str) else list(probe.max_occupancy.items()))
+    assert 0 < in_simulate < len(range(0, wl_fifo.POOL, 16))
+
+
+def _folded_fork_join() -> StreamGraph:
+    """The fork/join fixture with its accumulator folded to its own 8 cycles."""
+    g = fork_join_stream_graph()
+    g.nodes["acc"].latency, g.nodes["acc"].folding = None, Folding(2, 4, 8, 8)
+    return g
+
+
+MUTATIONS = {
+    "consume": lambda g: setattr(g.nodes["join"], "consume", 2),
+    "produce": lambda g: setattr(g.nodes["acc"], "produce", 4),
+    "latency": lambda g: setattr(g.nodes["bshort"], "latency", 3),
+    "folding": lambda g: setattr(g.nodes["acc"], "folding", Folding(1, 4, 8, 8)),
+    "edge": lambda g: g.connect("fork", "join", 2, "extra"),
+}
+
+
+@pytest.mark.parametrize("change", [*MUTATIONS, "workload", "cycle_cap"])
+def test_closed_form_memo_follows_what_the_run_reads(change):
+    """Each change between two calls on one graph gives the frozen kernel's
+    fresh run, not the stored one, from a second kernel run."""
+    g, workload, cycle_cap = _folded_fork_join(), FORK_JOIN_WORKLOAD, dataflow.DEFAULT_CYCLE_CAP
+    with _closed_form_calls("_closed_form_run") as runs:
+        stored = _closed(dataflow._closed_form, g, workload)
+        fresh = _closed(oracle._closed_form, _folded_fork_join(), workload)
+        _assert_same_run(stored, fresh, cycle_cap)
+        if change == "workload":
+            workload *= 2
+        elif change == "cycle_cap":
+            cycle_cap = stored.cycles - 1
+        else:
+            MUTATIONS[change](g)
+        got = _closed(dataflow._closed_form, g, workload, cycle_cap)
+        assert len(runs) == 2
+    _assert_same_run(got, _closed(oracle._closed_form, g, workload, cycle_cap), cycle_cap)
+    assert got != stored
+
+
+def test_closed_form_memo_hands_out_copies():
+    """Changing a returned report's dicts, or `size_fifos`' depths, changes
+    none that a later call on the graph returns; none of them reruns the kernel."""
+    want = _closed(oracle._closed_form, fork_join_stream_graph(), FORK_JOIN_WORKLOAD)
+    g = _at_depths(fork_join_stream_graph(), want.max_occupancy)  # covered, so no stepping
+    with _closed_form_calls("_closed_form_run") as runs:
+        for call in (dataflow.simulate, dataflow.probe_fifos, dataflow.probe_fifos):
+            report = call(g, FORK_JOIN_WORKLOAD)
+            _assert_same_run(report, want, call)
+            report.max_occupancy["e2"] = 99
+            report.stall_cycles["src"] = 5
+            depths = dataflow.size_fifos(g, FORK_JOIN_WORKLOAD)
+            assert depths == want.max_occupancy
+            depths.clear()
+    assert len(runs) == 1
+
+
+def test_fresh_graph_of_equal_content_recomputes():
+    g = fork_join_stream_graph()
+    dataflow.probe_fifos(g, FORK_JOIN_WORKLOAD)
+    with _closed_form_calls("_closed_form_run") as runs:
+        dataflow.probe_fifos(g, FORK_JOIN_WORKLOAD)
+        assert not runs
+        twin = StreamGraph.from_json_dict(g.to_json_dict())
+        assert dataflow.probe_fifos(twin, FORK_JOIN_WORKLOAD) == dataflow.probe_fifos(
+            g, FORK_JOIN_WORKLOAD)
+        assert len(runs) == 1
 
 
 def _outcome(fn, *args):
