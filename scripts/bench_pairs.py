@@ -5,9 +5,10 @@ Runs N pairs of ``python3 bench/run.py`` from a parent checkout and a
 changed one, each in its own directory, on the same seed and run length.
 The parent runs first in odd pairs and the change in even ones, so that a
 drift of the machine over the session does not favour one side. For each
-workload and end-to-end metric it prints each side's median and quartiles
-and how many pairs the change won (ties count for neither side), taking the
-direction from ``BENCHMARK.json``'s ``better``, and a no-regression verdict
+workload and end-to-end metric it prints each side's median and quartiles,
+the change's median against the parent's in per cent, how many pairs the
+change won (ties count for neither side), taking the direction from
+``BENCHMARK.json``'s ``better``, and a no-regression verdict
 against the metric's ``bound`` (a share of the median): "worse" when the
 change's median is worse than the parent's by more than the bound,
 "unresolved" when either side's interquartile range is wider than the bound
@@ -124,15 +125,23 @@ def claim_met(stat: dict) -> bool:
             and gain > q3 - q1)
 
 
+def median_change(stat: dict) -> str:
+    """The change's median against the parent's, in per cent of the parent's;
+    "n/a" when the parent's median is 0."""
+    parent, change = stat["parent_quartiles"][1], stat["change_quartiles"][1]
+    return f"{(change - parent) / abs(parent):+.1%}" if parent else "n/a"
+
+
 def format_summary(workload: str, stats: dict[str, dict], claim: str | None = None) -> list[str]:
-    """Printable lines: one per metric, then the claim's verdict if any."""
+    """Printable lines: one per metric, with the median change in per cent,
+    then the claim's verdict if any."""
     lines = []
     for name, s in stats.items():
         (pq1, pm, pq3), (cq1, cm, cq3) = s["parent_quartiles"], s["change_quartiles"]
-        change = f"{(cm - pm) / abs(pm):+.1%}" if pm else "n/a"
         lines.append(
             f"{workload} {name}: parent {pm:.6g} [{pq1:.6g}, {pq3:.6g}]"
-            f"  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}] {s['unit']}  {change}"
+            f"  change {cm:.6g} [{cq1:.6g}, {cq3:.6g}] {s['unit']}"
+            f"  median change {median_change(s)}"
             f"  change won {s['wins']}/{s['pairs']} ({s['better']} is better)"
             f"  {s['verdict']} at bound {s['bound']:g}"
         )
@@ -144,8 +153,8 @@ def format_summary(workload: str, stats: dict[str, dict], claim: str | None = No
             verdict = "met" if claim_met(s) else "not met"
             lines.append(
                 f"{workload} claim {claim}: {verdict} (won {s['wins']}/{s['pairs']}, medians "
-                f"{s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g}, "
-                f"parent IQR {s['parent_quartiles'][2] - s['parent_quartiles'][0]:.6g})"
+                f"{s['parent_quartiles'][1]:.6g} -> {s['change_quartiles'][1]:.6g} "
+                f"({median_change(s)}), parent IQR {s['parent_quartiles'][2] - s['parent_quartiles'][0]:.6g})"
             )
             lines.append(f"  parent runs: {' '.join(f'{v:.6g}' for v in s['parent'])}")
             lines.append(f"  change runs: {' '.join(f'{v:.6g}' for v in s['change'])}")

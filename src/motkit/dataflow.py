@@ -10,7 +10,8 @@ stall of a producer whose burst is too large for its consumer to absorb
 in time. Sources fire against a finite token workload; sinks swallow
 tokens. Everything is deterministic: one event loop, fixed node order.
 
-Cycles in which only latency countdowns run are skipped in one step (see
+A stepped cycle sweeps one record per node, built once per run, and cycles
+in which only latency countdowns run are skipped in one step (see
 `simulate`); every reported count is the one a cycle-by-cycle run gives.
 
 FIFO sizing follows the probe procedure: each FIFO's depth is its largest
@@ -248,6 +249,9 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
     declared the first cycle nothing changes while work remains - the state
     would then be frozen forever. Where the given depths pass the burst test
     and hold the closed-form run's peaks, that run is the report (replay lemma).
+    The sweep reads one visit record per node, built once per call in sweep
+    order: its index, input and output edge indices, `consume`, `produce`,
+    `produce` times its outputs, and firing latency.
 
     Skip rule: after a cycle that drains and fires nothing while some node
     is busy, the next `min(busy) - 1` cycles (never past `cycle_cap`) pass
@@ -263,24 +267,23 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
         if not isinstance(run, str) and all(run.max_occupancy[e.id] <= e.depth for e in edges):
             return run
 
-    # Nodes and edges keep insertion indices, the key order of the report's
-    # dicts; `sweep` lists the node indices in topological order.
-    pos = {nid: i for i, nid in enumerate(g.nodes)}
-    sweep = [pos[nid] for nid in order]
-    eids = list(g.edges)
-    eidx = {eid: k for k, eid in enumerate(eids)}
-    ins = [[eidx[e.id] for e in g.in_edges(nid)] for nid in g.nodes]
-    outs = [[eidx[e.id] for e in g.out_edges(nid)] for nid in g.nodes]
-    consume = [node.consume for node in g.nodes.values()]
-    produce = [node.produce for node in g.nodes.values()]
-    depth = [e.depth for e in g.edges.values()]
-    n, m = len(pos), len(eids)
+    # The visit records; nodes and edges keep insertion indices, the key order
+    # of the report's dicts.
+    pos = {nid: i for i, nid in enumerate(nodes)}
+    eidx = {eid: k for k, eid in enumerate(g.edges)}
+    visits = []
+    for nid in order:
+        node, i, outputs = nodes[nid], pos[nid], [eidx[eid] for eid in g._outs[nid]]
+        visits.append((i, [eidx[eid] for eid in g._ins[nid]], outputs, node.consume,
+                       node.produce, node.produce * len(outputs), latency[i]))
+    depth = [e.depth for e in edges]
+    n, m = len(pos), len(eidx)
 
     occupancy, max_occ = [0] * m, [0] * m
     staged = [0] * m  # tokens of an edge's burst not yet in its FIFO
     node_staged = [0] * n  # the same, summed over a node's output edges
     busy, stall = [0] * n, [0] * n
-    remaining = [0 if ins[i] else workload // produce[i] for i in range(n)]
+    remaining = [0 if g._ins[nid] else workload // node.produce for nid, node in nodes.items()]
     busy_nodes, delivered = 0, 0
 
     cycles = 0
@@ -289,54 +292,56 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
         cycles += 1
         advanced = busy_nodes > 0
         drained = fired = False
-        for i in sweep:
+        for i, inputs, outputs, need, burst, total, lat in visits:
             b = busy[i]
             if b:  # a busy node has nothing staged
                 busy[i] = b - 1
                 if b > 1:
                     continue
                 busy_nodes -= 1  # the firing completes: stage its burst
-                for k in outs[i]:
-                    staged[k] = produce[i]
-                node_staged[i] = produce[i] * len(outs[i])
+                for k in outputs:
+                    staged[k] = burst
+                node_staged[i] = total
 
             # drain into the node's FIFOs as far as space allows; sample the
             # post-drain peak (the "largest saturation") - only drains raise it
-            if node_staged[i]:
-                for k in outs[i]:
+            left = node_staged[i]
+            if left:
+                for k in outputs:
                     s = staged[k]
                     if s:
-                        amount = min(s, depth[k] - occupancy[k])
-                        if amount > 0:
+                        occ = occupancy[k]
+                        room = depth[k] - occ
+                        if room > 0:
+                            amount = s if s < room else room
                             staged[k] = s - amount
-                            node_staged[i] -= amount
-                            occ = occupancy[k] = occupancy[k] + amount
+                            left -= amount
+                            occ = occupancy[k] = occ + amount
                             if occ > max_occ[k]:
                                 max_occ[k] = occ
                             drained = True
-                if node_staged[i]:
+                node_staged[i] = left
+                if left:
                     stall[i] += 1  # burst still stuck in staging
                     continue
 
             # fire if inputs suffice; their producers drained earlier in the sweep
-            inputs = ins[i]
             if not inputs:  # source
                 if remaining[i]:
                     remaining[i] -= 1
-                    busy[i] = latency[i]
+                    busy[i] = lat
                     busy_nodes += 1
                     fired = True
                 continue
-            need = consume[i]
             for k in inputs:
                 if occupancy[k] < need:
                     break
             else:
                 for k in inputs:
                     occupancy[k] -= need
-                if not outs[i]:  # sink swallows
+                if not outputs:  # sink swallows
                     delivered += need * len(inputs)
-                busy[i] = latency[i]
+                busy[i] = lat
                 busy_nodes += 1
                 fired = True
 
@@ -358,25 +363,16 @@ def simulate(g: StreamGraph, workload: int, cycle_cap: int = DEFAULT_CYCLE_CAP) 
 
     blocked, full, empty = [], [], []
     if outcome == "deadlock":
-        for nid in order:
-            i = pos[nid]
-            occs = [occupancy[k] for k in ins[i]]
-            starved = bool(occs) and max(occs) > 0 and min(occs) < consume[i]
+        for nid, (i, inputs, _, need, *_) in zip(order, visits):
+            occs = [occupancy[k] for k in inputs]
+            starved = bool(occs) and max(occs) > 0 and min(occs) < need
             if node_staged[i] or remaining[i] or starved:
                 blocked.append(nid)
-        full = sorted(eid for k, eid in enumerate(eids) if occupancy[k] >= depth[k])
-        empty = sorted(eid for k, eid in enumerate(eids) if occupancy[k] == 0)
+        full = sorted(eid for eid, d, occ in zip(eidx, depth, occupancy) if occ >= d)
+        empty = sorted(eid for eid, occ in zip(eidx, occupancy) if occ == 0)
 
-    return SimReport(
-        outcome=outcome,
-        cycles=cycles,
-        max_occupancy=dict(zip(eids, max_occ)),
-        delivered=delivered,
-        stall_cycles=dict(zip(g.nodes, stall)),
-        blocked_nodes=tuple(blocked),
-        full_edges=tuple(full),
-        empty_edges=tuple(empty),
-    )
+    return SimReport(outcome, cycles, dict(zip(eidx, max_occ)), delivered, dict(zip(nodes, stall)),
+                     tuple(blocked), tuple(full), tuple(empty))
 
 
 def _closed_form(g: StreamGraph, order: list[str], latency: list[int], workload: int,

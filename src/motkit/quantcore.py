@@ -33,12 +33,11 @@ class MultiThresholdOp:
         t = np.asarray(self.thresholds, dtype=float)
         t = t.reshape(1, -1) if t.ndim < 2 else t  # as np.atleast_2d
         object.__setattr__(self, "thresholds", t)
-        n = (1 << self.out_bits) - 1
-        if t.shape[1] != n:
-            raise ValueError(
-                f"{self.out_bits}-bit output needs {n} thresholds per channel, "
-                f"got {t.shape[1]}"
-            )
+        count, bits = t.shape[1], self.out_bits
+        # a huge out_bits fails on the bit length, before 2**out_bits is built
+        if count.bit_length() != bits or count != (1 << bits) - 1:
+            need = (1 << bits) - 1 if bits <= 64 else f"2**{bits} - 1"  # negative: the shift raises
+            raise ValueError(f"{bits}-bit output needs {need} thresholds per channel, got {count}")
         # common rows pass on one comparison, which a pair holding a NaN fails
         # as a pair out of order does; a lone threshold has no pair to fail
         odd = t.shape[1] < 2 or not (t[:, 1:] > t[:, :-1]).all()

@@ -503,6 +503,26 @@ class TestWarningsAsErrors:
         assert done.stderr.splitlines() == ["error: node mt: thresholds must not be NaN"]
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("passes", [[], ["--passes", "move_scale_past_conv"]],
+                             ids=["pipeline", "no_absorb"])
+    def test_huge_out_bits_exits_two(self, tmp_path, passes):
+        """An `out_bits` of 10**18 is refused on the threshold count, naming
+        the node, before 2**out_bits is ever built."""
+        g = OpGraph()
+        g.add_node("in", "Input")
+        g.add_node("mul", "Mul", scale=2.0)
+        g.add_node("mt", "MultiThreshold", thresholds=[[0.0, 1.0, 2.0]], out_bits=10**18)
+        g.add_node("out", "Output")
+        for src, dst in (("in", "mul"), ("mul", "mt"), ("mt", "out")):
+            g.connect(src, dst)
+        save_graph(g, tmp_path / "in.json")
+        done = self.run("streamline", tmp_path / "in.json", "-o", tmp_path / "out.json", *passes)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == [
+            f"error: node mt: {10**18}-bit output needs 2**{10**18} - 1 thresholds per channel, "
+            "got 3"]
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestDecode:
     def test_decode_single_frame(self, tmp_path, capsys):

@@ -6,10 +6,16 @@ deadlock (under-buffered edges, rate mismatches) and sit idle for long
 latency countdowns. Every `SimReport` must equal the oracle's field by
 field, with the same key order in its dicts, at a cycle cap of 1, below
 completion, at it and above it; `size_fifos` must recommend the same depths
-or fail with the same error. The same holds on every 8th fifo-sweep pool
-design, at its given depths and at a cap below completion, and on a fork/join
-declared sinks first, so that the report's key order (insertion order) is
-not the topological order the simulator visits nodes in.
+or fail with the same error. The same holds on every 2nd fifo-sweep pool
+design that `simulate` steps at its given depths (its visit records, not the
+closed form, make the report), at those depths and at half its cycles, and
+on a fork/join declared sinks first, so that the report's key order
+(insertion order) is not the topological order the simulator visits nodes in.
+
+The folding test is metamorphic, since the oracle reads `node.latency` and
+so never meets a folded node: folding every stage of a random case to cycles
+per output equal to its latency must leave `simulate`'s reports and
+`size_fifos`' depths unchanged, on stepped and on closed-form runs.
 
 The graph-check test holds ``StreamGraph``'s adjacency order, topological
 order and validation on the shared graph core to the frozen ones, on the same
@@ -151,6 +157,13 @@ def _sizing(size_fifos, doc, workload):
         return f"GraphError: {exc}"
 
 
+def _simulate(g: StreamGraph, workload: int, cycle_cap: int = dataflow.DEFAULT_CYCLE_CAP):
+    """`simulate`'s report and whether it was stepped, not a closed-form run it computed."""
+    with _closed_form_calls() as runs:
+        report = dataflow.simulate(g, workload, cycle_cap)
+    return report, not any(run is report for run in runs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=stream_cases(), data=st.data())
 @example(case=_fixture(chain_stream_graph(), 20), data=None)
@@ -170,11 +183,19 @@ def test_simulate_matches_oracle(case, data):
 
 
 def test_fifo_sweep_pool_sample_matches_oracle():
-    for index in range(0, wl_fifo.POOL, 8):
+    """Every 2nd pool design that `simulate` steps at its given depths (all
+    of them take the frozen stepper about 20 s), at those depths and at half
+    its cycles."""
+    stepped = 0
+    for index in range(0, wl_fifo.POOL, 2):
         g, tokens, _ = wl_fifo.make_design(index)
+        if not _simulate(g, tokens)[1]:
+            continue
+        stepped += 1
         doc = g.to_json_dict()
         full = _assert_same_report(doc, tokens, dataflow.DEFAULT_CYCLE_CAP)
         _assert_same_report(doc, tokens, max(1, full.cycles // 2))
+    assert wl_fifo.POOL // 4 < stepped < wl_fifo.POOL // 2
 
 
 @pytest.mark.parametrize("depths", [None, {"e1": 8, "e2": 8}], ids=["deadlock", "complete"])
@@ -188,6 +209,53 @@ def test_sinks_first_fork_join_matches_oracle(depths):
     assert list(full.stall_cycles) == list(g.nodes) and list(full.max_occupancy) == list(g.edges)
     for cycle_cap in range(1, full.cycles + 2):
         _assert_same_report(doc, FORK_JOIN_WORKLOAD, cycle_cap)
+
+
+def _folded(doc: dict, data) -> dict:
+    """`doc` with each node's latency replaced by a folding of as many cycles
+    per output, split at random among SIMD, PE, channels and kernel."""
+    doc = copy.deepcopy(doc)
+    for node in doc["nodes"]:
+        latency = node.pop("latency")
+        k = data.draw(st.sampled_from([k for k in range(1, 9) if latency % (k * k) == 0]))
+        rest = latency // (k * k)
+        split = data.draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0]))
+        simd, pe = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        node["folding"] = {"simd": simd, "pe": pe, "in_ch": simd * split,
+                           "out_ch": pe * (rest // split), "k": k}
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stream_cases(), data=st.data())
+def test_folded_latencies_run_alike(case, data):
+    """Folding each stage to cycles per output equal to its latency changes
+    no `simulate` report (key order included) and no `size_fifos` result,
+    on a stepped run (one edge below its producer's burst) and on a
+    closed-form one (every edge at its probe peak) as well as at the given depths."""
+    doc, workload = case
+    folded = _folded(doc, data)
+    plain_g, folded_g = StreamGraph.from_json_dict(doc), StreamGraph.from_json_dict(folded)
+    assert all(n.latency is None and n.folding is not None for n in folded_g.nodes.values())
+    runs = {"given": {}}
+    try:
+        peaks = dataflow.probe_fifos(plain_g, workload).max_occupancy
+    except GraphError:
+        pass
+    else:
+        widest = max(plain_g.edges.values(), key=lambda e: plain_g.nodes[e.src].produce)
+        runs["closed form"] = peaks
+        runs["stepped"] = {**peaks, widest.id: plain_g.nodes[widest.src].produce - 1}
+    for kind, depths in runs.items():
+        want, stepped = _simulate(_at_depths(plain_g, depths), workload)
+        got, folded_stepped = _simulate(_at_depths(folded_g, depths), workload)
+        assert folded_stepped == stepped
+        assert kind == "given" or stepped == (kind == "stepped")
+        assert got == want
+        assert list(got.max_occupancy) == list(want.max_occupancy)
+        assert list(got.stall_cycles) == list(want.stall_cycles)
+    assert _sizing(dataflow.size_fifos, folded, workload) == _sizing(
+        dataflow.size_fifos, doc, workload)
 
 
 def _at_depths(g: StreamGraph, depths) -> StreamGraph:
@@ -278,14 +346,14 @@ def test_fifo_sweep_pool_sample_replays():
 
 @contextlib.contextmanager
 def _closed_form_calls(name: str = "_closed_form"):
-    """A list that gathers the arguments of each call to `dataflow.<name>`:
+    """A list that gathers the result of each call to `dataflow.<name>`:
     `_closed_form`, or the kernel `_closed_form_run` behind its memo."""
     calls = []
     wrapped = getattr(dataflow, name)
 
     def counted(*args):
-        calls.append(args)
-        return wrapped(*args)
+        calls.append(wrapped(*args))
+        return calls[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataflow, name, counted)

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +78,26 @@ class TestMultiThreshold:
     def test_nan_threshold_refused(self, row):
         with pytest.raises(ValueError, match="^thresholds must not be NaN$"):
             MultiThresholdOp(np.array([row]), out_bits=len(row).bit_length())
+
+    @pytest.mark.parametrize("out_bits, need", [
+        (1, "1"), (64, str(2**64 - 1)), (65, "2**65 - 1"), (2**27, "2**134217728 - 1"),
+        (10**18, f"2**{10**18} - 1"),
+    ])
+    def test_threshold_count_refused_before_the_level_count_is_built(self, out_bits, need):
+        """The count is checked against `out_bits` by bit length, so a huge
+        `out_bits` is refused at once, without building 2**out_bits: 10**18
+        bits could never be allocated, and 2**27 bits would take 16 MiB."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError) as exc:
+                MultiThresholdOp(np.zeros((1, 3)), out_bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+        assert str(exc.value) == f"{out_bits}-bit output needs {need} thresholds per channel, got 3"
 
     @pytest.mark.parametrize("row", [[0.0, np.inf, np.inf], [np.inf] * 3, [-np.inf] * 3])
     def test_equal_infinities_accepted(self, row):

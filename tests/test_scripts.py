@@ -88,7 +88,22 @@ class TestBenchPairs:
         lines = self.bench_pairs.format_summary("detect-eval", stats, "op_ms_p90")
         assert lines[0].startswith("detect-eval op_ms_p90: parent 16 [15.625, 16.875]")
         assert "change won 9/10 (lower is better)" in lines[0]
-        assert lines[2].startswith("detect-eval claim op_ms_p90: met (won 9/10")
+        assert lines[2].startswith("detect-eval claim op_ms_p90: met (won 9/10, medians 16 -> 14 "
+                                   "(-12.5%), parent IQR 1.25)")
+
+    @pytest.mark.parametrize("parent, change, shown", [
+        ([16.0, 15.0, 17.0], [14.0, 14.5, 13.5], "-12.5%"),  # medians 16 -> 14
+        ([10.0, 10.2, 9.8], [11.0, 11.3, 10.9], "+10.0%"),
+        ([2.0, 2.0, 2.0], [2.0, 2.0, 2.0], "+0.0%"),
+        ([-4.0, -4.0, -4.0], [-3.0, -3.0, -3.0], "+25.0%"),  # in per cent of |parent|
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], "n/a"),
+    ])
+    def test_each_metric_prints_its_median_change(self, parent, change, shown):
+        stats = self.bench_pairs.summarize(canned_pairs(parent, change, parent, change), SPEC)
+        lines = self.bench_pairs.format_summary("w", stats)
+        assert len(lines) == 2
+        for line, unit in zip(lines, ("ms", "ops/s")):
+            assert f" {unit}  median change {shown}  change won " in line
 
     def test_ties_count_for_neither_side(self):
         stats = self.bench_pairs.summarize(canned_pairs([5.0] * 10, [5.0] * 10, [1.0] * 10,
